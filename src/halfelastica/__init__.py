@@ -99,6 +99,7 @@ from .periodmap import (
     monotonicity_transition,
     period_map,
     period_map_oracle,
+    period_map_slice,
     string_candidates,
     trace_fiber,
 )

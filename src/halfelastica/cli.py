@@ -314,11 +314,10 @@ def cmd_scan_period(cfg: RunConfig) -> int:
     a = moduli.a_lower(lam)
     eta_p = moduli.eta_pm(lam)[1]
     n = cfg.samples
-    rows = []
-    for i in range(1, n + 1):
-        e2 = a + (eta_p - a) * i / (n + 1.0)
-        rows.append([float(e2), float(periodmap.period_map((lam, e2)))])
-    _emit(cfg, write_csv(["e2", "P"], rows))
+    e2 = a + (eta_p - a) * np.arange(1, n + 1) / (n + 1.0)
+    values = periodmap.period_map_slice(lam, e2)
+    _emit(cfg, write_csv(["e2", "P"], ([float(x), float(v)]
+                                       for x, v in zip(e2, values))))
     return EXIT_OK
 
 
@@ -396,6 +395,13 @@ def _parse_q(text: str) -> Fraction:
     return frac
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="halfelastica",
                      description="Constrained 1/2-elastica toolkit for the "
@@ -405,9 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, *, lam=False, e2=False, q=False, fmt=("json",), steps=False):
         p = sub.add_parser(name)
         if lam:
-            p.add_argument("--lambda", dest="lam", type=float, required=True)
+            p.add_argument("--lambda", dest="lam", type=_finite, required=True)
         if e2:
-            p.add_argument("--e2", dest="e2", type=float, required=True)
+            p.add_argument("--e2", dest="e2", type=_finite, required=True)
         if q:
             p.add_argument("--q", dest="q", type=_parse_q, required=True)
         if steps:

@@ -271,12 +271,13 @@ def constant_curvature_census(lam: float) -> int:
 
 
 def elliptic_arguments(qd: QuarticData) -> tuple[float, float, float, float]:
-    """The (a, m, n, g) arguments of the complete-elliptic wavelength form."""
+    """The (a, m, n, g) arguments of the complete-elliptic wavelength form;
+    floats or arrays."""
     e1, e2, e3, e4 = qd.roots
     a = (e2 - e1) / (e2 - e4)
     m = ((e1 - e2) * (e3 - e4)) / ((e1 - e3) * (e2 - e4))
     n = e4 * a / e1
-    g = 2.0 / math.sqrt((e1 - e3) * (e2 - e4))
+    g = 2.0 / np.sqrt((e1 - e3) * (e2 - e4))
     return a, m, n, g
 
 

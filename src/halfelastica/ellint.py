@@ -3,8 +3,11 @@ first, second and third kind, the Jacobi amplitude and sn with its inverse,
 and a tanh-sinh quadrature oracle.
 
 The Legendre-form integrals are evaluated through Carlson's symmetric forms
-(R_F, R_C, R_D, R_J) computed by the duplication theorem; the parameter
-convention throughout is
+R_F, R_D and R_J, taken from scipy's ufuncs ``scipy.special.elliprf``,
+``elliprd`` and ``elliprj`` (B. C. Carlson, "Numerical computation of real
+or complex elliptic integrals", Numer. Algorithms 10, 1995).  The complete
+integrals K and Pi accept arrays as well as floats, so a whole slice of the
+period map is one call.  The parameter convention throughout is
 
     K(m)        = int_0^{pi/2} dt / sqrt(1 - m sin^2 t),          0 <= m < 1,
     E(m)        = int_0^{pi/2} sqrt(1 - m sin^2 t) dt,            0 <= m <= 1,
@@ -27,6 +30,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import elliprd, elliprf, elliprj
 
 from .errors import DomainError, QuadratureError
 
@@ -42,170 +46,80 @@ __all__ = [
     "quad_oracle",
 ]
 
-_MAX_DUPLICATIONS = 500
+_NEAR_ONE = 1e-12
 
 
-def _rf(x: float, y: float, z: float) -> float:
-    """Carlson symmetric integral R_F(x, y, z), all arguments >= 0."""
-    errtol = 1.0e-3
-    for _ in range(_MAX_DUPLICATIONS):
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * (sy + sz) + sy * sz
-        x = 0.25 * (x + lam)
-        y = 0.25 * (y + lam)
-        z = 0.25 * (z + lam)
-        ave = (x + y + z) / 3.0
-        dx = (ave - x) / ave
-        dy = (ave - y) / ave
-        dz = (ave - z) / ave
-        if max(abs(dx), abs(dy), abs(dz)) < errtol:
-            break
-    e2 = dx * dy - dz * dz
-    e3 = dx * dy * dz
-    s = 1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0
-    return s / math.sqrt(ave)
+def _log_divergence(one_minus):
+    return np.log(4.0 / np.sqrt(one_minus))
 
 
-def _rc(x: float, y: float) -> float:
-    """Degenerate Carlson integral R_C(x, y) for y > 0."""
-    errtol = 6.0e-4
-    for _ in range(_MAX_DUPLICATIONS):
-        lam = 2.0 * math.sqrt(x) * math.sqrt(y) + y
-        x = 0.25 * (x + lam)
-        y = 0.25 * (y + lam)
-        ave = (x + 2.0 * y) / 3.0
-        s = (y - ave) / ave
-        if abs(s) < errtol:
-            break
-    return (1.0 + s * s * (0.3 + s * (1.0 / 7.0 + s * (0.375 + s * 9.0 / 22.0)))) / math.sqrt(ave)
+def _all(ok) -> bool:
+    # np.all costs microseconds on a plain bool
+    return ok if isinstance(ok, bool) else bool(ok.all())
 
 
-def _rd(x: float, y: float, z: float) -> float:
-    """Carlson symmetric integral R_D(x, y, z) = R_J(x, y, z, z)."""
-    errtol = 1.0e-3
-    c1, c2, c3, c4 = 3.0 / 14.0, 1.0 / 6.0, 9.0 / 22.0, 3.0 / 26.0
-    total = 0.0
-    fac = 1.0
-    for _ in range(_MAX_DUPLICATIONS):
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * (sy + sz) + sy * sz
-        total += fac / (sz * (z + lam))
-        fac *= 0.25
-        x = 0.25 * (x + lam)
-        y = 0.25 * (y + lam)
-        z = 0.25 * (z + lam)
-        ave = 0.2 * (x + y + 3.0 * z)
-        dx = (ave - x) / ave
-        dy = (ave - y) / ave
-        dz = (ave - z) / ave
-        if max(abs(dx), abs(dy), abs(dz)) < errtol:
-            break
-    ea = dx * dy
-    eb = dz * dz
-    ec = ea - eb
-    ed = ea - 6.0 * eb
-    ee = ed + ec + ec
-    s = (
-        1.0
-        + ed * (-c1 + 0.25 * c3 * ed - 1.5 * c4 * dz * ee)
-        + dz * (c2 * ee + dz * (-c3 * ec + dz * c4 * ea))
-    )
-    return 3.0 * total + fac * s / (ave * math.sqrt(ave))
-
-
-def _rj(x: float, y: float, z: float, p: float) -> float:
-    """Carlson symmetric integral R_J(x, y, z, p) for p > 0."""
-    errtol = 1.0e-3
-    c1, c2, c3, c4 = 3.0 / 14.0, 1.0 / 3.0, 3.0 / 22.0, 3.0 / 26.0
-    total = 0.0
-    fac = 1.0
-    for _ in range(_MAX_DUPLICATIONS):
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * (sy + sz) + sy * sz
-        alpha = (p * (sx + sy + sz) + sx * sy * sz) ** 2
-        beta = p * (p + lam) ** 2
-        total += fac * _rc(alpha, beta)
-        fac *= 0.25
-        x = 0.25 * (x + lam)
-        y = 0.25 * (y + lam)
-        z = 0.25 * (z + lam)
-        p = 0.25 * (p + lam)
-        ave = 0.2 * (x + y + z + 2.0 * p)
-        dx = (ave - x) / ave
-        dy = (ave - y) / ave
-        dz = (ave - z) / ave
-        dp = (ave - p) / ave
-        if max(abs(dx), abs(dy), abs(dz), abs(dp)) < errtol:
-            break
-    ea = dx * (dy + dz) + dy * dz
-    eb = dx * dy * dz
-    ec = dp * dp
-    ed = ea - 3.0 * ec
-    ee = eb + 2.0 * dp * (ea - ec)
-    s = (
-        1.0
-        + ed * (-c1 + 0.75 * c3 * ed - 1.5 * c4 * ee)
-        + eb * (0.5 * c2 + dp * (-c3 - c3 + dp * c4))
-        + dp * ea * (c2 - dp * c3)
-        - c2 * dp * ec
-    )
-    return 3.0 * total + fac * s / (ave * math.sqrt(ave))
-
-
-def _log_divergence(m: float) -> float:
-    return math.log(4.0 / math.sqrt(1.0 - m))
-
-
-def _check_m(m: float, allow_one: bool = False) -> None:
+def _check_m(m, allow_one: bool = False) -> None:
     hi_ok = m <= 1.0 if allow_one else m < 1.0
-    if not (0.0 <= m and hi_ok):
+    if not _all((0.0 <= m) & hi_ok):
         raise DomainError(f"parameter m={m!r} outside the supported range")
 
 
-def _check_n(n: float) -> None:
-    if not n < 1.0:
+def _check_n(n) -> None:
+    if not _all(n < 1.0):
         raise DomainError(f"characteristic n={n!r} must be < 1")
 
 
-def complete_K(m: float) -> float:
-    """Complete elliptic integral of the first kind."""
+def _route(one_minus, general, asymptotic):
+    """``general()`` where 1 - m >= 1e-12 and ``asymptotic()`` closer to
+    m = 1, where the Legendre form has no digits left.  Floats give floats,
+    arrays give arrays."""
+    near = one_minus < _NEAR_ONE
+    if isinstance(near, (bool, np.bool_)):
+        return float(asymptotic() if near else general())
+    value = general()
+    return np.where(near, asymptotic(), value) if near.any() else value
+
+
+def complete_K(m):
+    """Complete elliptic integral of the first kind; m may be an array."""
     _check_m(m)
-    if 1.0 - m < 1e-12:
-        # logarithmic asymptotic regime; the Legendre form has no digits left
-        return _log_divergence(m)
-    return _rf(0.0, 1.0 - m, 1.0)
+    one_minus = 1.0 - m
+    return _route(one_minus, lambda: elliprf(0.0, one_minus, 1.0),
+                  lambda: _log_divergence(one_minus))
 
 
 def complete_E(m: float) -> float:
     """Complete elliptic integral of the second kind, 0 <= m <= 1."""
     _check_m(m, allow_one=True)
-    if 1.0 - m < 1e-12:
-        if m == 1.0:
-            return 1.0
-        return 1.0 + 0.5 * (1.0 - m) * (_log_divergence(m) - 0.5)
-    return _rf(0.0, 1.0 - m, 1.0) - (m / 3.0) * _rd(0.0, 1.0 - m, 1.0)
+    one_minus = 1.0 - m
+    if one_minus < _NEAR_ONE:
+        return 1.0 if m == 1.0 else float(
+            1.0 + 0.5 * one_minus * (_log_divergence(one_minus) - 0.5))
+    return float(elliprf(0.0, one_minus, 1.0)
+                 - (m / 3.0) * elliprd(0.0, one_minus, 1.0))
 
 
-def _pi_asymptotic_near_one(n: float, m: float) -> float:
-    # Pi(n, m) ~ (L + g(n)) / (1 - n) as m -> 1-, with the arctan term
-    # continued to positive characteristics through artanh.
-    if n <= 0.0:
-        g = math.sqrt(-n) * math.atan(math.sqrt(-n))
-    else:
-        g = -math.sqrt(n) * math.atanh(math.sqrt(n))
-    return (_log_divergence(m) + g) / (1.0 - n)
+def _pi_asymptotic_near_one(n, one_minus):
+    # Pi(n, m) ~ (L + g(n)) / (1 - n) as m -> 1-, with g(n) = sqrt(-n)
+    # atan(sqrt(-n)); through the complex root the same expression is
+    # -sqrt(n) atanh(sqrt(n)) on positive characteristics.
+    root = np.sqrt(0j - n)
+    g = (root * np.arctan(root)).real
+    return (_log_divergence(one_minus) + g) / (1.0 - n)
 
 
-def complete_Pi(n: float, m: float) -> float:
-    """Complete elliptic integral of the third kind with characteristic n < 1."""
+def complete_Pi(n, m):
+    """Complete elliptic integral of the third kind with characteristic
+    n < 1; n and m may be arrays."""
     _check_n(n)
     _check_m(m)
-    if 1.0 - m < 1e-12:
-        return _pi_asymptotic_near_one(n, m)
-    rf = _rf(0.0, 1.0 - m, 1.0)
-    if n == 0.0:
-        return rf
-    return rf + (n / 3.0) * _rj(0.0, 1.0 - m, 1.0, 1.0 - n)
+    one_minus = 1.0 - m
+    return _route(
+        one_minus,
+        lambda: elliprf(0.0, one_minus, 1.0)
+        + (n / 3.0) * elliprj(0.0, one_minus, 1.0, 1.0 - n),
+        lambda: _pi_asymptotic_near_one(n, one_minus),
+    )
 
 
 def incomplete_F(phi: float, m: float) -> float:
@@ -217,7 +131,7 @@ def incomplete_F(phi: float, m: float) -> float:
         return 0.0
     s = math.sin(phi)
     c = 1.0 / (s * s)
-    return _rf(c - 1.0, c - m, c)
+    return float(elliprf(c - 1.0, c - m, c))
 
 
 def incomplete_Pi(n: float, phi: float, m: float) -> float:
@@ -232,10 +146,8 @@ def incomplete_Pi(n: float, phi: float, m: float) -> float:
         return complete_Pi(n, m)
     s = math.sin(phi)
     c = 1.0 / (s * s)
-    rf = _rf(c - 1.0, c - m, c)
-    if n == 0.0:
-        return rf
-    return rf + (n / 3.0) * _rj(c - 1.0, c - m, c, c - n)
+    return float(elliprf(c - 1.0, c - m, c)
+                 + (n / 3.0) * elliprj(c - 1.0, c - m, c, c - n))
 
 
 def jacobi_am(u: float, m: float) -> float:
@@ -277,7 +189,7 @@ def inverse_sn(x: float, m: float) -> float:
     if x == 0.0:
         return 0.0
     c = 1.0 / (x * x)
-    return _rf(c - 1.0, c - m, c)
+    return float(elliprf(c - 1.0, c - m, c))
 
 
 # ---------------------------------------------------------------------------

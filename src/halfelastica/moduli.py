@@ -106,7 +106,8 @@ class ModulusPoint:
 @dataclass(frozen=True)
 class QuarticData:
     """Roots e1 > e2 > e3 > 0 > e4 of the conserved quartic and the causal
-    constant c (squared momentum norm)."""
+    constant c (squared momentum norm); arrays over the heights of one
+    multiplier slice when built by :func:`_quartic_on_slice`."""
 
     e1: float
     e2: float
@@ -226,9 +227,11 @@ def _e1_newton_polish(lam: float, e2: float, x: float, steps: int = 3) -> float:
     for _ in range(steps):
         f = ((a3 * x + a2) * x + a1) * x + a0
         fp = (3.0 * a3 * x + 2.0 * a2) * x + a1
-        if fp == 0.0:
+        # a double root; slice heights lie inside the moduli space, where
+        # e1 is a simple root
+        if not isinstance(fp, np.ndarray) and fp == 0.0:
             break
-        x -= f / fp
+        x = x - f / fp
     return x
 
 
@@ -269,6 +272,26 @@ def _e1_companion(lam: float, e2: float) -> float:
     return _e1_newton_polish(lam, e2, max(candidates))
 
 
+def _quartic_on_slice(lam: float, e2: np.ndarray) -> QuarticData:
+    """:func:`roots_from_modulus` at every height of one multiplier slice,
+    as arrays; the caller checks that the heights are in the moduli space.
+
+    e1 comes from one eigvals call on the stack of the companion matrices
+    that numpy.roots would build, with the real-root filter, fallback and
+    Newton polish of :func:`_e1_companion`.
+    """
+    a3, a2, a1, a0 = _e1_cubic_coeffs(lam, e2)
+    companion = np.zeros((e2.size, 3, 3))
+    companion[:, 0] = -np.stack(np.broadcast_arrays(a2, a1, a0), -1) / a3[:, None]
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    roots = np.linalg.eigvals(companion)
+    is_real = np.abs(roots.imag) <= 1e-8 * np.maximum(1.0, np.abs(roots))
+    real = np.where(is_real, roots.real, -np.inf)
+    above = np.where(real > e2[:, None], real, -np.inf).max(axis=1)
+    start = np.where(above > -np.inf, above, real.max(axis=1))
+    return _quartic_from_e1(_e1_newton_polish(lam, e2, start), e2)
+
+
 def _unpack_point(p, e2=None) -> tuple[float, float]:
     if e2 is not None:
         return float(p), float(e2)
@@ -290,12 +313,16 @@ def roots_from_modulus(p, e2=None) -> QuarticData:
         raise OutsideModuliSpaceError(
             f"(lambda, e2) = ({lam!r}, {e2v!r}) is outside the moduli space"
         )
-    e1 = _e1_companion(lam, e2v)
-    s = math.sqrt(4.0 * e1**3 * e2v**3 + (e1 + e2v) ** 2)
-    e3 = (e1 + e2v + s) / (2.0 * e1 * e1 * e2v * e2v)
-    e4 = -2.0 * e1 * e2v / (e1 + e2v + s)
-    _, c = reconstruct_lambda_c(e1, e2v)
-    return QuarticData(e1=e1, e2=e2v, e3=e3, e4=e4, c=c)
+    return _quartic_from_e1(_e1_companion(lam, e2v), e2v)
+
+
+def _quartic_from_e1(e1, e2) -> QuarticData:
+    # e3, e4 and c from the closed root relations; floats or arrays
+    s = np.sqrt(4.0 * e1**3 * e2**3 + (e1 + e2) ** 2)
+    e3 = (e1 + e2 + s) / (2.0 * e1 * e1 * e2 * e2)
+    e4 = -2.0 * e1 * e2 / (e1 + e2 + s)
+    _, c = reconstruct_lambda_c(e1, e2)
+    return QuarticData(e1=e1, e2=e2, e3=e3, e4=e4, c=c)
 
 
 def reconstruct_lambda_c(e1: float, e2: float) -> tuple[float, float]:
@@ -330,7 +357,8 @@ def radial_degeneracy(e1: float, e2: float) -> float:
 
 
 def classify_region(lam: float, e2: float, tol: float = _REGION_TOL) -> ModulusPoint:
-    """Total region classification of a (lambda, e2) pair.
+    """Total region classification of a (lambda, e2) pair; NaN and infinite
+    input is Outside.
 
     Points within ``tol`` (absolute, on the defining polynomial) of the
     light-like curve or of the exceptional locus are tagged to the locus,
@@ -338,7 +366,7 @@ def classify_region(lam: float, e2: float, tol: float = _REGION_TOL) -> ModulusP
     """
     lam = float(lam)
     e2 = float(e2)
-    if e2 <= 0.0:
+    if e2 <= 0.0 or not (math.isfinite(lam) and math.isfinite(e2)):
         return ModulusPoint(lam, e2, Region.OUTSIDE)
     pval = boundary_quartic(lam, e2)
     if abs(pval) <= tol:

@@ -47,13 +47,16 @@ from .moduli import (
     ModulusPoint,
     QuarticData,
     Region,
+    _quartic_on_slice,
     _unpack_point,
     a_lower,
+    boundary_quartic,
     chi,
     classify_region,
     eta_pm,
     exceptional_c,
     exceptional_residual,
+    in_moduli_space,
     radial_degeneracy,
     roots_from_modulus,
 )
@@ -67,6 +70,7 @@ __all__ = [
     "b_plus_c_closed_form",
     "coefficient_identity_residuals",
     "period_map",
+    "period_map_slice",
     "period_map_oracle",
     "divergent_term",
     "j_interval",
@@ -80,6 +84,9 @@ __all__ = [
 ]
 
 _TIMELIKE = (Region.T_MINUS, Region.E, Region.T_PLUS)
+
+# radial degeneracy 1 + 4 c e1^2 at or below which a point is on the locus E
+_LOCUS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -151,8 +158,9 @@ class FiberTrace:
     crossing: ModulusPoint | None
 
 
-def _resolve_timelike(p, e2=None) -> ModulusPoint:
-    """Resolve an input to a time-like modulus by the strict sign tests.
+def _resolve_timelike(p, e2=None) -> tuple[ModulusPoint, QuarticData]:
+    """Resolve an input to a time-like modulus by the strict sign tests,
+    with its quartic data, which are solved once on the way.
 
     The tolerance tagging of classify_region widens to square-root scale at
     the corner multiplier -1 where the light-like polynomial has a double
@@ -160,31 +168,48 @@ def _resolve_timelike(p, e2=None) -> ModulusPoint:
     space/light-like decision here is exact, with only the exceptional
     sub-tag keeping its tolerance (the closed form branches there).
     """
-    if isinstance(p, ModulusPoint) and e2 is None:
-        lam, e2v = p.lam, p.e2
-        if p.region in _TIMELIKE:
-            return p
-    else:
-        lam, e2v = _unpack_point(p, e2)
-    from .moduli import in_moduli_space, radial_degeneracy
-
+    if isinstance(p, ModulusPoint) and e2 is None and p.region in _TIMELIKE:
+        return p, roots_from_modulus((p.lam, p.e2))
+    lam, e2v = _unpack_point(p, e2)
     t2 = e2v * e2v + 2.0 * lam * e2v + 1.0
     if not in_moduli_space(lam, e2v) or t2 <= 0.0:
         raise RegionError(
             f"period-map operations require a time-like modulus, got "
             f"({lam}, {e2v})"
         )
+    qd = roots_from_modulus((lam, e2v))
     if lam < LAMBDA_EXCEPTIONAL:
-        qd = roots_from_modulus((lam, e2v))
-        if radial_degeneracy(qd.e1, e2v) <= 1e-9:
-            return ModulusPoint(lam, e2v, Region.E)
+        if radial_degeneracy(qd.e1, e2v) <= _LOCUS_TOL:
+            return ModulusPoint(lam, e2v, Region.E), qd
         if exceptional_residual(qd.e1, e2v) < 0.0:
-            return ModulusPoint(lam, e2v, Region.T_MINUS)
-    return ModulusPoint(lam, e2v, Region.T_PLUS)
+            return ModulusPoint(lam, e2v, Region.T_MINUS), qd
+    return ModulusPoint(lam, e2v, Region.T_PLUS), qd
 
 
-def _stable_small_factors(qd: QuarticData) -> tuple[float, float, float]:
-    """(sqrt|c|, kappa1, 1 + 4 lam sqrt|c|) without catastrophic cancellation.
+def _resolve_slice(lam: float, e2s) -> tuple[QuarticData, np.ndarray]:
+    """:func:`_resolve_timelike` at every height of one multiplier slice:
+    the quartic data as arrays, and the period-map offset of each point
+    (1 on T-, 1/2 on E, 0 on T+), which encodes its region."""
+    e2 = np.atleast_1d(np.asarray(e2s, dtype=float))
+    with np.errstate(invalid="ignore", over="ignore"):
+        timelike = ((e2 > 0.0) & (boundary_quartic(lam, e2) < 0.0)
+                    & (e2 * e2 + 2.0 * lam * e2 + 1.0 > 0.0))
+    if not timelike.all():
+        raise RegionError(
+            f"period-map operations require a time-like modulus, got "
+            f"({lam}, {e2[~timelike][0]})"
+        )
+    qd = _quartic_on_slice(lam, e2)
+    offset = np.zeros_like(e2)
+    if lam < LAMBDA_EXCEPTIONAL:
+        offset[exceptional_residual(qd.e1, e2) < 0.0] = 1.0
+        offset[radial_degeneracy(qd.e1, e2) <= _LOCUS_TOL] = 0.5
+    return qd, offset
+
+
+def _stable_small_factors(qd: QuarticData):
+    """(sqrt|c|, kappa1, 1 + 4 lam sqrt|c|) without catastrophic
+    cancellation, on floats or on the arrays of one slice.
 
     Uses 1 - p^2 = 4|c| e1^2 with p = T/(2 e1 e2^2) and the factored
     tangential zero 1 + 4 c e1^2 = T^2/(4 e1^2 e2^4).
@@ -194,54 +219,68 @@ def _stable_small_factors(qd: QuarticData) -> tuple[float, float, float]:
     p_hat = t / (2.0 * e1 * e2 * e2)
     # 1 - p^2 = 4 |c| e1^2; both factors are far from zero in the interior
     one_minus_p2 = (1.0 - p_hat) * (1.0 + p_hat)
-    sc = math.sqrt(max(one_minus_p2, 0.0)) / (2.0 * e1)
+    sc = np.sqrt(np.maximum(one_minus_p2, 0.0)) / (2.0 * e1)
     w1p = 1.0 + 2.0 * sc * e1
     kappa1 = radial_degeneracy(e1, e2) / w1p
     q_hat = (e1 + e2) * (1.0 + e1 * e1 * e2 * e2)
     w = q_hat / (2.0 * e1**3 * e2 * e2)
     num = t * (-(2.0 * e1**3 * e2 * e2 + q_hat)
                + q_hat * q_hat * t / (4.0 * e1 * e1 * e2**4)) / (4.0 * e1**6 * e2**4)
-    u = num / (1.0 + w * math.sqrt(max(1.0 - p_hat * p_hat, 0.0)))
+    u = num / (1.0 + w * np.sqrt(np.maximum(1.0 - p_hat * p_hat, 0.0)))
     return sc, kappa1, u
 
 
-def elliptic_coeffs(p, e2=None) -> EllipticCoeffs:
-    """Closed-form coefficients (g, m, n1, n2, A, B, C) of a time-like
-    modulus; n1 and B are withheld on the exceptional locus where they
-    diverge."""
-    point = _resolve_timelike(p, e2)
-    qd = roots_from_modulus((point.lam, point.e2))
-    return _coeffs_from_quartic(point, qd)
-
-
-def _coeffs_from_quartic(point: ModulusPoint, qd: QuarticData,
-                         force_general: bool = False) -> EllipticCoeffs:
-    lam = point.lam
+def _coefficients(lam, qd: QuarticData):
+    """(g, m, n1, n2, A, B, C) of the closed form, on floats or on the
+    arrays of one slice.  n1 and B diverge like 1/kappa1 at the exceptional
+    locus, where the callers drop them."""
     e1, e2v, e3, e4 = qd.roots
     _, m, _, g = elliptic_arguments(qd)
     sc, kappa1, u = _stable_small_factors(qd)
     w1p = 1.0 + 2.0 * sc * e1
     w4m = 1.0 - 2.0 * sc * e4
     w4p = 1.0 + 2.0 * sc * e4
+    n1 = (w4m * (e2v - e1)) / (kappa1 * (e2v - e4))
     n2 = (w4p * (e2v - e1)) / (w1p * (e2v - e4))
     a_coeff = -g * e4 * (e4 + 2.0 * lam) / (w4m * w4p)
-    c_coeff = g * (1.0 - 4.0 * lam * sc) * (e1 - e4) / (4.0 * sc * w4p * w1p)
-    on_locus = point.region is Region.E and not force_general
-    if on_locus or kappa1 == 0.0:
-        return EllipticCoeffs(g=g, m=m, n1=None, n2=n2, A=a_coeff, B=None,
-                              C=c_coeff, valid_n1B=False)
-    n1 = (w4m * (e2v - e1)) / (kappa1 * (e2v - e4))
     b_coeff = -g * u * (e1 - e4) / (4.0 * sc * w4m * kappa1)
+    c_coeff = g * (1.0 - 4.0 * lam * sc) * (e1 - e4) / (4.0 * sc * w4p * w1p)
+    return g, m, n1, n2, a_coeff, b_coeff, c_coeff
+
+
+def elliptic_coeffs(p, e2=None) -> EllipticCoeffs:
+    """Closed-form coefficients (g, m, n1, n2, A, B, C) of a time-like
+    modulus; n1 and B are withheld on the exceptional locus where they
+    diverge."""
+    return _coeffs_from_quartic(*_resolve_timelike(p, e2))
+
+
+def _coeffs_from_quartic(point: ModulusPoint, qd: QuarticData,
+                         force_general: bool = False) -> EllipticCoeffs:
+    g, m, n1, n2, a_coeff, b_coeff, c_coeff = _coefficients(point.lam, qd)
+    valid = ((force_general or point.region is not Region.E)
+             and math.isfinite(n1))
+    if not valid:
+        n1 = b_coeff = None
     return EllipticCoeffs(g=g, m=m, n1=n1, n2=n2, A=a_coeff, B=b_coeff,
-                          C=c_coeff, valid_n1B=True)
+                          C=c_coeff, valid_n1B=valid)
 
 
-def b_plus_c_closed_form(p, e2=None) -> float:
-    """Closed form of B + C (finite even where B and C individually are
-    large with opposite signs)."""
-    point = _resolve_timelike(p, e2)
-    qd = roots_from_modulus((point.lam, point.e2))
-    lam = point.lam
+def _closed_form(lam, qd: QuarticData, on_locus):
+    """The closed-form integral -Theta(omega)/(2 pi), without the region
+    offset, on floats or on the arrays of one slice; the B Pi(n1) term is
+    dropped where ``on_locus``."""
+    g, m, n1, n2, a_coeff, b_coeff, c_coeff = _coefficients(lam, qd)
+    if not isinstance(on_locus, bool):  # np.where costs microseconds on floats
+        n1, b_coeff = np.where(on_locus, 0.0, n1), np.where(on_locus, 0.0, b_coeff)
+    elif on_locus:
+        n1 = b_coeff = 0.0
+    return (2.0 * np.sqrt(-qd.c) / math.pi) * (
+        a_coeff * ellint.complete_K(m) + b_coeff * ellint.complete_Pi(n1, m)
+        + c_coeff * ellint.complete_Pi(n2, m))
+
+
+def _b_plus_c(lam: float, qd: QuarticData) -> float:
     e1, _, _, e4 = qd.roots
     c = qd.c
     _, _, _, g = elliptic_arguments(qd)
@@ -250,12 +289,18 @@ def b_plus_c_closed_form(p, e2=None) -> float:
     return num / den
 
 
+def b_plus_c_closed_form(p, e2=None) -> float:
+    """Closed form of B + C (finite even where B and C individually are
+    large with opposite signs)."""
+    point, qd = _resolve_timelike(p, e2)
+    return _b_plus_c(point.lam, qd)
+
+
 def coefficient_identity_residuals(p, e2=None) -> tuple[float, float]:
     """Residuals of the two algebraic identities satisfied by the
     coefficients: the partial-fraction sum identity and the B + C closed
     form.  Both should vanish to rounding off the exceptional locus."""
-    point = _resolve_timelike(p, e2)
-    qd = roots_from_modulus((point.lam, point.e2))
+    point, qd = _resolve_timelike(p, e2)
     co = _coeffs_from_quartic(point, qd)
     if not co.valid_n1B:
         raise RegionError("coefficient identities need the off-locus branch")
@@ -265,7 +310,7 @@ def coefficient_identity_residuals(p, e2=None) -> tuple[float, float]:
     rhs = -co.g * e2v * (e2v + 2.0 * lam) / (1.0 + 4.0 * qd.c * e2v * e2v)
     q_resid = (lhs - rhs) / max(1.0, abs(rhs))
     bc = co.B + co.C
-    bc_closed = b_plus_c_closed_form(point)
+    bc_closed = _b_plus_c(lam, qd)
     bc_resid = (bc - bc_closed) / max(1.0, abs(bc_closed))
     return q_resid, bc_resid
 
@@ -276,18 +321,19 @@ def _offset(region: Region) -> float:
 
 def period_map(p, e2=None) -> float:
     """Closed-form period map value of a time-like modulus."""
-    point = _resolve_timelike(p, e2)
-    qd = roots_from_modulus((point.lam, point.e2))
-    co = _coeffs_from_quartic(point, qd)
-    sc = math.sqrt(-qd.c)
-    k = ellint.complete_K(co.m)
-    pi2 = ellint.complete_Pi(co.n2, co.m)
-    if co.valid_n1B:
-        pi1 = ellint.complete_Pi(co.n1, co.m)
-        integral = (2.0 * sc / math.pi) * (co.A * k + co.B * pi1 + co.C * pi2)
-    else:
-        integral = (2.0 * sc / math.pi) * (co.A * k + co.C * pi2)
-    return integral + _offset(point.region)
+    point, qd = _resolve_timelike(p, e2)
+    return (_closed_form(point.lam, qd, point.region is Region.E)
+            + _offset(point.region))
+
+
+def period_map_slice(lam: float, e2s) -> np.ndarray:
+    """Closed-form period map at every height of one multiplier slice, in
+    one array pass; each point gets the region :func:`period_map` gives it
+    and the same value up to rounding.  Raises RegionError when any height
+    (NaN and infinities included) is not time-like at ``lam``."""
+    qd, offset = _resolve_slice(lam, e2s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _closed_form(lam, qd, offset == 0.5) + offset
 
 
 def divergent_term(p, e2=None) -> float:
@@ -298,8 +344,7 @@ def divergent_term(p, e2=None) -> float:
     Always evaluated on the general branch (the analytic continuation off
     the locus), even when the point is close enough to be tagged to it.
     """
-    point = _resolve_timelike(p, e2)
-    qd = roots_from_modulus((point.lam, point.e2))
+    point, qd = _resolve_timelike(p, e2)
     co = _coeffs_from_quartic(point, qd, force_general=True)
     if not co.valid_n1B:
         raise RegionError("the divergent term is undefined exactly on the locus")
@@ -314,8 +359,7 @@ def period_map_oracle(p, e2=None, tol: float = 1e-12) -> float:
     The near-locus denominator is rebuilt from the factored small quantities
     and the exact node distance to e1 supplied by the tanh-sinh driver.
     """
-    point = _resolve_timelike(p, e2)
-    qd = roots_from_modulus((point.lam, point.e2))
+    point, qd = _resolve_timelike(p, e2)
     lam = point.lam
     e1, e2v, e3, e4 = qd.roots
     sc, kappa1, _ = _stable_small_factors(qd)
@@ -345,8 +389,7 @@ def r_term(p, e2=None) -> float:
     """The bounded companion of the logarithmic divergence of the period
     integral near the lower boundary (arctan combination of the two
     characteristics)."""
-    point = _resolve_timelike(p, e2)
-    co = elliptic_coeffs(point)
+    co = elliptic_coeffs(p, e2)
     if not co.valid_n1B:
         raise RegionError("r_term needs the off-locus branch")
 
@@ -402,7 +445,7 @@ def string_candidates(lam: float, q, n_scan: int = 512) -> list[float]:
     eta_p = eta_pm(lam)[1]
     inset = 1e-7 * (eta_p - a)
     grid = np.linspace(a + inset, eta_p - inset, n_scan)
-    vals = np.array([period_map((lam, e2)) - qv for e2 in grid])
+    vals = period_map_slice(lam, grid) - qv
     roots = []
     for i in range(len(grid) - 1):
         va, vb = vals[i], vals[i + 1]
@@ -515,7 +558,15 @@ def _solve_fiber_lambda(e2: float, qv: float, guess: float | None) -> float:
                 return brentq(f, glo, ghi, xtol=1e-13, rtol=8.9e-16)
         except (DomainError, RegionError):
             pass
-    return brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16)
+    try:
+        return brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16)
+    except DomainError:
+        raise
+    except ValueError as exc:  # brentq: f(lo) and f(hi) share a sign
+        raise BracketError(
+            f"no sign change of P - q on the full lambda bracket "
+            f"[{lo!r}, {hi!r}] for q={qv!r} at e2={e2!r}"
+        ) from exc
 
 
 def trace_fiber(q, steps: int = 200) -> FiberTrace:

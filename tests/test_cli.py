@@ -49,6 +49,18 @@ class TestClassify:
         code, _, _ = run_cli(["classify", "--lambda", "-1.0"])
         assert code == 64
 
+    @pytest.mark.parametrize("args", [
+        ["classify", "--lambda", "nan", "--e2", "1.5"],
+        ["classify", "--lambda=-inf", "--e2", "1.5"],
+        ["classify", "--lambda", "-1.2", "--e2", "inf"],
+        ["curve", "--lambda", "-1.3", "--e2", "NaN"],
+        ["scan-period", "--lambda", "inf"],
+    ])
+    def test_non_finite_arguments_are_usage_errors(self, args):
+        code, out, err = run_cli(args)
+        assert code == 64
+        assert out == "" and "finite" in err
+
 
 class TestCurve:
     def test_csv_row_count(self, tmp_path):
@@ -110,6 +122,18 @@ class TestScanPeriod:
                   for line in out.strip().split("\n")[1:]]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    def test_rows_match_period_map(self):
+        from halfelastica import periodmap as P
+
+        _, out, _ = run_cli(["scan-period", "--lambda", "-1.2",
+                             "--samples", "32"])
+        a, eta_p = M.a_lower(-1.2), M.eta_pm(-1.2)[1]
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        for i, (e2, value) in enumerate(rows, start=1):
+            assert float(e2) == a + (eta_p - a) * i / 33.0
+            assert float(value) == pytest.approx(
+                P.period_map((-1.2, float(e2))), abs=1e-11)
+
     def test_interior_minimum_below_transition(self):
         _, out, _ = run_cli(["scan-period", "--lambda", "-0.999",
                              "--samples", "128"])
@@ -146,6 +170,12 @@ class TestFindStringAndFiber:
         locus = [r for r in rows if r[2] == "E"]
         assert len(locus) == 1
         assert float(locus[0][1]) == pytest.approx(1.71966, abs=5e-4)
+
+    def test_unreachable_fiber_exit(self):
+        code, out, err = run_cli(["fiber", "--q", "4/3", "--steps", "20"])
+        assert code == 65
+        assert out == ""
+        assert "bracket" in err and "q=" in err
 
     def test_string_svg(self, tmp_path):
         out_file = tmp_path / "string.svg"

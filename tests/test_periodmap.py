@@ -7,12 +7,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from halfelastica import curvegen as C
 from halfelastica import dynamics as D
 from halfelastica import moduli as M
 from halfelastica import periodmap as P
 from halfelastica.errors import (
+    BracketError,
     CharacteristicIntervalError,
     DomainError,
     RegionError,
@@ -340,3 +342,112 @@ def test_scan_shapes():
     dipping = slice_values(-0.999)
     diffs = np.diff(dipping)
     assert np.any(diffs < 0.0) and np.any(diffs[np.argmin(dipping):] > 0.0)
+
+
+SLICE_LAMBDAS = (-1.8, -1.3, -1.2, -1.01, -0.95, -0.92, -0.9466507279281713)
+OFFSET_REGION = {1.0: M.Region.T_MINUS, 0.5: M.Region.E, 0.0: M.Region.T_PLUS}
+
+
+def _scan_grid(lam, n_scan=512):
+    a, eta_p = M.a_lower(lam), M.eta_pm(lam)[1]
+    inset = 1e-7 * (eta_p - a)
+    return np.linspace(a + inset, eta_p - inset, n_scan)
+
+
+def _scalar_candidates(lam, q, n_scan=512):
+    """string_candidates with its scan evaluated height by height."""
+    qv = float(Fraction(q))
+    grid = _scan_grid(lam, n_scan)
+    vals = np.array([P.period_map((lam, e2)) - qv for e2 in grid])
+    roots = []
+    for i in range(len(grid) - 1):
+        if vals[i] == 0.0:
+            roots.append(float(grid[i]))
+        elif vals[i] * vals[i + 1] < 0.0:
+            roots.append(brentq(lambda e2: P.period_map((lam, e2)) - qv,
+                                grid[i], grid[i + 1], xtol=1e-14,
+                                rtol=8.9e-16))
+    if vals[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    return roots
+
+
+class TestPeriodMapSlice:
+    @pytest.mark.parametrize("lam", SLICE_LAMBDAS)
+    def test_matches_scalar_loop(self, lam):
+        a, eta_p = M.a_lower(lam), M.eta_pm(lam)[1]
+        grid = _scan_grid(lam)
+        if lam < M.LAMBDA_EXCEPTIONAL:
+            ce = M.exceptional_c(lam)
+            band = ce + np.array([-3e-6, -1e-7, 0.0, 1e-7, 3e-6])
+            grid = np.sort(np.concatenate([grid, band]))
+        values = P.period_map_slice(lam, grid)
+        _, offsets = P._resolve_slice(lam, grid)
+        ref = np.array([P.period_map((lam, e2)) for e2 in grid])
+        regions = [P._resolve_timelike((lam, e2))[0].region for e2 in grid]
+        assert [OFFSET_REGION[o] for o in offsets] == regions
+        if lam < M.LAMBDA_EXCEPTIONAL:
+            assert regions.count(M.Region.E) >= 3
+        err = np.abs(values - ref) / np.maximum(1.0, np.abs(ref))
+        assert err.max() <= 1e-9
+        interior = (grid - a > 0.01 * (eta_p - a)) & (eta_p - grid > 0.01 * (eta_p - a))
+        assert err[interior].max() <= 1e-11
+
+    @pytest.mark.parametrize("lam, q", [(-1.01, "11/10"), (-1.2, "29/28"),
+                                        (-0.95, "6/5"), (-0.99, "3/2")])
+    def test_candidates_match_scalar_scan(self, lam, q):
+        assert P.string_candidates(lam, q) == _scalar_candidates(lam, q)
+
+    def test_find_string_makes_few_scalar_calls(self, monkeypatch):
+        calls = []
+        scalar = P.period_map
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return scalar(*args, **kwargs)
+
+        monkeypatch.setattr(P, "period_map", counting)
+        P.find_string(-1.01, "11/10")
+        assert 0 < len(calls) <= 64
+
+    def test_rejects_heights_outside_the_timelike_slice(self):
+        with pytest.raises(RegionError):
+            P.period_map_slice(-1.3, [2.3, 1.2])
+
+
+@pytest.mark.parametrize("point", [(-1.3, 2.3), M.classify_region(-1.3, 2.3)])
+@pytest.mark.parametrize("fn", [P.period_map, P.elliptic_coeffs,
+                                P.divergent_term, P.period_map_oracle,
+                                P.b_plus_c_closed_form,
+                                P.coefficient_identity_residuals])
+def test_quartic_solved_once_per_evaluation(fn, point, monkeypatch):
+    calls = []
+    solve = P.roots_from_modulus
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(P, "roots_from_modulus", counting)
+    fn(point)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("lam, e2", [
+    (math.nan, 1.5), (math.inf, 1.5), (-math.inf, 1.5),
+    (-1.2, math.nan), (-1.2, math.inf), (-1.2, -math.inf),
+])
+def test_non_finite_input(lam, e2):
+    assert M.classify_region(lam, e2).region is M.Region.OUTSIDE
+    with pytest.raises(RegionError):
+        P.period_map((lam, e2))
+    with pytest.raises(RegionError):
+        P.period_map_slice(lam, [2.3, e2])
+
+
+def test_unreachable_fiber_raises_bracket_error():
+    with pytest.raises(BracketError) as info:
+        P.trace_fiber("4/3", steps=20)
+    message = str(info.value)
+    assert "q=1.3333333333333333" in message
+    assert "e2=" in message and "bracket" in message
