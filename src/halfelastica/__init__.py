@@ -45,6 +45,7 @@ from .moduli import (
     exceptional_c,
     in_moduli_space,
     locus_functions,
+    resolve,
     roots_from_modulus,
 )
 from .dynamics import (

@@ -21,12 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import curvegen, dynamics, moduli, periodmap
-from .errors import (
-    BracketError,
-    CharacteristicIntervalError,
-    DomainError,
-    HalfElasticaError,
-)
+from .errors import CharacteristicIntervalError, HalfElasticaError
 __all__ = ["main", "RunConfig"]
 
 SCHEMA = "halfelastica/1"
@@ -47,7 +42,6 @@ class RunConfig:
     samples: int = 2048
     periods: float = 1.0
     steps: int = 200
-    tol: float = 1e-9
     output: str | None = None
     format: str = "json"
 
@@ -130,7 +124,6 @@ def svg_document(elements: list[str]) -> str:
     return (
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1000 1000">\n'
         '<rect width="1000" height="1000" fill="white"/>\n'
-        f"{_svg_circle(500, 500, 500, 'black', 2.0)}\n"
         f"{body}\n"
         "</svg>\n"
     )
@@ -168,8 +161,9 @@ def _osculating_circles(curve) -> list[str]:
 
 def curve_svg(curve) -> str:
     pts = [_disk_xy(u, v) for u, v in curve.poincare]
-    return svg_document(_osculating_circles(curve) +
-                        [_svg_path(pts, "steelblue", 2.0)])
+    return svg_document([_svg_circle(500, 500, 500, "black", 2.0)]
+                        + _osculating_circles(curve)
+                        + [_svg_path(pts, "steelblue", 2.0)])
 
 
 def phase_portrait_orbits(lam: float, n_orbits: int = 6,
@@ -223,12 +217,7 @@ def phase_portrait_svg(lam: float) -> str:
             pts = [to_xy(x, y) for x, y in orbit]
             elements.append(_svg_path(pts, colors[kind], 1.5,
                                       dashed=(kind == "separatrix")))
-    body = "\n".join(elements)
-    return (
-        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1000 1000">\n'
-        '<rect width="1000" height="1000" fill="white"/>\n'
-        f"{body}\n</svg>\n"
-    )
+    return svg_document(elements)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +234,7 @@ def _emit(cfg: RunConfig, text: str) -> None:
 
 
 def cmd_classify(cfg: RunConfig) -> int:
-    point = moduli.classify_region(cfg.lam, cfg.e2)
+    point = moduli.resolve(cfg.lam, cfg.e2)
     report: dict = {"schema": SCHEMA, "command": "classify",
                     "lambda": cfg.lam, "e2": cfg.e2,
                     "region": point.region.value}
@@ -257,21 +246,16 @@ def cmd_classify(cfg: RunConfig) -> int:
         report["eta_minus"] = None
         report["eta_plus"] = None
     if point.in_moduli_space:
-        qd = moduli.roots_from_modulus(point)
+        qd = point.quartic
         report.update(e1=qd.e1, e3=qd.e3, e4=qd.e4, c=qd.c,
                       wavelength=dynamics.wavelength(point))
     _emit(cfg, dumps_json(report) + "\n")
     return EXIT_OK if point.in_moduli_space else EXIT_OUTSIDE
 
 
-def _curve_for(cfg: RunConfig):
-    point = moduli.classify_region(cfg.lam, cfg.e2)
-    return curvegen.make_curve(point, samples=cfg.samples,
-                               periods=cfg.periods)
-
-
 def cmd_curve(cfg: RunConfig) -> int:
-    curve = _curve_for(cfg)
+    curve = curvegen.make_curve(moduli.resolve(cfg.lam, cfg.e2),
+                                samples=cfg.samples, periods=cfg.periods)
     if cfg.format == "svg":
         _emit(cfg, curve_svg(curve))
         return EXIT_OK
@@ -286,7 +270,8 @@ def cmd_curve(cfg: RunConfig) -> int:
 
 
 def cmd_signature(cfg: RunConfig) -> int:
-    sig = dynamics.signature((cfg.lam, cfg.e2), cfg.samples)
+    point = moduli.resolve(cfg.lam, cfg.e2)
+    sig = dynamics.signature(point, cfg.samples)
     if cfg.format == "svg":
         x_hi = float(sig[:, 0].max()) * 1.1
         y_hi = max(float(np.abs(sig[:, 1]).max()), 1e-6) * 1.2
@@ -295,13 +280,9 @@ def cmd_signature(cfg: RunConfig) -> int:
             return 1000.0 * x / x_hi, 500.0 * (1.0 - y / y_hi)
 
         loop = [to_xy(x, y) for x, y in sig] + [to_xy(sig[0, 0], sig[0, 1])]
-        body = _svg_path(loop, "firebrick", 2.0)
-        _emit(cfg, '<svg xmlns="http://www.w3.org/2000/svg" '
-                   'viewBox="0 0 1000 1000">\n'
-                   '<rect width="1000" height="1000" fill="white"/>\n'
-                   f"{body}\n</svg>\n")
+        _emit(cfg, svg_document([_svg_path(loop, "firebrick", 2.0)]))
         return EXIT_OK
-    omega = dynamics.wavelength((cfg.lam, cfg.e2))
+    omega = dynamics.wavelength(point)
     s = np.linspace(0.0, omega, len(sig), endpoint=False)
     _emit(cfg, write_csv(["s", "mu", "mu_dot"],
                          ([float(a), float(b), float(c)]
@@ -408,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "hyperbolic plane")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name, *, lam=False, e2=False, q=False, fmt=("json",), steps=False):
+    def add(name, *, lam=False, e2=False, q=False, fmt=("json",), steps=False,
+            samples=False, periods=False):
         p = sub.add_parser(name)
         if lam:
             p.add_argument("--lambda", dest="lam", type=_finite, required=True)
@@ -418,18 +400,20 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--q", dest="q", type=_parse_q, required=True)
         if steps:
             p.add_argument("--steps", dest="steps", type=int, default=200)
-        p.add_argument("--samples", dest="samples", type=int, default=2048)
-        p.add_argument("--periods", dest="periods", type=float, default=1.0)
-        p.add_argument("--tol", dest="tol", type=float, default=1e-9)
+        if samples:
+            p.add_argument("--samples", dest="samples", type=int, default=2048)
+        if periods:
+            p.add_argument("--periods", dest="periods", type=float, default=1.0)
         p.add_argument("--out", dest="output", default=None)
         p.add_argument("--format", dest="format", choices=fmt, default=fmt[0])
         return p
 
     add("classify", lam=True, e2=True)
-    add("curve", lam=True, e2=True, fmt=("csv", "svg"))
-    add("signature", lam=True, e2=True, fmt=("csv", "svg"))
-    add("scan-period", lam=True, fmt=("csv",))
-    add("find-string", lam=True, q=True, fmt=("json", "svg"))
+    add("curve", lam=True, e2=True, fmt=("csv", "svg"), samples=True,
+        periods=True)
+    add("signature", lam=True, e2=True, fmt=("csv", "svg"), samples=True)
+    add("scan-period", lam=True, fmt=("csv",), samples=True)
+    add("find-string", lam=True, q=True, fmt=("json", "svg"), samples=True)
     add("fiber", q=True, fmt=("csv",), steps=True)
     add("phase-portrait", lam=True, fmt=("svg", "csv"))
     return parser
@@ -441,18 +425,8 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
-    cfg = RunConfig(
-        command=ns.command,
-        lam=getattr(ns, "lam", None),
-        e2=getattr(ns, "e2", None),
-        q=getattr(ns, "q", None),
-        samples=ns.samples,
-        periods=ns.periods,
-        steps=getattr(ns, "steps", 200),
-        tol=ns.tol,
-        output=ns.output,
-        format=ns.format,
-    )
+    # options a subcommand does not take keep their RunConfig defaults
+    cfg = RunConfig(**vars(ns))
     if cfg.samples < 16:
         sys.stderr.write("error: --samples must be at least 16\n")
         return EXIT_USAGE
@@ -461,9 +435,6 @@ def main(argv=None) -> int:
     except CharacteristicIntervalError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_Q_RANGE
-    except (DomainError, BracketError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DOMAIN
     except HalfElasticaError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DOMAIN

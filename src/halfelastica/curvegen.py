@@ -28,16 +28,18 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from . import ellint
 from .errors import DomainError, IntegrationError, RegionError
-from .dynamics import wavelength
+from .dynamics import mu_acceleration, saddle_level, wavelength
 from .moduli import (
     ModulusPoint,
     QuarticData,
     Region,
-    _unpack_point,
+    _TIMELIKE,
     b0,
-    classify_region,
     eta_pm,
+    radial_degeneracy,
+    resolve,
     roots_from_modulus,
 )
 
@@ -69,6 +71,10 @@ __all__ = [
 ]
 
 _METRIC = np.diag([-1.0, 1.0, 1.0])
+
+# radial degeneracy 1 + 4 c e1^2 below which the time-like family rebuilds
+# 1 + 4 c mu^2 from its factored form
+_NEAR_LOCUS = 1e-6
 
 
 class CurveKind(enum.Enum):
@@ -136,16 +142,26 @@ def from_poincare(uv):
 # ---------------------------------------------------------------------------
 
 
-def _theta_rhs_for(point: ModulusPoint, kind: CurveKind, qd: QuarticData):
+def _kappa1(qd: QuarticData) -> float | None:
+    """kappa1 = (1 + 4 c e1^2) / (1 + 2 sqrt|c| e1) of a time-like point from
+    the cancellation-free radial degeneracy, when that is below _NEAR_LOCUS;
+    None farther from the exceptional locus."""
+    degeneracy = radial_degeneracy(qd.e1, qd.e2)
+    if degeneracy >= _NEAR_LOCUS:
+        return None
+    return degeneracy / (1.0 + 2.0 * math.sqrt(-qd.c) * qd.e1)
+
+
+def _theta_rhs_for(point: ModulusPoint, kind: CurveKind):
     """Phase derivative as a function of the curvature value.
 
     Near the exceptional locus the non-exceptional denominator 1 + 4 c mu^2
     nearly vanishes at mu = e1; it is then rebuilt from the factored form
-    (kappa1 + 2 sqrt|c| (e1 - mu)) (1 + 2 sqrt|c| mu), where kappa1 is
-    obtained from the cancellation-free locus residual.
+    (kappa1 + 2 sqrt|c| (e1 - mu)) (1 + 2 sqrt|c| mu) (see :func:`_kappa1`).
     """
+    qd = point.quartic
     lam, c = point.lam, qd.c
-    sc = math.sqrt(abs(c)) if c != 0.0 else 0.0
+    sc = math.sqrt(abs(c))
     if kind is CurveKind.BL:
         def theta_rhs(x):
             return -x * x * (x + 2.0 * lam)
@@ -154,18 +170,14 @@ def _theta_rhs_for(point: ModulusPoint, kind: CurveKind, qd: QuarticData):
         def theta_rhs(x):
             return -8.0 * sc * lam * lam * x * x / (x - 2.0 * lam)
         return theta_rhs
-    if kind is CurveKind.BT:
-        from .moduli import radial_degeneracy
+    kappa1 = _kappa1(qd) if kind is CurveKind.BT else None
+    if kappa1 is not None:
+        e1 = qd.e1
 
-        degeneracy = radial_degeneracy(qd.e1, qd.e2)
-        if degeneracy < 1e-6:
-            kappa1 = degeneracy / (1.0 + 2.0 * sc * qd.e1)
-            e1 = qd.e1
-
-            def theta_rhs(x):
-                den = (kappa1 + 2.0 * sc * (e1 - x)) * (1.0 + 2.0 * sc * x)
-                return 2.0 * sc * x * x * (x + 2.0 * lam) / den
-            return theta_rhs
+        def theta_rhs(x):
+            den = (kappa1 + 2.0 * sc * (e1 - x)) * (1.0 + 2.0 * sc * x)
+            return 2.0 * sc * x * x * (x + 2.0 * lam) / den
+        return theta_rhs
 
     def theta_rhs(x):
         return 2.0 * sc * x * x * (x + 2.0 * lam) / (1.0 + 4.0 * c * x * x)
@@ -175,23 +187,23 @@ def _theta_rhs_for(point: ModulusPoint, kind: CurveKind, qd: QuarticData):
 class _CurveFlow:
     """Dense (mu, mu', Theta) flow for one modulus point and curve kind."""
 
-    def __init__(self, point: ModulusPoint, kind: CurveKind, qd: QuarticData,
+    def __init__(self, point: ModulusPoint, kind: CurveKind, omega: float,
                  s_lo: float, s_hi: float, rtol: float, atol: float):
         self.point = point
         self.kind = kind
-        self.qd = qd
+        self.qd = point.quartic
         self.lam = point.lam
-        self.c = qd.c
-        self.omega = wavelength(point)
+        self.c = self.qd.c
+        self.omega = omega
         self.exceptional = point.region is Region.E
+        self._kappa1 = _kappa1(self.qd) if kind is CurveKind.BT else None
         lam = self.lam
-        theta_rhs = _theta_rhs_for(point, kind, qd)
+        theta_rhs = _theta_rhs_for(point, kind)
         self._theta_rhs = theta_rhs
 
         def rhs(_s, state):
             x, y, _ = state
-            return (y, 2.0 * y * y / x - x - 2.0 * lam * x**4 - x**5,
-                    theta_rhs(x))
+            return (y, mu_acceleration(lam, x, y), theta_rhs(x))
 
         self._rhs = rhs
         self._rtol = rtol
@@ -208,11 +220,9 @@ class _CurveFlow:
         The step cap keeps dense-output interpolation error below the
         momentum-constancy budget even for large curvature scales.
         """
-        if side in self._dense:
-            if side == "+" and target <= self._built["+"]:
-                return
-            if side == "-" and target >= self._built["-"]:
-                return
+        # the "+" branch runs to s >= 0 and the "-" branch to s < 0
+        if side in self._dense and abs(target) <= abs(self._built[side]):
+            return
         floor = 1e-3 * self.omega
         span = max(abs(target) * 1.05, floor)
         if side == "-":
@@ -232,14 +242,10 @@ class _CurveFlow:
         mu_dot = np.empty_like(s)
         theta = np.empty_like(s)
         pos = s >= 0.0
-        if np.any(pos):
-            self._extend("+", float(s[pos].max()))
-            vals = self._dense["+"](s[pos])
-            mu[pos], mu_dot[pos], theta[pos] = vals
-        if np.any(~pos):
-            self._extend("-", float(s[~pos].min()))
-            vals = self._dense["-"](s[~pos])
-            mu[~pos], mu_dot[~pos], theta[~pos] = vals
+        for side, part, end in (("+", pos, np.max), ("-", ~pos, np.min)):
+            if np.any(part):
+                self._extend(side, float(end(s[part])))
+                mu[part], mu_dot[part], theta[part] = self._dense[side](s[part])
         return mu, mu_dot, theta
 
     def radial_sign(self, s):
@@ -254,15 +260,15 @@ class _CurveFlow:
     def _bt_w(self, mu):
         """sqrt(1 + 4 c mu^2) for the time-like family, factored through the
         locus residual when the direct form would cancel."""
-        from .moduli import radial_degeneracy
-
-        sc = math.sqrt(-self.c)
-        degeneracy = radial_degeneracy(self.qd.e1, self.qd.e2)
-        if degeneracy < 1e-6:
-            kappa1 = degeneracy / (1.0 + 2.0 * sc * self.qd.e1)
+        if self._kappa1 is not None:
+            sc = math.sqrt(-self.c)
             gap = np.maximum(self.qd.e1 - mu, 0.0)
-            return np.sqrt((kappa1 + 2.0 * sc * gap) * (1.0 + 2.0 * sc * mu))
+            return np.sqrt((self._kappa1 + 2.0 * sc * gap) * (1.0 + 2.0 * sc * mu))
         return np.sqrt(np.maximum(1.0 + 4.0 * self.c * mu * mu, 0.0))
+
+    def bt_rho(self, s, mu):
+        """Signed disk radius of the time-like family at curvature mu."""
+        return self.radial_sign(s) * self._bt_w(mu) / (2.0 * math.sqrt(-self.c) * mu)
 
     # -- closed-form embeddings -------------------------------------------
 
@@ -291,10 +297,8 @@ class _CurveFlow:
             out[..., 1] = f * w * np.sinh(th)
             out[..., 2] = f
         else:
-            sc = math.sqrt(-c)
-            w = self._bt_w(mu)
-            rho = self.radial_sign(s) * w / (2.0 * sc * mu)
-            out[..., 0] = 1.0 / (2.0 * sc * mu)
+            rho = self.bt_rho(s, mu)
+            out[..., 0] = 1.0 / (2.0 * math.sqrt(-c) * mu)
             out[..., 1] = -rho * np.cos(th)
             out[..., 2] = rho * np.sin(th)
         return out
@@ -345,12 +349,9 @@ class _CurveFlow:
         factor of w^2; below the midpoint (mu near e2, where that form would
         inject sqrt-of-roundoff noise instead) the naive quotient is exact.
         """
-        from .moduli import radial_degeneracy
-
         e1, e2, e3, e4 = self.qd.roots
-        degeneracy = radial_degeneracy(e1, e2)
         naive = -sign * mu_dot / (2.0 * sc * mu * mu * np.where(w > 0.0, w, 1.0))
-        if degeneracy >= 1e-6:
+        if self._kappa1 is None:
             return naive
         gap = np.maximum(e1 - mu, 0.0)
         rise = np.maximum(mu - e2, 0.0)
@@ -360,9 +361,8 @@ class _CurveFlow:
             orient = -np.where(np.mod(np.floor(s / self.omega), 2.0) == 0.0,
                                1.0, -1.0)
         else:
-            kappa1 = degeneracy / (1.0 + 2.0 * sc * e1)
             quot = gap * rise * (mu - e3) * (mu - e4) / (
-                (kappa1 + 2.0 * sc * gap) * (1.0 + 2.0 * sc * mu)
+                (self._kappa1 + 2.0 * sc * gap) * (1.0 + 2.0 * sc * mu)
             )
             orient = -np.sign(np.where(mu_dot != 0.0, mu_dot, 1.0))
         product = orient * np.sqrt(quot) / (2.0 * sc * mu)
@@ -411,14 +411,13 @@ class CurveSamples:
 
 def _build_curve(point: ModulusPoint, kind: CurveKind, s_grid, samples: int,
                  periods: float, rtol: float, atol: float) -> CurveSamples:
-    qd = roots_from_modulus((point.lam, point.e2))
+    omega = wavelength(point)
     if s_grid is None:
-        omega = wavelength(point)
         s_grid = np.linspace(0.0, periods * omega,
                              int(round(samples * periods)) + 1)
     else:
         s_grid = np.asarray(s_grid, dtype=float)
-    flow = _CurveFlow(point, kind, qd, float(s_grid.min()),
+    flow = _CurveFlow(point, kind, omega, float(s_grid.min()),
                       float(s_grid.max()), rtol, atol)
     gam, tan, mu, mu_dot, th = flow.gamma_and_tangent(s_grid)
     return CurveSamples(
@@ -431,14 +430,14 @@ def _build_curve(point: ModulusPoint, kind: CurveKind, s_grid, samples: int,
         gamma=gam,
         tangent=tan,
         poincare=to_poincare(gam),
-        wavelength=flow.omega,
-        quartic=qd,
+        wavelength=omega,
+        quartic=point.quartic,
         _flow=flow,
     )
 
 
 def _require_region(p, allowed, what: str) -> ModulusPoint:
-    point = p if isinstance(p, ModulusPoint) else classify_region(*_unpack_point(p))
+    point = resolve(p)
     if point.region not in allowed:
         raise RegionError(
             f"{what} requires a modulus in {sorted(r.value for r in allowed)}, "
@@ -464,14 +463,13 @@ def bs_curve(p, s_grid=None, samples: int = 2048, periods: float = 1.0,
 def bt_curve(p, s_grid=None, samples: int = 2048, periods: float = 1.0,
              rtol: float = 1e-13, atol: float = 1e-14) -> CurveSamples:
     """Standard curve with time-like momentum (sqrt(|c|), 0, 0)."""
-    point = _require_region(p, {Region.T_MINUS, Region.E, Region.T_PLUS},
-                            "bt_curve")
+    point = _require_region(p, _TIMELIKE, "bt_curve")
     return _build_curve(point, CurveKind.BT, s_grid, samples, periods, rtol, atol)
 
 
 def make_curve(p, **kwargs) -> CurveSamples:
     """Dispatch to the family selected by the region tag."""
-    point = p if isinstance(p, ModulusPoint) else classify_region(*_unpack_point(p))
+    point = resolve(p)
     kind = _KIND_OF_REGION.get(point.region)
     if kind is None:
         raise RegionError(f"no curve family at region {point.region.value!r}")
@@ -484,28 +482,24 @@ def make_curve(p, **kwargs) -> CurveSamples:
 # ---------------------------------------------------------------------------
 
 
-def radial_function(p, s_grid) -> np.ndarray:
-    """Signed disk-radius profile of a time-like curve along arclength."""
-    point = _require_region(p, {Region.T_MINUS, Region.E, Region.T_PLUS},
-                            "radial_function")
-    qd = roots_from_modulus((point.lam, point.e2))
-    s_grid = np.asarray(s_grid, dtype=float)
-    flow = _CurveFlow(point, CurveKind.BT, qd, float(s_grid.min()),
+def _bt_flow(p, s_grid, what: str) -> _CurveFlow:
+    point = _require_region(p, _TIMELIKE, what)
+    return _CurveFlow(point, CurveKind.BT, wavelength(point), float(s_grid.min()),
                       float(s_grid.max()), 1e-13, 1e-14)
-    mu, _, _ = flow.states(s_grid)
-    w = np.sqrt(np.maximum(1.0 + 4.0 * qd.c * mu * mu, 0.0))
-    return flow.radial_sign(s_grid) * w / (2.0 * math.sqrt(-qd.c) * mu)
+
+
+def radial_function(p, s_grid) -> np.ndarray:
+    """Signed disk-radius profile of a time-like curve along arclength: the
+    radius of the curve's own embedding (:func:`bt_curve`)."""
+    s_grid = np.asarray(s_grid, dtype=float)
+    flow = _bt_flow(p, s_grid, "radial_function")
+    return flow.bt_rho(s_grid, flow.states(s_grid)[0])
 
 
 def angular_function(p, s_grid) -> np.ndarray:
     """Accumulated angular phase of a time-like curve along arclength."""
-    point = _require_region(p, {Region.T_MINUS, Region.E, Region.T_PLUS},
-                            "angular_function")
-    qd = roots_from_modulus((point.lam, point.e2))
     s_grid = np.asarray(s_grid, dtype=float)
-    flow = _CurveFlow(point, CurveKind.BT, qd, float(s_grid.min()),
-                      float(s_grid.max()), 1e-13, 1e-14)
-    return flow.states(s_grid)[2]
+    return _bt_flow(p, s_grid, "angular_function").states(s_grid)[2]
 
 
 def bl_boost_quadrature(lam: float, tol: float = 1e-13) -> float:
@@ -519,8 +513,6 @@ def bl_boost_quadrature(lam: float, tol: float = 1e-13) -> float:
     parabolic transform).  The phase integrated along the curve flow is the
     negative of this quantity.
     """
-    from . import ellint
-
     qd = roots_from_modulus((lam, b0(lam)))
     e1, e2, e3, e4 = qd.roots
 
@@ -541,8 +533,6 @@ def bl_boost_closed_form(lam: float) -> float:
     term collapses (the characteristic equals -sqrt(m)) and the circular
     contributions cancel.
     """
-    from . import ellint
-
     if lam >= -1.0:
         raise DomainError(f"light-like family requires lambda < -1, got {lam!r}")
     s2 = math.sqrt(lam**4 - 1.0)
@@ -565,8 +555,6 @@ def upsilon_plus(lam: float, e2: float) -> float:
 def upsilon_star(lam: float) -> float:
     """Limit height as the modulus approaches the saddle boundary; the level
     constant there is the separatrix level."""
-    from .dynamics import saddle_level
-
     eta_m = eta_pm(lam)[0]
     c = saddle_level(lam)
     if c <= 0.0:
@@ -629,21 +617,21 @@ def frenet_oracle(p, n_periods: float = 1.0, samples: int = 2048,
     The result is related to the closed-form curve of the same modulus by the
     fixed Lorentz transform that aligns the frames at s = 0.
     """
-    point = p if isinstance(p, ModulusPoint) else classify_region(*_unpack_point(p))
+    point = resolve(p)
     if not point.in_moduli_space:
         raise DomainError(f"{point!r} is not in the moduli space")
     kind = _KIND_OF_REGION[point.region]
-    qd = roots_from_modulus((point.lam, point.e2))
+    qd = point.quartic
     omega = wavelength(point)
     lam = point.lam
-    theta_rhs = _theta_rhs_for(point, kind, qd)
+    theta_rhs = _theta_rhs_for(point, kind)
 
     def rhs(_s, state):
         x, y, _th = state[0], state[1], state[2]
         frame = state[3:].reshape(3, 3)
         dframe = frame @ _frenet_matrix(x * x)
         return np.concatenate((
-            [y, 2.0 * y * y / x - x - 2.0 * lam * x**4 - x**5, theta_rhs(x)],
+            [y, mu_acceleration(lam, x, y), theta_rhs(x)],
             dframe.ravel(),
         ))
 
@@ -754,10 +742,7 @@ def bending_energy(curve: CurveSamples, lam: float | None = None) -> float:
     int (sqrt(kappa) + lam) ds over the sampled range."""
     if lam is None:
         lam = curve.modulus.lam
-    if np.any(curve.mu <= 0.0):
-        raise DomainError("bending energy requires a convex curve (kappa > 0)")
-    trapz = getattr(np, "trapezoid", None) or np.trapz
-    return float(trapz(curve.mu + lam, curve.s))
+    return bending_energy_arrays(curve.s, curve.mu, lam)
 
 
 def bending_energy_arrays(s, mu, lam: float) -> float:
@@ -771,12 +756,9 @@ def bending_energy_arrays(s, mu, lam: float) -> float:
 
 def bt_annulus_radii(p) -> tuple[float, float]:
     """Inner and outer disk radii confining a time-like trajectory."""
-    point = _require_region(p, {Region.T_MINUS, Region.E, Region.T_PLUS},
-                            "bt_annulus_radii")
-    qd = roots_from_modulus((point.lam, point.e2))
+    point = _require_region(p, _TIMELIKE, "bt_annulus_radii")
+    qd = point.quartic
     sc = math.sqrt(-qd.c)
-    from .moduli import radial_degeneracy
-
     inner = math.sqrt(max(radial_degeneracy(qd.e1, qd.e2), 0.0)) / (1.0 + 2.0 * sc * qd.e1)
     outer = math.sqrt(1.0 + 4.0 * qd.c * qd.e2**2) / (1.0 + 2.0 * sc * qd.e2)
     return inner, outer

@@ -29,11 +29,10 @@ from .moduli import (
     LAMBDA_CRITICAL,
     ModulusPoint,
     QuarticData,
-    _unpack_point,
-    classify_region,
+    Region,
     eta_pm,
     quartic_value,
-    roots_from_modulus,
+    resolve,
 )
 
 __all__ = [
@@ -106,7 +105,7 @@ def phase_field(lam: float, x: float, y: float) -> tuple[float, float]:
     """The phase-plane vector field of the curvature dynamics at (x, y)."""
     if x <= 0.0:
         raise DomainError(f"phase field defined on x > 0 only, got x={x!r}")
-    return (y, 2.0 * (y * y / x - 0.5 * x - lam * x**4 - 0.5 * x**5))
+    return (y, mu_acceleration(lam, x, y))
 
 
 def mu_acceleration(lam: float, x: float, y: float) -> float:
@@ -126,14 +125,18 @@ def saddle_level(lam: float) -> float:
     return conserved_level(lam, eta_pm(lam)[0], 0.0)
 
 
+def _real_level_roots(lam: float, c: float) -> list[float]:
+    """Real roots of the level quartic Q(x) at level c, ascending."""
+    roots = np.roots([1.0, 4.0 * lam, 4.0 * (lam * lam - c), 0.0, -1.0])
+    return sorted(r.real for r in roots if abs(r.imag) <= 1e-7 * max(1.0, abs(r)))
+
+
 def m_star(lam: float) -> float:
     """Crossing height of the separatrix loop beyond the center: the unique
     root of the separatrix-level quartic above eta+."""
     c = saddle_level(lam)
     eta_p = eta_pm(lam)[1]
-    roots = np.roots([1.0, 4.0 * lam, 4.0 * (lam * lam - c), 0.0, -1.0])
-    real = sorted(r.real for r in roots if abs(r.imag) <= 1e-7 * max(1.0, abs(r)))
-    candidates = [r for r in real if r > eta_p]
+    candidates = [r for r in _real_level_roots(lam, c) if r > eta_p]
     if not candidates:
         raise DomainError(f"no separatrix crossing above the center at lambda={lam!r}")
     x = candidates[-1]
@@ -165,11 +168,7 @@ def classify_orbit(lam: float, x0: float, y0: float,
             return OrbitKind.EXCEPTIONAL_SECOND_KIND
         if abs(c - conserved_level(lam, eta_p, 0.0)) <= tol and x0 > eta_m:
             return OrbitKind.STABLE_EQUILIBRIUM
-    roots = np.roots([1.0, 4.0 * lam, 4.0 * (lam * lam - c), 0.0, -1.0])
-    real = sorted(
-        (r.real for r in roots if abs(r.imag) <= 1e-7 * max(1.0, abs(r))),
-        reverse=True,
-    )
+    real = _real_level_roots(lam, c)[::-1]
     if len(real) == 4 and real[2] > 0.0 > real[3]:
         e1, e2 = real[0], real[1]
         if e2 - 1e-9 <= x0 <= e1 + 1e-9:
@@ -182,19 +181,11 @@ def classify_orbit(lam: float, x0: float, y0: float,
     return OrbitKind.NONCLOSED_FIRST_KIND
 
 
-def _mu_rhs(lam: float):
-    def rhs(_s, state):
-        x, y = state
-        return (y, 2.0 * y * y / x - x - 2.0 * lam * x**4 - x**5)
-
-    return rhs
-
-
-def _resolve_point(p, e2=None) -> ModulusPoint:
-    if isinstance(p, ModulusPoint) and e2 is None:
-        return p
-    lam, e2v = _unpack_point(p, e2)
-    return classify_region(lam, e2v)
+def _interior(p, e2=None) -> ModulusPoint:
+    point = resolve(p, e2)
+    if not point.in_moduli_space:
+        raise DomainError(f"{point!r} is not in the moduli space")
+    return point
 
 
 def solve_mu(p, n_periods: float = 1.0, rtol: float = 3e-14,
@@ -207,9 +198,7 @@ def solve_mu(p, n_periods: float = 1.0, rtol: float = 3e-14,
     solution explicitly: at the center the amplitude vanishes, at the saddle
     the period diverges, and integration would be meaningless either way.
     """
-    from .moduli import Region
-
-    point = _resolve_point(p)
+    point = resolve(p)
     if point.region is Region.OUTSIDE:
         raise DomainError(f"{point!r} is not in the moduli space")
     lam, e2 = point.lam, point.e2
@@ -220,21 +209,20 @@ def solve_mu(p, n_periods: float = 1.0, rtol: float = 3e-14,
                   or abs(e2 - eta_m) <= _DEGENERATE_GAP)
     if on_boundary or degenerate:
         eta = eta_p if abs(e2 - eta_p) <= abs(e2 - eta_m) else eta_m
-        period = (
-            linearized_center_period(lam) if eta == eta_p else math.inf
-        )
+        period = linearized_center_period(lam) if eta == eta_p else math.inf
         s_end = n_periods * (period if math.isfinite(period) else 1.0)
         s = np.linspace(0.0, s_end, n_samples + 1)
         c = conserved_level(lam, eta, 0.0)
         qd = QuarticData(e1=eta, e2=eta, e3=eta, e4=eta, c=c)
         return MuSolution(point, s, np.full_like(s, eta), np.zeros_like(s),
                           period, qd)
-    qd = roots_from_modulus((lam, e2))
+    qd = point.quartic
     omega = wavelength(point)
     s_end = n_periods * omega
     # the step cap keeps the dense-output interpolation error under the
     # conservation budget; the step error alone is far below it
-    sol = solve_ivp(_mu_rhs(lam), (0.0, s_end), [e2, 0.0], method="DOP853",
+    sol = solve_ivp(lambda _s, st: (st[1], mu_acceleration(lam, st[0], st[1])),
+                    (0.0, s_end), [e2, 0.0], method="DOP853",
                     rtol=rtol, atol=atol, dense_output=True,
                     max_step=omega / 64.0)
     if not sol.success:
@@ -287,10 +275,8 @@ def wavelength(p, e2=None) -> float:
     Equals twice the quadrature of dx / (x sqrt(-Q(x))) over [e2, e1]; the
     equality is enforced by the test suite against the tanh-sinh oracle.
     """
-    point = _resolve_point(p, e2)
-    if not point.in_moduli_space:
-        raise DomainError(f"{point!r} is not in the moduli space")
-    qd = roots_from_modulus((point.lam, point.e2))
+    point = _interior(p, e2)
+    qd = point.quartic
     if qd.e1 - qd.e2 < 1e-10:
         return linearized_center_period(point.lam)
     a, m, n, g = elliptic_arguments(qd)
@@ -301,9 +287,7 @@ def wavelength(p, e2=None) -> float:
 
 def wavelength_quadrature(p, e2=None, tol: float = 1e-12) -> float:
     """Independent wavelength evaluation by singular-endpoint quadrature."""
-    point = _resolve_point(p, e2)
-    qd = roots_from_modulus((point.lam, point.e2))
-    e1, e2v, e3, e4 = qd.roots
+    e1, e2v, e3, e4 = _interior(p, e2).quartic.roots
 
     def smooth(x):
         return 1.0 / (x * np.sqrt((x - e3) * (x - e4)))
@@ -314,8 +298,8 @@ def wavelength_quadrature(p, e2=None, tol: float = 1e-12) -> float:
 def h_inverse(p, mu, e2=None) -> float:
     """Arclength h(mu) in [0, omega/2] at which the rising curvature branch
     reaches the value mu; h(e2) = 0 and h(e1) = omega/2."""
-    point = _resolve_point(p, e2)
-    qd = roots_from_modulus((point.lam, point.e2))
+    point = _interior(p, e2)
+    qd = point.quartic
     e1, e2v, _, e4 = qd.roots
     if not e2v - 1e-12 <= mu <= e1 + 1e-12:
         raise DomainError(f"mu={mu!r} outside the curvature range [{e2v}, {e1}]")
@@ -333,8 +317,7 @@ def h_inverse(p, mu, e2=None) -> float:
 def signature(p, n: int = 512, e2=None) -> np.ndarray:
     """n samples of the modified invariant signature (mu, mu') over one
     period: a closed loop on the singular elliptic curve y^2 + x^2 Q(x) = 0."""
-    point = _resolve_point(p, e2)
-    sol = solve_mu(point, n_periods=1.0,
+    sol = solve_mu(resolve(p, e2), n_periods=1.0,
                    samples_per_period=max(int(n), 16))
     s = np.linspace(0.0, sol.wavelength, int(n), endpoint=False)
     mu, mu_dot = sol.at(s)

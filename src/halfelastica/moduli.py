@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import brentq
@@ -51,6 +52,7 @@ __all__ = [
     "exceptional_residual",
     "radial_degeneracy",
     "classify_region",
+    "resolve",
     "exceptional_c",
     "locus_functions",
 ]
@@ -66,6 +68,8 @@ LAMBDA_EXCEPTIONAL = -(GOLDEN_RATIO**1.25) / 2.0
 # e2-height of the exceptional locus at its right endpoint.
 E2_EXCEPTIONAL_MIN = GOLDEN_RATIO**0.25
 
+# absolute band within which a point is tagged to a locus: on the boundary
+# and light-like polynomials, and on the radial degeneracy 1 + 4 c e1^2 (E)
 _REGION_TOL = 1e-9
 
 
@@ -88,11 +92,13 @@ _INTERIOR = frozenset({Region.S, Region.L}) | _TIMELIKE
 
 @dataclass(frozen=True)
 class ModulusPoint:
-    """A point (lambda, e2) of the moduli space with its region tag."""
+    """A point (lambda, e2) of the moduli space with its region tag and, once
+    resolved (see :func:`resolve`), the quartic data of an interior point."""
 
     lam: float
     e2: float
     region: Region
+    quartic: QuarticData | None = field(default=None, compare=False, repr=False)
 
     @property
     def in_moduli_space(self) -> bool:
@@ -119,11 +125,6 @@ class QuarticData:
     def roots(self) -> tuple[float, float, float, float]:
         return (self.e1, self.e2, self.e3, self.e4)
 
-    def quartic(self, x):
-        """Evaluate Q(x) from the conservation-law coefficients."""
-        lam, _ = reconstruct_lambda_c(self.e1, self.e2)
-        return quartic_value(lam, self.c, x)
-
 
 @dataclass(frozen=True)
 class LocusFunctions:
@@ -148,9 +149,23 @@ def quartic_value(lam: float, c: float, x):
     return x**4 + 4.0 * lam * x**3 + 4.0 * (lam * lam - c) * x**2 - 1.0
 
 
+def _boundary_value(lam: float, e2: float):
+    """boundary_quartic(lam, e2), or its exact rational value where the float
+    evaluation of finite input overflows (e2 above 1e77, or lam e2^3 beyond
+    the float range)."""
+    try:
+        pval = boundary_quartic(lam, e2)
+    except OverflowError:
+        pval = math.inf
+    if math.isfinite(pval) or not (math.isfinite(lam) and math.isfinite(e2)):
+        return pval
+    x = Fraction(e2)
+    return x**3 * (x + 2 * Fraction(lam)) + 1
+
+
 def in_moduli_space(lam: float, e2: float) -> bool:
     """Strict interior test: e2 > 0 and the boundary quartic is negative."""
-    return e2 > 0.0 and boundary_quartic(lam, e2) < 0.0
+    return e2 > 0.0 and _boundary_value(lam, e2) < 0.0
 
 
 def eta_pm(lam: float) -> tuple[float, float]:
@@ -356,37 +371,65 @@ def radial_degeneracy(e1: float, e2: float) -> float:
     return t * t / (4.0 * e1 * e1 * e2**4)
 
 
-def classify_region(lam: float, e2: float, tol: float = _REGION_TOL) -> ModulusPoint:
+def _timelike_offset(e1, e2):
+    """E/T-/T+ sub-tag of time-like heights below LAMBDA_EXCEPTIONAL as the
+    period-map offset: 1/2 on E (radial degeneracy within _REGION_TOL), else
+    1 on T- and 0 on T+ by the sign of the locus residual T.  Floats (a
+    Python-float e1 keeps off slow numpy scalar arithmetic) or slice arrays."""
+    on_locus = radial_degeneracy(e1, e2) <= _REGION_TOL
+    below = exceptional_residual(e1, e2) < 0.0
+    return 0.5 * on_locus + (1.0 - on_locus) * below
+
+
+_REGION_OF_OFFSET = {1.0: Region.T_MINUS, 0.5: Region.E, 0.0: Region.T_PLUS}
+
+
+def classify_region(lam: float, e2: float) -> ModulusPoint:
     """Total region classification of a (lambda, e2) pair; NaN and infinite
     input is Outside.
 
-    Points within ``tol`` (absolute, on the defining polynomial) of the
+    Points within 1e-9 (absolute, on the defining polynomial) of the
     light-like curve or of the exceptional locus are tagged to the locus,
-    since the downstream parameterizations switch branch there.
+    since the downstream parameterizations switch branch there.  Time-like
+    points below LAMBDA_EXCEPTIONAL carry the quartic solved for the tag.
     """
     lam = float(lam)
     e2 = float(e2)
     if e2 <= 0.0 or not (math.isfinite(lam) and math.isfinite(e2)):
         return ModulusPoint(lam, e2, Region.OUTSIDE)
-    pval = boundary_quartic(lam, e2)
-    if abs(pval) <= tol:
+    pval = _boundary_value(lam, e2)
+    if abs(pval) <= _REGION_TOL:
         tag = Region.BOUNDARY_MINUS if e2 < 3.0**0.25 else Region.BOUNDARY_PLUS
         return ModulusPoint(lam, e2, tag)
     if pval > 0.0:
         return ModulusPoint(lam, e2, Region.OUTSIDE)
+    if isinstance(pval, Fraction):
+        # the float powers overflow only for e2 > 1e77 or |2 lam e2^3| >
+        # 1e308, and an interior point there lies far inside S
+        return ModulusPoint(lam, e2, Region.S)
     t2 = e2 * e2 + 2.0 * lam * e2 + 1.0
-    if abs(t2) <= tol:
+    if abs(t2) <= _REGION_TOL:
         return ModulusPoint(lam, e2, Region.L)
     if t2 < 0.0:
         return ModulusPoint(lam, e2, Region.S)
     if lam < LAMBDA_EXCEPTIONAL:
         qd = roots_from_modulus((lam, e2))
-        if radial_degeneracy(qd.e1, e2) <= tol:
-            return ModulusPoint(lam, e2, Region.E)
-        if exceptional_residual(qd.e1, e2) < 0.0:
-            return ModulusPoint(lam, e2, Region.T_MINUS)
-        return ModulusPoint(lam, e2, Region.T_PLUS)
+        offset = _timelike_offset(float(qd.e1), e2)
+        return ModulusPoint(lam, e2, _REGION_OF_OFFSET[offset], qd)
     return ModulusPoint(lam, e2, Region.T_PLUS)
+
+
+def resolve(p, e2=None) -> ModulusPoint:
+    """A ModulusPoint, a (lambda, e2) pair or two scalars as a classified
+    point (:func:`classify_region`) that carries its quartic data when it is
+    interior; the quartic is solved only when the point has none yet."""
+    if isinstance(p, ModulusPoint) and e2 is None:
+        point = p
+    else:
+        point = classify_region(*_unpack_point(p, e2))
+    if point.quartic is None and point.in_moduli_space:
+        point = replace(point, quartic=roots_from_modulus(point))
+    return point
 
 
 def exceptional_c(lam: float) -> float:

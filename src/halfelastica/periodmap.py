@@ -47,7 +47,9 @@ from .moduli import (
     ModulusPoint,
     QuarticData,
     Region,
+    _REGION_OF_OFFSET,
     _quartic_on_slice,
+    _timelike_offset,
     _unpack_point,
     a_lower,
     boundary_quartic,
@@ -58,6 +60,7 @@ from .moduli import (
     exceptional_residual,
     in_moduli_space,
     radial_degeneracy,
+    resolve,
     roots_from_modulus,
 )
 
@@ -83,10 +86,8 @@ __all__ = [
     "r_term",
 ]
 
-_TIMELIKE = (Region.T_MINUS, Region.E, Region.T_PLUS)
-
-# radial degeneracy 1 + 4 c e1^2 at or below which a point is on the locus E
-_LOCUS_TOL = 1e-9
+# period-map offset of each time-like region (1 on T-, 1/2 on E, 0 on T+)
+_OFFSET = {region: offset for offset, region in _REGION_OF_OFFSET.items()}
 
 
 @dataclass(frozen=True)
@@ -167,9 +168,12 @@ def _resolve_timelike(p, e2=None) -> tuple[ModulusPoint, QuarticData]:
     root; the period map is defined on the open strict-sign region, so the
     space/light-like decision here is exact, with only the exceptional
     sub-tag keeping its tolerance (the closed form branches there).
+    Merging the two policies would change which points the period map
+    accepts.
     """
-    if isinstance(p, ModulusPoint) and e2 is None and p.region in _TIMELIKE:
-        return p, roots_from_modulus((p.lam, p.e2))
+    if isinstance(p, ModulusPoint) and e2 is None and p.timelike:
+        point = resolve(p)
+        return point, point.quartic
     lam, e2v = _unpack_point(p, e2)
     t2 = e2v * e2v + 2.0 * lam * e2v + 1.0
     if not in_moduli_space(lam, e2v) or t2 <= 0.0:
@@ -178,12 +182,9 @@ def _resolve_timelike(p, e2=None) -> tuple[ModulusPoint, QuarticData]:
             f"({lam}, {e2v})"
         )
     qd = roots_from_modulus((lam, e2v))
-    if lam < LAMBDA_EXCEPTIONAL:
-        if radial_degeneracy(qd.e1, e2v) <= _LOCUS_TOL:
-            return ModulusPoint(lam, e2v, Region.E), qd
-        if exceptional_residual(qd.e1, e2v) < 0.0:
-            return ModulusPoint(lam, e2v, Region.T_MINUS), qd
-    return ModulusPoint(lam, e2v, Region.T_PLUS), qd
+    offset = (_timelike_offset(float(qd.e1), e2v) if lam < LAMBDA_EXCEPTIONAL
+              else 0.0)
+    return ModulusPoint(lam, e2v, _REGION_OF_OFFSET[offset], qd), qd
 
 
 def _resolve_slice(lam: float, e2s) -> tuple[QuarticData, np.ndarray]:
@@ -200,11 +201,9 @@ def _resolve_slice(lam: float, e2s) -> tuple[QuarticData, np.ndarray]:
             f"({lam}, {e2[~timelike][0]})"
         )
     qd = _quartic_on_slice(lam, e2)
-    offset = np.zeros_like(e2)
     if lam < LAMBDA_EXCEPTIONAL:
-        offset[exceptional_residual(qd.e1, e2) < 0.0] = 1.0
-        offset[radial_degeneracy(qd.e1, e2) <= _LOCUS_TOL] = 0.5
-    return qd, offset
+        return qd, _timelike_offset(qd.e1, e2)
+    return qd, np.zeros_like(e2)
 
 
 def _stable_small_factors(qd: QuarticData):
@@ -315,15 +314,11 @@ def coefficient_identity_residuals(p, e2=None) -> tuple[float, float]:
     return q_resid, bc_resid
 
 
-def _offset(region: Region) -> float:
-    return {Region.T_MINUS: 1.0, Region.E: 0.5, Region.T_PLUS: 0.0}[region]
-
-
 def period_map(p, e2=None) -> float:
     """Closed-form period map value of a time-like modulus."""
     point, qd = _resolve_timelike(p, e2)
     return (_closed_form(point.lam, qd, point.region is Region.E)
-            + _offset(point.region))
+            + _OFFSET[point.region])
 
 
 def period_map_slice(lam: float, e2s) -> np.ndarray:
@@ -363,26 +358,22 @@ def period_map_oracle(p, e2=None, tol: float = 1e-12) -> float:
     lam = point.lam
     e1, e2v, e3, e4 = qd.roots
     sc, kappa1, _ = _stable_small_factors(qd)
-    if point.region is Region.E:
+    on_locus = point.region is Region.E
+    if on_locus:
         def integrand(x, da, db):
             return x / ((x - 2.0 * lam) * np.sqrt((x - e3) * (x - e4)))
-
-        value, err, ok = _tanh_sinh(integrand, e2v, e1, tol, singular=(-0.5, -0.5))
-        if not ok:
-            raise QuadratureError("oracle quadrature failed on the locus",
-                                  value=value, achieved=err)
-        theta_omega = -16.0 * sc * lam * lam * value
+        scale = -16.0 * sc * lam * lam
     else:
         def integrand(x, da, db):
             denom = (kappa1 + 2.0 * sc * db) * (1.0 + 2.0 * sc * x)
             return x * (x + 2.0 * lam) / (denom * np.sqrt((x - e3) * (x - e4)))
-
-        value, err, ok = _tanh_sinh(integrand, e2v, e1, tol, singular=(-0.5, -0.5))
-        if not ok:
-            raise QuadratureError("oracle quadrature failed", value=value,
-                                  achieved=err)
-        theta_omega = 4.0 * sc * value
-    return -theta_omega / (2.0 * math.pi) + _offset(point.region)
+        scale = 4.0 * sc
+    value, err, ok = _tanh_sinh(integrand, e2v, e1, tol, singular=(-0.5, -0.5))
+    if not ok:
+        raise QuadratureError(
+            "oracle quadrature failed" + (" on the locus" if on_locus else ""),
+            value=value, achieved=err)
+    return -(scale * value) / (2.0 * math.pi) + _OFFSET[point.region]
 
 
 def r_term(p, e2=None) -> float:
@@ -493,7 +484,7 @@ def find_string(lam: float, q, n_scan: int = 512) -> StringRecord:
     crossings are discoverable through :func:`string_candidates`."""
     frac = _as_fraction(q)
     e2 = string_candidates(lam, frac, n_scan)[0]
-    point = classify_region(lam, e2)
+    point = resolve(lam, e2)
     pval = period_map(point)
     if abs(pval - float(frac)) > 1e-9:
         raise BracketError(
@@ -620,11 +611,9 @@ def trace_fiber(q, steps: int = 200) -> FiberTrace:
         crossing = classify_region(lam_g, mid)
         break
     if crossing is not None:
-        pts = sorted(points + [crossing], key=lambda pt: pt.e2)
-    else:
-        pts = points
+        points = sorted(points + [crossing], key=lambda pt: pt.e2)
     return FiberTrace(q_num=frac.numerator, q_den=frac.denominator,
-                      points=tuple(pts), crossing=crossing)
+                      points=tuple(points), crossing=crossing)
 
 
 def _endpoint_slope(lam: float) -> float:

@@ -8,6 +8,7 @@ unless it means to.
 import numpy as np
 import pytest
 
+from halfelastica import moduli
 from halfelastica.moduli import (
     LAMBDA_CRITICAL,
     LAMBDA_EXCEPTIONAL,
@@ -76,3 +77,18 @@ def sample_lightlike(rng, n, lam_range=(-2.2, -1.05)):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def quartic_solves(monkeypatch):
+    """Records every quartic solve: each goes through the companion-matrix
+    e1 path (the batched slice path does not)."""
+    calls = []
+    solve = moduli._e1_companion
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(moduli, "_e1_companion", counting)
+    return calls

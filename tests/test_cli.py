@@ -49,6 +49,11 @@ class TestClassify:
         code, _, _ = run_cli(["classify", "--lambda", "-1.0"])
         assert code == 64
 
+    def test_huge_height_is_outside(self):
+        code, out, _ = run_cli(["classify", "--lambda", "-1.2", "--e2", "1e100"])
+        assert code == 2
+        assert json.loads(out)["region"] == "Outside"
+
     @pytest.mark.parametrize("args", [
         ["classify", "--lambda", "nan", "--e2", "1.5"],
         ["classify", "--lambda=-inf", "--e2", "1.5"],
@@ -205,6 +210,29 @@ class TestMisc:
         code, _, _ = run_cli(["curve", "--lambda", "-1.3", "--e2", "2.3",
                               "--samples", "4", "--format", "csv"])
         assert code == 64
+
+    @pytest.mark.parametrize("args", [
+        ["classify", "--lambda", "-1.25", "--e2", "2.0", "--tol", "1e-3"],
+        ["fiber", "--q", "11/10", "--periods", "3"],
+        ["fiber", "--q", "11/10", "--samples", "64"],
+        ["signature", "--lambda", "-1.3", "--e2", "1.2", "--periods", "2"],
+        ["phase-portrait", "--lambda", "-1.0", "--samples", "64"],
+    ])
+    def test_options_a_command_does_not_read_are_rejected(self, args):
+        code, out, _ = run_cli(args)
+        assert code == 64
+        assert out == ""
+
+    @pytest.mark.parametrize("args,solves", [
+        (["curve", "--lambda", "-1.3", "--e2", "2.3"], 1),
+        (["classify", "--lambda", "-1.3", "--e2", "2.3"], 1),
+        # eight brentq evaluations of the period map, one resolve of the string
+        (["find-string", "--lambda", "-1.01", "--q", "11/10"], 9),
+    ])
+    def test_quartic_solves(self, args, solves, quartic_solves):
+        code, _, _ = run_cli(args)
+        assert code == 0
+        assert len(quartic_solves) == solves
 
     def test_determinism(self):
         _, out1, _ = run_cli(["scan-period", "--lambda", "-1.3",

@@ -154,6 +154,15 @@ class TestRadialAngular:
             2.0 * math.sqrt(-qd.c) * qd.e2)
         assert rho[0] == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("d", [1e-8, 1e-7, 1e-6, 1e-3])
+    def test_radius_of_the_embedding_near_the_locus(self, d):
+        pt = M.classify_region(-1.3, M.exceptional_c(-1.3) + d)
+        s = np.linspace(0.0, 2.0 * D.wavelength(pt), 513)
+        gamma = C.bt_curve(pt, s_grid=s).gamma
+        np.testing.assert_allclose(np.abs(C.radial_function(pt, s)),
+                                   np.hypot(gamma[:, 1], gamma[:, 2]),
+                                   rtol=1e-12, atol=0.0)
+
     def test_exceptional_vanishes_at_half_period(self):
         lam = -1.1
         pt = M.classify_region(lam, M.exceptional_c(lam))

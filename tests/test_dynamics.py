@@ -13,6 +13,11 @@ from halfelastica.errors import DomainError
 from conftest import sample_moduli
 
 
+def test_wavelength_solves_the_quartic_once(quartic_solves):
+    D.wavelength((-1.3, 2.3))
+    assert len(quartic_solves) == 1
+
+
 class TestPhaseField:
     def test_equilibria_annihilate(self):
         for lam in (-1.0, -1.3):

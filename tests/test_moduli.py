@@ -2,9 +2,11 @@
 the locus functions."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from halfelastica import moduli as M
 from halfelastica.errors import DomainError, OutsideModuliSpaceError
@@ -132,6 +134,49 @@ class TestClassifyRegion:
         em, ep = M.eta_pm(-1.3)
         assert M.classify_region(-1.3, em).region is M.Region.BOUNDARY_MINUS
         assert M.classify_region(-1.3, ep).region is M.Region.BOUNDARY_PLUS
+
+    @pytest.mark.parametrize("lam,e2,region", [
+        (-1.2, 1e100, M.Region.OUTSIDE),  # e2 > -2 lam: P >= 1
+        (-1e100, 1e80, M.Region.S),
+        (-1e150, 1e100, M.Region.S),
+        (-sys.float_info.max, 1e-105, M.Region.OUTSIDE),  # P = 1 - 3.6e-7
+        (-sys.float_info.max, 1e-102, M.Region.S),
+        (-0.5 * sys.float_info.max, sys.float_info.max, M.Region.OUTSIDE),
+    ])
+    def test_overflowing_powers(self, lam, e2, region):
+        assert M.classify_region(lam, e2).region is region
+        assert M.in_moduli_space(lam, e2) is (region is M.Region.S)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(), st.floats())
+@example(math.nan, 1.5)
+@example(-1.2, 1e100)
+@example(-sys.float_info.max, 5e-324)
+@example(sys.float_info.max, 5e-324)
+@example(-sys.float_info.max, sys.float_info.max)
+@example(-1.8e308, 1.8e308)
+def test_classification_is_total(lam, e2):
+    point = M.classify_region(lam, e2)
+    assert isinstance(point, M.ModulusPoint)
+    if point.in_moduli_space:
+        assert M.in_moduli_space(lam, e2)
+
+
+class TestResolve:
+    @pytest.mark.parametrize("p", [(-1.3, 1.2), (-1.25, 2.0), (-1.3, 2.3),
+                                   (-0.9, 1.24)])
+    def test_interior_point_is_solved_once(self, p, quartic_solves):
+        point = M.resolve(p)
+        assert M.resolve(point) is point
+        assert len(quartic_solves) == 1
+        assert point.region is M.classify_region(*p).region
+        assert point.quartic == M.roots_from_modulus(p)
+
+    @pytest.mark.parametrize("p", [(-0.5, 1.0), (-1.3, M.eta_pm(-1.3)[0])])
+    def test_other_points_carry_no_quartic(self, p, quartic_solves):
+        assert M.resolve(*p).quartic is None
+        assert not quartic_solves
 
 
 class TestExceptionalLocus:

@@ -420,17 +420,13 @@ class TestPeriodMapSlice:
                                 P.divergent_term, P.period_map_oracle,
                                 P.b_plus_c_closed_form,
                                 P.coefficient_identity_residuals])
-def test_quartic_solved_once_per_evaluation(fn, point, monkeypatch):
-    calls = []
-    solve = P.roots_from_modulus
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(P, "roots_from_modulus", counting)
+def test_quartic_solved_once_per_evaluation(fn, point, quartic_solves):
+    """One solve from the input to the value: a pair is solved by the
+    evaluation, a point by its classification, which it then carries."""
+    if isinstance(point, M.ModulusPoint):
+        point = M.classify_region(point.lam, point.e2)
     fn(point)
-    assert len(calls) == 1
+    assert len(quartic_solves) == 1
 
 
 @pytest.mark.parametrize("lam, e2", [
