@@ -54,8 +54,8 @@ def _log_divergence(one_minus):
 
 
 def _all(ok) -> bool:
-    # np.all costs microseconds on a plain bool
-    return ok if isinstance(ok, bool) else bool(ok.all())
+    # np.all costs microseconds on a plain or numpy bool
+    return bool(ok) if isinstance(ok, (bool, np.bool_)) else bool(ok.all())
 
 
 def _check_m(m, allow_one: bool = False) -> None:

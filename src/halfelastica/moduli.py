@@ -13,9 +13,10 @@ further split by the exceptional locus E (where 1 + 4*c*e1^2 = 0) into a
 lower part T- and an upper part T+.
 
 Root finding follows two independent routes: the reference path solves the
-cubic satisfied by e1 with a companion-matrix eigensolve (numpy.roots) plus
-Newton polish, while :func:`cardano_e1` evaluates the closed-form Cardano
-solution of the same cubic with principal-branch complex radicals.  The two
+cubic satisfied by e1 with the companion-matrix eigensolve of numpy.roots
+(the same matrix, one eigvals call) plus Newton polish, while
+:func:`cardano_e1` evaluates the closed-form Cardano solution of the same
+cubic with principal-branch complex radicals.  The two
 are cross-checked in the test suite; closed forms alone are branch-fragile
 near double roots.
 """
@@ -164,8 +165,10 @@ def _boundary_value(lam: float, e2: float):
 
 
 def in_moduli_space(lam: float, e2: float) -> bool:
-    """Strict interior test: e2 > 0 and the boundary quartic is negative."""
-    return e2 > 0.0 and _boundary_value(lam, e2) < 0.0
+    """Strict interior test: finite input, e2 > 0 and the boundary quartic
+    is negative."""
+    return (e2 > 0.0 and math.isfinite(lam) and math.isfinite(e2)
+            and _boundary_value(lam, e2) < 0.0)
 
 
 def eta_pm(lam: float) -> tuple[float, float]:
@@ -276,35 +279,57 @@ def cardano_e1(lam: float, e2: float) -> float:
     return t - b / 3.0
 
 
+def _companion(a3, a2, a1, a0):
+    """The companion matrix numpy.roots builds for a3 x^3 + a2 x^2 + a1 x +
+    a0: top row -(a2, a1, a0)/a3, ones on the subdiagonal.  Float
+    coefficients give one 3x3 matrix, slice arrays an (N, 3, 3) stack."""
+    zero = 0.0 * a3
+    one = zero + 1.0
+    rows = np.array(((-a2 / a3, -a1 / a3, -a0 / a3), (one, zero, zero),
+                     (zero, one, zero)))
+    return rows if rows.ndim == 2 else rows.transpose(2, 0, 1)
+
+
+def _beyond_floats(lam: float, e2: float) -> DomainError:
+    return DomainError(
+        f"the quartic of (lambda, e2) = ({lam!r}, {e2!r}) leaves the float range"
+    )
+
+
 def _e1_companion(lam: float, e2: float) -> float:
-    roots = np.roots(_e1_cubic_coeffs(lam, e2))
+    """e1 from the eigenvalues of the companion matrix (the solve numpy.roots
+    makes), as Python floats, with Newton polish; DomainError where the
+    cubic's coefficients or its roots are not finite floats."""
+    try:
+        roots = np.linalg.eigvals(_companion(*_e1_cubic_coeffs(lam, e2))).tolist()
+    except (OverflowError, np.linalg.LinAlgError):
+        # float ** overflows, and eigvals refuses a non-finite matrix
+        raise _beyond_floats(lam, e2) from None
     real = [r.real for r in roots if abs(r.imag) <= 1e-8 * max(1.0, abs(r))]
     candidates = [r for r in real if r > e2]
     if not candidates:
         # fall back to the largest real root; the in-moduli-space check of the
         # caller guarantees one is > e2 up to rounding
         candidates = [max(real)]
-    return _e1_newton_polish(lam, e2, max(candidates))
+    e1 = _e1_newton_polish(lam, e2, max(candidates))
+    if not math.isfinite(e1):
+        raise _beyond_floats(lam, e2)
+    return e1
 
 
 def _quartic_on_slice(lam: float, e2: np.ndarray) -> QuarticData:
     """:func:`roots_from_modulus` at every height of one multiplier slice,
     as arrays; the caller checks that the heights are in the moduli space.
 
-    e1 comes from one eigvals call on the stack of the companion matrices
-    that numpy.roots would build, with the real-root filter, fallback and
-    Newton polish of :func:`_e1_companion`.
+    e1 comes from one eigvals call on the stack of companion matrices, with
+    the real-root filter, fallback and Newton polish of :func:`_e1_companion`.
     """
-    a3, a2, a1, a0 = _e1_cubic_coeffs(lam, e2)
-    companion = np.zeros((e2.size, 3, 3))
-    companion[:, 0] = -np.stack(np.broadcast_arrays(a2, a1, a0), -1) / a3[:, None]
-    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-    roots = np.linalg.eigvals(companion)
+    roots = np.linalg.eigvals(_companion(*_e1_cubic_coeffs(lam, e2)))
     is_real = np.abs(roots.imag) <= 1e-8 * np.maximum(1.0, np.abs(roots))
     real = np.where(is_real, roots.real, -np.inf)
     above = np.where(real > e2[:, None], real, -np.inf).max(axis=1)
     start = np.where(above > -np.inf, above, real.max(axis=1))
-    return _quartic_from_e1(_e1_newton_polish(lam, e2, start), e2)
+    return _quartic_from_e1(lam, _e1_newton_polish(lam, e2, start), e2)
 
 
 def _unpack_point(p, e2=None) -> tuple[float, float]:
@@ -328,15 +353,21 @@ def roots_from_modulus(p, e2=None) -> QuarticData:
         raise OutsideModuliSpaceError(
             f"(lambda, e2) = ({lam!r}, {e2v!r}) is outside the moduli space"
         )
-    return _quartic_from_e1(_e1_companion(lam, e2v), e2v)
+    return _quartic_from_e1(lam, _e1_companion(lam, e2v), e2v)
 
 
-def _quartic_from_e1(e1, e2) -> QuarticData:
-    # e3, e4 and c from the closed root relations; floats or arrays
-    s = np.sqrt(4.0 * e1**3 * e2**3 + (e1 + e2) ** 2)
+def _quartic_from_e1(lam: float, e1, e2) -> QuarticData:
+    # e3, e4 and c from the closed root relations; floats (DomainError where
+    # they leave the float range) or slice arrays
+    try:
+        s = np.sqrt(4.0 * e1**3 * e2**3 + (e1 + e2) ** 2)
+        _, c = reconstruct_lambda_c(e1, e2)
+    except OverflowError:
+        raise _beyond_floats(lam, e2) from None
     e3 = (e1 + e2 + s) / (2.0 * e1 * e1 * e2 * e2)
     e4 = -2.0 * e1 * e2 / (e1 + e2 + s)
-    _, c = reconstruct_lambda_c(e1, e2)
+    if isinstance(c, float) and not all(map(math.isfinite, (e3, e4, c))):
+        raise _beyond_floats(lam, e2)
     return QuarticData(e1=e1, e2=e2, e3=e3, e4=e4, c=c)
 
 
@@ -414,7 +445,7 @@ def classify_region(lam: float, e2: float) -> ModulusPoint:
         return ModulusPoint(lam, e2, Region.S)
     if lam < LAMBDA_EXCEPTIONAL:
         qd = roots_from_modulus((lam, e2))
-        offset = _timelike_offset(float(qd.e1), e2)
+        offset = _timelike_offset(qd.e1, e2)
         return ModulusPoint(lam, e2, _REGION_OF_OFFSET[offset], qd)
     return ModulusPoint(lam, e2, Region.T_PLUS)
 

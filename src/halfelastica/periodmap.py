@@ -56,7 +56,6 @@ from .moduli import (
     chi,
     classify_region,
     eta_pm,
-    exceptional_c,
     exceptional_residual,
     in_moduli_space,
     radial_degeneracy,
@@ -182,7 +181,7 @@ def _resolve_timelike(p, e2=None) -> tuple[ModulusPoint, QuarticData]:
             f"({lam}, {e2v})"
         )
     qd = roots_from_modulus((lam, e2v))
-    offset = (_timelike_offset(float(qd.e1), e2v) if lam < LAMBDA_EXCEPTIONAL
+    offset = (_timelike_offset(qd.e1, e2v) if lam < LAMBDA_EXCEPTIONAL
               else 0.0)
     return ModulusPoint(lam, e2v, _REGION_OF_OFFSET[offset], qd), qd
 
@@ -568,7 +567,9 @@ def trace_fiber(q, steps: int = 200) -> FiberTrace:
     fiber-tangent vector field, whose non-vanishing is only experimental.
     The crossing of the exceptional locus, when present, is refined by
     bisection along the trace and returned separately (it is also inserted
-    into the polyline).
+    into the polyline).  The side of E of a point is the sign of the locus
+    residual T of its quartic, negative on T- and positive on T+, the sign
+    that sets its T-/T+ tag; E is the zero of T on each slice.
     """
     frac = _as_fraction(q)
     qv = float(frac)
@@ -583,26 +584,26 @@ def trace_fiber(q, steps: int = 200) -> FiberTrace:
         lam_guess = lam
         points.append(classify_region(lam, float(e2)))
 
-    def locus_gap(point: ModulusPoint) -> float | None:
+    def locus_side(point: ModulusPoint) -> float | None:
         if point.lam >= LAMBDA_EXCEPTIONAL:
             return None
-        return point.e2 - exceptional_c(point.lam)
+        return exceptional_residual(resolve(point).quartic.e1, point.e2)
 
     crossing = None
-    gaps = [locus_gap(pt) for pt in points]
+    sides = [locus_side(pt) for pt in points]
     for i in range(len(points) - 1):
-        ga, gb = gaps[i], gaps[i + 1]
-        if ga is None or gb is None or ga * gb > 0.0:
+        sa, sb = sides[i], sides[i + 1]
+        if sa is None or sb is None or sa * sb > 0.0:
             continue
         lo_e, hi_e = points[i].e2, points[i + 1].e2
         lam_g = points[i].lam
         for _ in range(60):
             mid = 0.5 * (lo_e + hi_e)
             lam_g = _solve_fiber_lambda(mid, qv, lam_g)
-            gap = mid - exceptional_c(lam_g)
-            if gap == 0.0 or hi_e - lo_e < 1e-12:
+            side = exceptional_residual(roots_from_modulus(lam_g, mid).e1, mid)
+            if side == 0.0 or hi_e - lo_e < 1e-12:
                 break
-            if gap * ga < 0.0:
+            if side * sa < 0.0:
                 hi_e = mid
             else:
                 lo_e = mid

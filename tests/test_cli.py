@@ -54,6 +54,13 @@ class TestClassify:
         assert code == 2
         assert json.loads(out)["region"] == "Outside"
 
+    @pytest.mark.parametrize("lam, e2", [("-1e100", "1e80"),
+                                         ("-1e150", "1e100")])
+    def test_far_spacelike_point_is_a_domain_error(self, lam, e2):
+        code, out, err = run_cli(["classify", f"--lambda={lam}", "--e2", e2])
+        assert code == 65
+        assert out == "" and "leaves the float range" in err
+
     @pytest.mark.parametrize("args", [
         ["classify", "--lambda", "nan", "--e2", "1.5"],
         ["classify", "--lambda=-inf", "--e2", "1.5"],

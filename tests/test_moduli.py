@@ -2,11 +2,12 @@
 the locus functions."""
 
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from halfelastica import moduli as M
 from halfelastica.errors import DomainError, OutsideModuliSpaceError
@@ -147,6 +148,21 @@ class TestClassifyRegion:
         assert M.classify_region(lam, e2).region is region
         assert M.in_moduli_space(lam, e2) is (region is M.Region.S)
 
+    @pytest.mark.parametrize("lam,e2", [
+        (-1e100, 1e80),  # e1^4 overflows in the causal constant
+        (-2.5e69, 1e10),  # e1^4 e2^4 overflows to inf: c is NaN
+        (-1e150, 1e100),  # 4 lam e2^2 overflows in the cubic of e1
+        (-1e150, 1e110),  # e2^3 overflows
+        (-sys.float_info.max, 1e-102),  # the companion's -4 lam overflows
+        (-1e200, 1e-60),  # the Newton polish of e1 ~ -4 lam overflows
+    ])
+    def test_far_spacelike_quartic_is_a_domain_error(self, lam, e2):
+        assert M.classify_region(lam, e2).region is M.Region.S
+        with pytest.raises(DomainError, match=re.escape(f"({lam!r}, {e2!r})")):
+            M.roots_from_modulus((lam, e2))
+        with pytest.raises(DomainError):
+            M.resolve(lam, e2)
+
 
 @settings(max_examples=400, deadline=None)
 @given(st.floats(), st.floats())
@@ -156,11 +172,53 @@ class TestClassifyRegion:
 @example(sys.float_info.max, 5e-324)
 @example(-sys.float_info.max, sys.float_info.max)
 @example(-1.8e308, 1.8e308)
+@example(-math.inf, 1.5)
+@example(-1e100, 1e80)
 def test_classification_is_total(lam, e2):
     point = M.classify_region(lam, e2)
     assert isinstance(point, M.ModulusPoint)
+    if not (math.isfinite(lam) and math.isfinite(e2)):
+        assert not M.in_moduli_space(lam, e2)
+        with pytest.raises(OutsideModuliSpaceError):
+            M.roots_from_modulus((lam, e2))
     if point.in_moduli_space:
         assert M.in_moduli_space(lam, e2)
+        # the quartic is finite, or a DomainError says it is not
+        try:
+            qd = M.roots_from_modulus((lam, e2))
+        except DomainError as exc:
+            assert not isinstance(exc, OutsideModuliSpaceError)
+        else:
+            assert all(map(math.isfinite, qd.roots + (qd.c,)))
+
+
+def _e1_by_numpy_roots(lam, e2):
+    """Reference e1: numpy.roots, then the real-root filter, fallback and
+    Newton polish of the companion path."""
+    roots = np.roots(M._e1_cubic_coeffs(lam, e2))
+    real = [r.real for r in roots if abs(r.imag) <= 1e-8 * max(1.0, abs(r))]
+    candidates = [r for r in real if r > e2] or [max(real)]
+    return M._e1_newton_polish(lam, e2, max(candidates))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-100.0, M.LAMBDA_CRITICAL - 1e-9), st.floats(1e-9, 1.0 - 1e-9),
+       st.booleans())
+@example(-1.3, 0.5, True)  # near the exceptional locus
+@example(-1.0 - 1e-9, 0.5, False)
+def test_companion_solve_is_numpy_roots(lam, u, timelike):
+    """The bare eigvals solve gives numpy.roots' e1 bit for bit, on time-like
+    and space-like points, as a Python float."""
+    if timelike:
+        lo, hi = M.a_lower(lam), M.eta_pm(lam)[1]
+    else:
+        assume(lam < -1.0)
+        lo, hi = M.eta_pm(lam)[0], M.b0(lam)
+    e2 = lo + u * (hi - lo)
+    assume(M.in_moduli_space(lam, e2))
+    e1 = M._e1_companion(lam, e2)
+    assert type(e1) is float
+    assert e1 == _e1_by_numpy_roots(lam, e2)
 
 
 class TestResolve:

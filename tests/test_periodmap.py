@@ -280,6 +280,75 @@ class TestTraceFiber:
             assert abs(P.period_map(pt) - 1.1) <= 1e-7
 
 
+def _trace_by_exceptional_height(q, steps):
+    """The fiber trace with the side of E read as e2 - exceptional_c(lam),
+    in the rows and in the bisection onto E."""
+    qv = float(Fraction(q))
+    _, e_star = P.fiber_endpoint(q)
+    heights = np.linspace(1.0 + 1e-3 * (e_star - 1.0),
+                          e_star - 1e-5 * (e_star - 1.0), steps)
+    points, lam = [], None
+    for e2 in heights:
+        lam = P._solve_fiber_lambda(float(e2), qv, lam)
+        points.append(M.classify_region(lam, float(e2)))
+    gaps = [None if pt.lam >= M.LAMBDA_EXCEPTIONAL
+            else pt.e2 - M.exceptional_c(pt.lam) for pt in points]
+    crossing = None
+    for i in range(len(points) - 1):
+        ga, gb = gaps[i], gaps[i + 1]
+        if ga is None or gb is None or ga * gb > 0.0:
+            continue
+        lo_e, hi_e = points[i].e2, points[i + 1].e2
+        lam_g = points[i].lam
+        for _ in range(60):
+            mid = 0.5 * (lo_e + hi_e)
+            lam_g = P._solve_fiber_lambda(mid, qv, lam_g)
+            gap = mid - M.exceptional_c(lam_g)
+            if gap == 0.0 or hi_e - lo_e < 1e-12:
+                break
+            if gap * ga < 0.0:
+                hi_e = mid
+            else:
+                lo_e = mid
+        mid = 0.5 * (lo_e + hi_e)
+        lam_g = P._solve_fiber_lambda(mid, qv, lam_g)
+        crossing = M.classify_region(lam_g, mid)
+        break
+    if crossing is not None:
+        points = sorted(points + [crossing], key=lambda pt: pt.e2)
+    return points, crossing
+
+
+def _rows(points):
+    return [(pt.lam, pt.e2, pt.region) for pt in points]
+
+
+@pytest.mark.parametrize("q", ["11/10", "23/20", "6/5"])
+def test_trace_sides_match_exceptional_height(q):
+    """Reading the side of E from the sign of T gives exactly the trace that
+    e2 - exceptional_c(lam) gives, crossing row included."""
+    points, crossing = _trace_by_exceptional_height(q, 60)
+    tr = P.trace_fiber(q, steps=60)
+    assert crossing is not None
+    assert _rows(tr.points) == _rows(points)
+    assert _rows([tr.crossing]) == _rows([crossing])
+
+
+def test_trace_solves_no_exceptional_height(monkeypatch):
+    calls = []
+    solve = M.exceptional_c
+
+    def counting(lam):
+        calls.append(lam)
+        return solve(lam)
+
+    monkeypatch.setattr(M, "exceptional_c", counting)
+    monkeypatch.setattr(P, "exceptional_c", counting, raising=False)
+    tr = P.trace_fiber("11/10", steps=60)
+    assert tr.crossing is not None
+    assert calls == []
+
+
 class TestFamilyInvariants:
     def test_punctured_classes(self):
         tr = P.trace_fiber("11/10", steps=60)
