@@ -282,7 +282,7 @@ def wavelength(p, e2=None) -> float:
     a, m, n, g = elliptic_arguments(qd)
     k = ellint.complete_K(m)
     pi_n = ellint.complete_Pi(n, m)
-    return (2.0 * g / qd.e1) * ((a / n) * k - ((a - n) / n) * pi_n)
+    return float((2.0 * g / qd.e1) * ((a / n) * k - ((a - n) / n) * pi_n))
 
 
 def wavelength_quadrature(p, e2=None, tol: float = 1e-12) -> float:

@@ -10,7 +10,9 @@ with roots e1 > e2 > e3 > 0 > e4, where c is the squared Minkowski norm of
 the conserved momentum.  The sign of c splits the moduli space into the
 space-like region S, the light-like curve L and the time-like region T; T is
 further split by the exceptional locus E (where 1 + 4*c*e1^2 = 0) into a
-lower part T- and an upper part T+.
+lower part T- and an upper part T+.  On the cubic of e1 the locus residual
+is T = -2 e1^2 e2^2 (e1 + 2 lambda), so E is the curve e1 = -2 lambda and
+its height at a multiplier is a root of a cubic (:func:`exceptional_c`).
 
 Root finding follows two independent routes: the reference path solves the
 cubic satisfied by e1 with the companion-matrix eigensolve of numpy.roots
@@ -188,11 +190,20 @@ def eta_pm(lam: float) -> tuple[float, float]:
         return (r, r)
     # P has its minimum at -3 lam / 2; bracket each root on one side of it.
     x_min = -1.5 * lam
-    lo = brentq(lambda x: boundary_quartic(lam, x), 1e-12, x_min,
-                xtol=1e-15, rtol=8.9e-16)
     hi_cap = max(-2.0 * lam + 1.0, 2.0)
-    hi = brentq(lambda x: boundary_quartic(lam, x), x_min, hi_cap,
-                xtol=1e-15, rtol=8.9e-16)
+    try:
+        lo = brentq(lambda x: boundary_quartic(lam, x), 1e-12, x_min,
+                    xtol=1e-15, rtol=8.9e-16)
+        hi = brentq(lambda x: boundary_quartic(lam, x), x_min, hi_cap,
+                    xtol=1e-15, rtol=8.9e-16)
+    except (OverflowError, ValueError, RuntimeError):
+        # float ** overflows beyond lambda of about -6e76, and from about
+        # -1e16 on -2 lam + 1 rounds onto eta+, where the sign of the
+        # quartic is lost to cancellation
+        raise DomainError(
+            f"lambda={lam!r}: the roots of the boundary quartic are not "
+            "resolvable in floats"
+        ) from None
     # one Newton step to polish
     for _ in range(2):
         lo -= boundary_quartic(lam, lo) / (4.0 * lo**3 + 6.0 * lam * lo**2)
@@ -466,46 +477,34 @@ def resolve(p, e2=None) -> ModulusPoint:
 def exceptional_c(lam: float) -> float:
     """e2-height of the exceptional locus at multiplier lam.
 
-    Seeds with the closed-form Cardano solution of the defining cubic
-    4 lam^2 e^3 + 8 lam^3 e^2 + e - 2 lam = 0 (the e1 = -2 lam slice of the
-    locus), then refines with a bracketed solve of the signed residual T,
-    whose zero is simple; the degeneracy 1 + 4 c e1^2 itself has a double
-    zero and converges too slowly for direct iteration.
+    The locus is the curve e1 = -2 lam (T = -2 e1^2 e2^2 (e1 + 2 lam) on
+    the cubic of e1), so its height is the largest root of
+    T(-2 lam, e) = 4 lam^2 e^3 + 8 lam^3 e^2 + e - 2 lam: the closed-form
+    Cardano solution, polished by Newton steps on that cubic, whose root is
+    simple off the endpoint multiplier.  DomainError where the polished root
+    fails the radial-degeneracy check, as it does at most multipliers beyond
+    about -4e3, where the height rounds onto eta+.
     """
     if not lam < LAMBDA_EXCEPTIONAL:
         raise DomainError(
             f"the exceptional locus requires lambda < {LAMBDA_EXCEPTIONAL!r}, "
             f"got {lam!r}"
         )
-    lam4 = lam**4
-    rad = 256.0 * lam4**2 - 176.0 * lam4 - 1.0
-    a = (9.0 - 8.0 * lam4) / (27.0 * lam)
-    bb = math.sqrt(max(rad, 0.0)) / (24.0 * math.sqrt(3.0) * abs(lam) ** 3)
-    seed = -2.0 * lam / 3.0 + 2.0 * (complex(a, bb) ** (1.0 / 3.0)).real
-
-    def resid(e2: float) -> float:
-        qd = roots_from_modulus((lam, e2))
-        return exceptional_residual(qd.e1, e2)
-
-    a_lo, eta_hi = a_lower(lam), eta_pm(lam)[1]
-    span = eta_hi - a_lo
-    lo_cap = a_lo + 1e-9 * span
-    hi_cap = eta_hi - 1e-9 * span
-    seed = min(max(seed, lo_cap), hi_cap)
-    lo = max(seed - 1e-3 * span, lo_cap)
-    hi = min(seed + 1e-3 * span, hi_cap)
-    for _ in range(60):
-        if resid(lo) < 0.0 < resid(hi):
-            break
-        lo = max(lo - 2e-2 * span, lo_cap)
-        hi = min(hi + 2e-2 * span, hi_cap)
-    else:
-        raise DomainError(f"could not bracket the exceptional height at lambda={lam!r}")
-    value = brentq(resid, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    qd = roots_from_modulus((lam, value))
-    if radial_degeneracy(qd.e1, value) > 1e-9:
+    try:
+        lam4 = lam**4
+        rad = 256.0 * lam4**2 - 176.0 * lam4 - 1.0
+        a = (9.0 - 8.0 * lam4) / (27.0 * lam)
+        bb = math.sqrt(max(rad, 0.0)) / (24.0 * math.sqrt(3.0) * abs(lam) ** 3)
+        value = -2.0 * lam / 3.0 + 2.0 * (complex(a, bb) ** (1.0 / 3.0)).real
+        for _ in range(3):
+            slope = (12.0 * lam * lam * value + 16.0 * lam**3) * value + 1.0
+            value -= exceptional_residual(-2.0 * lam, value) / slope
+        degeneracy = radial_degeneracy(roots_from_modulus((lam, value)).e1, value)
+    except (OverflowError, OutsideModuliSpaceError):
+        degeneracy = math.inf
+    if degeneracy > 1e-9:
         raise DomainError(
-            f"exceptional height refinement failed at lambda={lam!r}"
+            f"the exceptional height at lambda={lam!r} is not resolvable in floats"
         )
     return value
 

@@ -30,6 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 
 from . import ellint
 from .dynamics import elliptic_arguments, wavelength
@@ -42,6 +43,7 @@ from .errors import (
     RegionError,
 )
 from .moduli import (
+    E2_EXCEPTIONAL_MIN,
     LAMBDA_CRITICAL,
     LAMBDA_EXCEPTIONAL,
     ModulusPoint,
@@ -186,23 +188,26 @@ def _resolve_timelike(p, e2=None) -> tuple[ModulusPoint, QuarticData]:
     return ModulusPoint(lam, e2v, _REGION_OF_OFFSET[offset], qd), qd
 
 
-def _resolve_slice(lam: float, e2s) -> tuple[QuarticData, np.ndarray]:
-    """:func:`_resolve_timelike` at every height of one multiplier slice:
-    the quartic data as arrays, and the period-map offset of each point
-    (1 on T-, 1/2 on E, 0 on T+), which encodes its region."""
+def _resolve_slice(lam, e2s) -> tuple[QuarticData, np.ndarray]:
+    """:func:`_resolve_timelike` at every height of one multiplier slice, or
+    pointwise where ``lam`` is an array broadcast against the heights: the
+    quartic data as arrays, and the period-map offset of each point (1 on
+    T-, 1/2 on E, 0 on T+), which encodes its region."""
     e2 = np.atleast_1d(np.asarray(e2s, dtype=float))
+    if np.ndim(lam):
+        lam, e2 = np.broadcast_arrays(lam, e2)
     with np.errstate(invalid="ignore", over="ignore"):
         timelike = ((e2 > 0.0) & (boundary_quartic(lam, e2) < 0.0)
                     & (e2 * e2 + 2.0 * lam * e2 + 1.0 > 0.0))
     if not timelike.all():
+        bad = np.argmin(timelike)
         raise RegionError(
             f"period-map operations require a time-like modulus, got "
-            f"({lam}, {e2[~timelike][0]})"
+            f"({lam[bad] if np.ndim(lam) else lam}, {e2[bad]})"
         )
     qd = _quartic_on_slice(lam, e2)
-    if lam < LAMBDA_EXCEPTIONAL:
-        return qd, _timelike_offset(qd.e1, e2)
-    return qd, np.zeros_like(e2)
+    below = lam < LAMBDA_EXCEPTIONAL
+    return qd, np.where(below, _timelike_offset(qd.e1, e2), 0.0)
 
 
 def _stable_small_factors(qd: QuarticData):
@@ -316,15 +321,19 @@ def coefficient_identity_residuals(p, e2=None) -> tuple[float, float]:
 def period_map(p, e2=None) -> float:
     """Closed-form period map value of a time-like modulus."""
     point, qd = _resolve_timelike(p, e2)
-    return (_closed_form(point.lam, qd, point.region is Region.E)
-            + _OFFSET[point.region])
+    return float(_closed_form(point.lam, qd, point.region is Region.E)
+                 + _OFFSET[point.region])
 
 
-def period_map_slice(lam: float, e2s) -> np.ndarray:
+def period_map_slice(lam, e2s) -> np.ndarray:
     """Closed-form period map at every height of one multiplier slice, in
-    one array pass; each point gets the region :func:`period_map` gives it
-    and the same value up to rounding.  Raises RegionError when any height
-    (NaN and infinities included) is not time-like at ``lam``."""
+    one array pass; an array ``lam`` broadcasts against the heights, giving
+    the map at the points (lam[i], e2[i]).  Each point gets the region
+    :func:`period_map` gives it and the same value up to rounding.  Raises
+    RegionError when any point (NaN and infinities included) is not
+    time-like."""
+    if np.ndim(lam):
+        lam = np.asarray(lam, dtype=float)
     qd, offset = _resolve_slice(lam, e2s)
     with np.errstate(divide="ignore", invalid="ignore"):
         return _closed_form(lam, qd, offset == 0.5) + offset
@@ -372,7 +381,7 @@ def period_map_oracle(p, e2=None, tol: float = 1e-12) -> float:
         raise QuadratureError(
             "oracle quadrature failed" + (" on the locus" if on_locus else ""),
             value=value, achieved=err)
-    return -(scale * value) / (2.0 * math.pi) + _OFFSET[point.region]
+    return float(-(scale * value) / (2.0 * math.pi) + _OFFSET[point.region])
 
 
 def r_term(p, e2=None) -> float:
@@ -522,54 +531,27 @@ def fiber_endpoint(q) -> tuple[float, float]:
     return lam_star, e_star
 
 
-def _lambda_bracket(e2: float) -> tuple[float, float]:
+def _lambda_bracket(e2):
     # time-like slice in lambda at fixed e2: below the center boundary and
-    # above the light-like curve
+    # above the light-like curve; floats or arrays of heights
     lam_hi = -(1.0 + e2**4) / (2.0 * e2**3)
     lam_lo = -(1.0 + e2 * e2) / (2.0 * e2)
     return lam_lo, lam_hi
 
 
-def _solve_fiber_lambda(e2: float, qv: float, guess: float | None) -> float:
-    lam_lo, lam_hi = _lambda_bracket(e2)
-    width = lam_hi - lam_lo
-    # insets must clear the locus-tagging tolerance zones at both ends
-    lo = lam_lo + 1e-8
-    hi = lam_hi - 1e-8
-
-    def f(lam: float) -> float:
-        return period_map((lam, e2)) - qv
-
-    if guess is not None:
-        glo = max(lo, guess - 0.05 * width)
-        ghi = min(hi, guess + 0.05 * width)
-        try:
-            if f(glo) * f(ghi) < 0.0:
-                return brentq(f, glo, ghi, xtol=1e-13, rtol=8.9e-16)
-        except (DomainError, RegionError):
-            pass
-    try:
-        return brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16)
-    except DomainError:
-        raise
-    except ValueError as exc:  # brentq: f(lo) and f(hi) share a sign
-        raise BracketError(
-            f"no sign change of P - q on the full lambda bracket "
-            f"[{lo!r}, {hi!r}] for q={qv!r} at e2={e2!r}"
-        ) from exc
-
-
 def trace_fiber(q, steps: int = 200) -> FiberTrace:
     """Trace the fiber of q from the corner (-1, 1) to its endpoint on the
-    center boundary by per-height root solves in the multiplier.
+    center boundary by root solves in the multiplier, all heights in one
+    array solve on their full brackets.
 
     Root solving is self-correcting, unlike direct integration of the
     fiber-tangent vector field, whose non-vanishing is only experimental.
-    The crossing of the exceptional locus, when present, is refined by
-    bisection along the trace and returned separately (it is also inserted
-    into the polyline).  The side of E of a point is the sign of the locus
-    residual T of its quartic, negative on T- and positive on T+, the sign
-    that sets its T-/T+ tag; E is the zero of T on each slice.
+    The side of E of a point is the sign of the locus residual T of its
+    quartic, negative on T- and positive on T+.  E is the curve e1 = -2 lam
+    (T = -2 e1^2 e2^2 (e1 + 2 lam)), so at a height e2 its multiplier is
+    the root of the cubic T(-2 lam, e2) in the bracket, and the crossing of
+    E between two rows on opposite sides is one root solve of P - q along
+    that curve; it is returned separately and inserted into the polyline.
     """
     frac = _as_fraction(q)
     qv = float(frac)
@@ -577,42 +559,46 @@ def trace_fiber(q, steps: int = 200) -> FiberTrace:
     e_lo = 1.0 + 1e-3 * (e_star - 1.0)
     e_hi = e_star - 1e-5 * (e_star - 1.0)
     heights = np.linspace(e_lo, e_hi, int(steps))
-    points: list[ModulusPoint] = []
-    lam_guess = None
-    for e2 in heights:
-        lam = _solve_fiber_lambda(float(e2), qv, lam_guess)
-        lam_guess = lam
-        points.append(classify_region(lam, float(e2)))
+    lam_lo, lam_hi = _lambda_bracket(heights)
+    # insets must clear the locus-tagging tolerance zones at both ends
+    lo, hi = lam_lo + 1e-8, lam_hi - 1e-8
+    # stop on the step alone, at the xtol and rtol of scipy's brentq
+    tolerances = {"xatol": 1e-13, "xrtol": 4.0 * np.finfo(float).eps,
+                  "fatol": 0.0, "frtol": 0.0}
+    rows = find_root(lambda lam, e2: period_map_slice(lam, e2) - qv, (lo, hi),
+                     args=(heights,), tolerances=tolerances)
+    if not rows.success.all():
+        i = np.argmin(rows.success)
+        raise BracketError(
+            f"no sign change of P - q on the full lambda bracket "
+            f"[{float(lo[i])!r}, {float(hi[i])!r}] for q={qv!r} at "
+            f"e2={float(heights[i])!r}"
+        )
+    points = [classify_region(lam, e2)
+              for lam, e2 in zip(rows.x.tolist(), heights.tolist())]
+    sides = [None if pt.lam >= LAMBDA_EXCEPTIONAL
+             else exceptional_residual(resolve(pt).quartic.e1, pt.e2)
+             for pt in points]
 
-    def locus_side(point: ModulusPoint) -> float | None:
-        if point.lam >= LAMBDA_EXCEPTIONAL:
-            return None
-        return exceptional_residual(resolve(point).quartic.e1, point.e2)
+    def lam_on_locus(e2: float) -> float:
+        return brentq(lambda lam: exceptional_residual(-2.0 * lam, e2),
+                      *_lambda_bracket(e2), xtol=1e-15, rtol=8.9e-16)
 
     crossing = None
-    sides = [locus_side(pt) for pt in points]
     for i in range(len(points) - 1):
         sa, sb = sides[i], sides[i + 1]
         if sa is None or sb is None or sa * sb > 0.0:
             continue
-        lo_e, hi_e = points[i].e2, points[i + 1].e2
-        lam_g = points[i].lam
-        for _ in range(60):
-            mid = 0.5 * (lo_e + hi_e)
-            lam_g = _solve_fiber_lambda(mid, qv, lam_g)
-            side = exceptional_residual(roots_from_modulus(lam_g, mid).e1, mid)
-            if side == 0.0 or hi_e - lo_e < 1e-12:
-                break
-            if side * sa < 0.0:
-                hi_e = mid
-            else:
-                lo_e = mid
-        mid = 0.5 * (lo_e + hi_e)
-        lam_g = _solve_fiber_lambda(mid, qv, lam_g)
-        crossing = classify_region(lam_g, mid)
-        break
-    if crossing is not None:
+        # E starts at the height E2_EXCEPTIONAL_MIN on the center boundary,
+        # where the period map along it diverges
+        bottom = max(points[i].e2, E2_EXCEPTIONAL_MIN + 1e-6)
+        # kappa1 = 0 on E in the n1 and B terms the on-locus branch drops
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e_c = brentq(lambda e2: period_map((lam_on_locus(e2), e2)) - qv,
+                         bottom, points[i + 1].e2, xtol=1e-14, rtol=8.9e-16)
+        crossing = classify_region(lam_on_locus(e_c), e_c)
         points = sorted(points + [crossing], key=lambda pt: pt.e2)
+        break
     return FiberTrace(q_num=frac.numerator, q_den=frac.denominator,
                       points=tuple(points), crossing=crossing)
 

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -182,6 +183,27 @@ class TestFindStringAndFiber:
         locus = [r for r in rows if r[2] == "E"]
         assert len(locus) == 1
         assert float(locus[0][1]) == pytest.approx(1.71966, abs=5e-4)
+
+    @pytest.mark.parametrize("q, steps", [("11/10", "200"), ("25/24", "200"),
+                                          ("6/5", "200"), ("16/15", "200"),
+                                          ("13/11", "40")])
+    def test_fiber_writes_nothing_to_stderr(self, q, steps):
+        # the last two evaluate their crossing exactly on E, where kappa1 = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["fiber", "--q", q, "--steps", steps])
+        assert code == 0 and err == ""
+        assert sum(line.endswith(",E") for line in out.splitlines()) == 1
+
+    # float ** overflows at -1e100; -2 lam + 1 rounds onto eta+ at the others
+    @pytest.mark.parametrize("lam", ["-1e100", "-1e60", "-1e20"])
+    @pytest.mark.parametrize("args", [["scan-period"],
+                                      ["find-string", "--q", "11/10"],
+                                      ["phase-portrait"]])
+    def test_far_multiplier_is_a_domain_error(self, args, lam):
+        code, out, err = run_cli(args + [f"--lambda={lam}"])
+        assert code == 65
+        assert out == "" and f"lambda={float(lam)!r}" in err
 
     def test_unreachable_fiber_exit(self):
         code, out, err = run_cli(["fiber", "--q", "4/3", "--steps", "20"])

@@ -259,6 +259,66 @@ class TestExceptionalLocus:
             e2 = M.exceptional_c(lam)
             assert M.a_lower(lam) < e2 < M.eta_pm(lam)[1]
 
+    def test_matches_bracketed_solve(self):
+        lams = np.concatenate([-np.geomspace(0.93, 800.0, 240),
+                               np.linspace(-1.2, -0.93, 60)])
+        for lam in lams.tolist():
+            ref = _exceptional_c_by_bracket(lam)
+            assert abs(M.exceptional_c(lam) - ref) <= 8 * np.spacing(ref)
+
+    @pytest.mark.parametrize("lam", [-910.2228457591266, -1739.4, -4000.0])
+    def test_far_multiplier(self, lam):
+        # the first and last leave the moduli space in the bracketed solve
+        assert M.classify_region(lam, M.exceptional_c(lam)).region is M.Region.E
+
+    @pytest.mark.parametrize("lam", [-1e4, -1e100])
+    def test_unresolvable_height(self, lam):
+        with pytest.raises(DomainError, match=re.escape(f"lambda={lam!r}")):
+            M.exceptional_c(lam)
+
+
+def _exceptional_c_by_bracket(lam):
+    """Reference height: the Cardano seed, a bracket of the residual T
+    grown around it inside (a_lower, eta+), and brentq."""
+    from scipy.optimize import brentq
+
+    lam4 = lam**4
+    rad = 256.0 * lam4**2 - 176.0 * lam4 - 1.0
+    a = (9.0 - 8.0 * lam4) / (27.0 * lam)
+    bb = math.sqrt(max(rad, 0.0)) / (24.0 * math.sqrt(3.0) * abs(lam) ** 3)
+    seed = -2.0 * lam / 3.0 + 2.0 * (complex(a, bb) ** (1.0 / 3.0)).real
+
+    def resid(e2):
+        return M.exceptional_residual(M.roots_from_modulus((lam, e2)).e1, e2)
+
+    a_lo, eta_hi = M.a_lower(lam), M.eta_pm(lam)[1]
+    span = eta_hi - a_lo
+    lo_cap, hi_cap = a_lo + 1e-9 * span, eta_hi - 1e-9 * span
+    seed = min(max(seed, lo_cap), hi_cap)
+    lo = max(seed - 1e-3 * span, lo_cap)
+    hi = min(seed + 1e-3 * span, hi_cap)
+    for _ in range(60):
+        if resid(lo) < 0.0 < resid(hi):
+            break
+        lo = max(lo - 2e-2 * span, lo_cap)
+        hi = min(hi + 2e-2 * span, hi_cap)
+    return brentq(resid, lo, hi, xtol=1e-15, rtol=8.9e-16)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-2.5, M.LAMBDA_CRITICAL - 1e-9), st.floats(1e-9, 1.0 - 1e-9))
+@example(-1.3, 0.5)
+def test_exceptional_locus_is_e1_equal_minus_two_lambda(lam, u):
+    """T = -2 e1^2 e2^2 (e1 + 2 lam) on the cubic of e1: on time-like
+    points T and e1 + 2 lam have opposite signs off the locus."""
+    lo, hi = M.a_lower(lam), M.eta_pm(lam)[1]
+    e2 = lo + u * (hi - lo)
+    point = M.resolve(lam, e2)
+    assume(point.timelike)
+    t = M.exceptional_residual(point.quartic.e1, e2)
+    assume(abs(t) > 1e-12)
+    assert np.sign(t) == -np.sign(point.quartic.e1 + 2.0 * lam)
+
 
 class TestChi:
     def test_far_multiplier(self):

@@ -280,58 +280,52 @@ class TestTraceFiber:
             assert abs(P.period_map(pt) - 1.1) <= 1e-7
 
 
-def _trace_by_exceptional_height(q, steps):
-    """The fiber trace with the side of E read as e2 - exceptional_c(lam),
-    in the rows and in the bisection onto E."""
+def _scalar_fiber_rows(q, steps):
+    """The fiber rows solved height by height with brentq, at the heights,
+    brackets and step tolerances of the batched solve."""
     qv = float(Fraction(q))
     _, e_star = P.fiber_endpoint(q)
     heights = np.linspace(1.0 + 1e-3 * (e_star - 1.0),
                           e_star - 1e-5 * (e_star - 1.0), steps)
-    points, lam = [], None
-    for e2 in heights:
-        lam = P._solve_fiber_lambda(float(e2), qv, lam)
-        points.append(M.classify_region(lam, float(e2)))
-    gaps = [None if pt.lam >= M.LAMBDA_EXCEPTIONAL
-            else pt.e2 - M.exceptional_c(pt.lam) for pt in points]
-    crossing = None
-    for i in range(len(points) - 1):
-        ga, gb = gaps[i], gaps[i + 1]
-        if ga is None or gb is None or ga * gb > 0.0:
-            continue
-        lo_e, hi_e = points[i].e2, points[i + 1].e2
-        lam_g = points[i].lam
-        for _ in range(60):
-            mid = 0.5 * (lo_e + hi_e)
-            lam_g = P._solve_fiber_lambda(mid, qv, lam_g)
-            gap = mid - M.exceptional_c(lam_g)
-            if gap == 0.0 or hi_e - lo_e < 1e-12:
-                break
-            if gap * ga < 0.0:
-                hi_e = mid
-            else:
-                lo_e = mid
-        mid = 0.5 * (lo_e + hi_e)
-        lam_g = P._solve_fiber_lambda(mid, qv, lam_g)
-        crossing = M.classify_region(lam_g, mid)
-        break
-    if crossing is not None:
-        points = sorted(points + [crossing], key=lambda pt: pt.e2)
-    return points, crossing
-
-
-def _rows(points):
-    return [(pt.lam, pt.e2, pt.region) for pt in points]
+    rows = []
+    for e2 in heights.tolist():
+        lam_lo, lam_hi = P._lambda_bracket(e2)
+        lam = brentq(lambda lam: P.period_map((lam, e2)) - qv, lam_lo + 1e-8,
+                     lam_hi - 1e-8, xtol=1e-13, rtol=8.9e-16)
+        rows.append((lam, e2))
+    return rows
 
 
 @pytest.mark.parametrize("q", ["11/10", "23/20", "6/5"])
 def test_trace_sides_match_exceptional_height(q):
-    """Reading the side of E from the sign of T gives exactly the trace that
-    e2 - exceptional_c(lam) gives, crossing row included."""
-    points, crossing = _trace_by_exceptional_height(q, 60)
+    """The batched rows match a scalar brentq solve; the side of E read from
+    T on each row is the side e2 - exceptional_c(lam) gives; the crossing
+    lies on E, which is the curve e1 = -2 lam, and on the fiber."""
     tr = P.trace_fiber(q, steps=60)
-    assert crossing is not None
-    assert _rows(tr.points) == _rows(points)
-    assert _rows([tr.crossing]) == _rows([crossing])
+    rows = [pt for pt in tr.points if pt is not tr.crossing]
+    reference = _scalar_fiber_rows(q, 60)
+    assert [pt.e2 for pt in rows] == [e2 for _, e2 in reference]
+    assert max(abs(pt.lam - lam) for pt, (lam, _) in zip(rows, reference)) <= 1e-11
+    for pt in rows:
+        if pt.lam < M.LAMBDA_EXCEPTIONAL:
+            side = M.exceptional_residual(M.resolve(pt).quartic.e1, pt.e2)
+            assert np.sign(side) == np.sign(pt.e2 - M.exceptional_c(pt.lam))
+    crossing = tr.crossing
+    assert crossing is not None and crossing.region is M.Region.E
+    assert abs(P.period_map(crossing) - float(Fraction(q))) <= 1e-12
+    assert abs(M.resolve(crossing).quartic.e1 + 2.0 * crossing.lam) <= 1e-12
+
+
+@pytest.mark.parametrize("steps", [2, 3])
+def test_coarse_trace_finds_the_crossing(steps):
+    """The first row lies below the lowest height of E, so the crossing is
+    bracketed from where E starts."""
+    tr = P.trace_fiber("11/10", steps=steps)
+    assert tr.points[0].e2 < M.E2_EXCEPTIONAL_MIN
+    fine = P.trace_fiber("11/10", steps=60).crossing
+    assert tr.crossing.region is M.Region.E
+    assert abs(tr.crossing.e2 - fine.e2) <= 1e-12
+    assert abs(tr.crossing.lam - fine.lam) <= 1e-12
 
 
 def test_trace_solves_no_exceptional_height(monkeypatch):
@@ -482,6 +476,26 @@ class TestPeriodMapSlice:
     def test_rejects_heights_outside_the_timelike_slice(self):
         with pytest.raises(RegionError):
             P.period_map_slice(-1.3, [2.3, 1.2])
+
+    def test_multiplier_array_matches_scalar_loop(self, trace):
+        """An array lam broadcasts against the heights: the rows of a fiber
+        in one call, equal to the scalar loop within the bounds above."""
+        lam = np.array([pt.lam for pt in trace.points])
+        e2 = np.array([pt.e2 for pt in trace.points])
+        values = P.period_map_slice(lam, e2)
+        _, offsets = P._resolve_slice(lam, e2)
+        ref = np.array([P.period_map(pt) for pt in trace.points])
+        assert ([OFFSET_REGION[o] for o in offsets]
+                == [pt.region for pt in trace.points])
+        assert np.max(np.abs(values - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-11
+        with pytest.raises(RegionError, match=r"\(-1\.3, 1\.2\)"):
+            P.period_map_slice(np.array([-1.3, -1.3]), [2.3, 1.2])
+
+
+@pytest.mark.parametrize("fn", [P.period_map, P.period_map_oracle, D.wavelength])
+@pytest.mark.parametrize("point", [(-1.3, 2.3), (-0.95, 1.3)])
+def test_scalar_values_are_python_floats(fn, point):
+    assert type(fn(point)) is float
 
 
 @pytest.mark.parametrize("point", [(-1.3, 2.3), M.classify_region(-1.3, 2.3)])
