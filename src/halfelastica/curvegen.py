@@ -4,7 +4,10 @@ The three families of curves with periodic non-constant curvature are
 parameterized in closed form from the curvature flow (mu, mu', Theta), where
 Theta is the accumulated angular/boost phase.  The phase is co-integrated
 with the curvature (augmented ODE state), never recovered by post-hoc
-quadrature, so the two stay phase-locked to integrator precision.
+quadrature, so the two stay phase-locked to integrator precision.  One
+curvature period [0, omega] is integrated per curve; every other arclength
+follows by periodicity, (mu, mu')(s + k omega) = (mu, mu')(s) and
+Theta(s + k omega) = Theta(s) + k Theta(omega).
 
 Conventions for the Minkowski 3-space R^{1,2}:
 
@@ -30,7 +33,13 @@ from scipy.optimize import brentq
 
 from . import ellint
 from .errors import DomainError, IntegrationError, RegionError
-from .dynamics import mu_acceleration, saddle_level, wavelength
+from .dynamics import (
+    _FLOW_ATOL,
+    _periodic_flow,
+    mu_acceleration,
+    saddle_level,
+    wavelength,
+)
 from .moduli import (
     ModulusPoint,
     QuarticData,
@@ -75,6 +84,9 @@ _METRIC = np.diag([-1.0, 1.0, 1.0])
 # radial degeneracy 1 + 4 c e1^2 below which the time-like family rebuilds
 # 1 + 4 c mu^2 from its factored form
 _NEAR_LOCUS = 1e-6
+
+# DOP853 relative tolerance of the curve flow and of the Frenet oracle
+_FLOW_RTOL = 1e-13
 
 
 class CurveKind(enum.Enum):
@@ -185,16 +197,15 @@ def _theta_rhs_for(point: ModulusPoint, kind: CurveKind):
 
 
 class _CurveFlow:
-    """Dense (mu, mu', Theta) flow for one modulus point and curve kind."""
+    """(mu, mu', Theta) flow for one modulus point and curve kind: one
+    period integrated with dense output, extended by periodicity."""
 
-    def __init__(self, point: ModulusPoint, kind: CurveKind, omega: float,
-                 s_lo: float, s_hi: float, rtol: float, atol: float):
-        self.point = point
+    def __init__(self, point: ModulusPoint, kind: CurveKind):
         self.kind = kind
         self.qd = point.quartic
         self.lam = point.lam
         self.c = self.qd.c
-        self.omega = omega
+        self.omega = wavelength(point)
         self.exceptional = point.region is Region.E
         self._kappa1 = _kappa1(self.qd) if kind is CurveKind.BT else None
         lam = self.lam
@@ -205,48 +216,9 @@ class _CurveFlow:
             x, y, _ = state
             return (y, mu_acceleration(lam, x, y), theta_rhs(x))
 
-        self._rhs = rhs
-        self._rtol = rtol
-        self._atol = atol
-        self._dense = {}
-        self._built = {"+": 0.0, "-": 0.0}
-        self._extend("+", max(s_hi, 0.0))
-        if s_lo < 0.0:
-            self._extend("-", s_lo)
-
-    def _extend(self, side: str, target: float) -> None:
-        """(Re)build one dense branch out to the requested arclength.
-
-        The step cap keeps dense-output interpolation error below the
-        momentum-constancy budget even for large curvature scales.
-        """
-        # the "+" branch runs to s >= 0 and the "-" branch to s < 0
-        if side in self._dense and abs(target) <= abs(self._built[side]):
-            return
-        floor = 1e-3 * self.omega
-        span = max(abs(target) * 1.05, floor)
-        if side == "-":
-            span = -span
-        sol = solve_ivp(self._rhs, (0.0, span), [self.qd.e2, 0.0, 0.0],
-                        method="DOP853", rtol=self._rtol, atol=self._atol,
-                        dense_output=True, max_step=self.omega / 64.0)
-        if not sol.success:
-            raise IntegrationError(f"curve flow failed: {sol.message}")
-        self._dense[side] = sol.sol
-        self._built[side] = span
-
-    def states(self, s):
-        """(mu, mu_dot, theta) arrays at the requested arclengths."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        mu = np.empty_like(s)
-        mu_dot = np.empty_like(s)
-        theta = np.empty_like(s)
-        pos = s >= 0.0
-        for side, part, end in (("+", pos, np.max), ("-", ~pos, np.min)):
-            if np.any(part):
-                self._extend(side, float(end(s[part])))
-                mu[part], mu_dot[part], theta[part] = self._dense[side](s[part])
-        return mu, mu_dot, theta
+        # s -> (mu, mu_dot, theta) rows
+        self.states = _periodic_flow(rhs, [self.qd.e2, 0.0, 0.0], self.omega,
+                                     _FLOW_RTOL)
 
     def radial_sign(self, s):
         """Sign branch of the radial function; flips every half period past
@@ -410,15 +382,13 @@ class CurveSamples:
 
 
 def _build_curve(point: ModulusPoint, kind: CurveKind, s_grid, samples: int,
-                 periods: float, rtol: float, atol: float) -> CurveSamples:
-    omega = wavelength(point)
+                 periods: float) -> CurveSamples:
+    flow = _CurveFlow(point, kind)
     if s_grid is None:
-        s_grid = np.linspace(0.0, periods * omega,
+        s_grid = np.linspace(0.0, periods * flow.omega,
                              int(round(samples * periods)) + 1)
     else:
         s_grid = np.asarray(s_grid, dtype=float)
-    flow = _CurveFlow(point, kind, omega, float(s_grid.min()),
-                      float(s_grid.max()), rtol, atol)
     gam, tan, mu, mu_dot, th = flow.gamma_and_tangent(s_grid)
     return CurveSamples(
         modulus=point,
@@ -430,7 +400,7 @@ def _build_curve(point: ModulusPoint, kind: CurveKind, s_grid, samples: int,
         gamma=gam,
         tangent=tan,
         poincare=to_poincare(gam),
-        wavelength=omega,
+        wavelength=flow.omega,
         quartic=point.quartic,
         _flow=flow,
     )
@@ -446,25 +416,25 @@ def _require_region(p, allowed, what: str) -> ModulusPoint:
     return point
 
 
-def bl_curve(p, s_grid=None, samples: int = 2048, periods: float = 1.0,
-             rtol: float = 1e-13, atol: float = 1e-14) -> CurveSamples:
+def bl_curve(p, s_grid=None, samples: int = 2048,
+             periods: float = 1.0) -> CurveSamples:
     """Standard curve with light-like momentum (1, 0, 1)/sqrt(2)."""
     point = _require_region(p, {Region.L}, "bl_curve")
-    return _build_curve(point, CurveKind.BL, s_grid, samples, periods, rtol, atol)
+    return _build_curve(point, CurveKind.BL, s_grid, samples, periods)
 
 
-def bs_curve(p, s_grid=None, samples: int = 2048, periods: float = 1.0,
-             rtol: float = 1e-13, atol: float = 1e-14) -> CurveSamples:
+def bs_curve(p, s_grid=None, samples: int = 2048,
+             periods: float = 1.0) -> CurveSamples:
     """Standard curve with space-like momentum (0, 0, -sqrt(c))."""
     point = _require_region(p, {Region.S}, "bs_curve")
-    return _build_curve(point, CurveKind.BS, s_grid, samples, periods, rtol, atol)
+    return _build_curve(point, CurveKind.BS, s_grid, samples, periods)
 
 
-def bt_curve(p, s_grid=None, samples: int = 2048, periods: float = 1.0,
-             rtol: float = 1e-13, atol: float = 1e-14) -> CurveSamples:
+def bt_curve(p, s_grid=None, samples: int = 2048,
+             periods: float = 1.0) -> CurveSamples:
     """Standard curve with time-like momentum (sqrt(|c|), 0, 0)."""
     point = _require_region(p, _TIMELIKE, "bt_curve")
-    return _build_curve(point, CurveKind.BT, s_grid, samples, periods, rtol, atol)
+    return _build_curve(point, CurveKind.BT, s_grid, samples, periods)
 
 
 def make_curve(p, **kwargs) -> CurveSamples:
@@ -482,24 +452,20 @@ def make_curve(p, **kwargs) -> CurveSamples:
 # ---------------------------------------------------------------------------
 
 
-def _bt_flow(p, s_grid, what: str) -> _CurveFlow:
-    point = _require_region(p, _TIMELIKE, what)
-    return _CurveFlow(point, CurveKind.BT, wavelength(point), float(s_grid.min()),
-                      float(s_grid.max()), 1e-13, 1e-14)
-
-
 def radial_function(p, s_grid) -> np.ndarray:
     """Signed disk-radius profile of a time-like curve along arclength: the
     radius of the curve's own embedding (:func:`bt_curve`)."""
     s_grid = np.asarray(s_grid, dtype=float)
-    flow = _bt_flow(p, s_grid, "radial_function")
+    point = _require_region(p, _TIMELIKE, "radial_function")
+    flow = _CurveFlow(point, CurveKind.BT)
     return flow.bt_rho(s_grid, flow.states(s_grid)[0])
 
 
 def angular_function(p, s_grid) -> np.ndarray:
     """Accumulated angular phase of a time-like curve along arclength."""
     s_grid = np.asarray(s_grid, dtype=float)
-    return _bt_flow(p, s_grid, "angular_function").states(s_grid)[2]
+    point = _require_region(p, _TIMELIKE, "angular_function")
+    return _CurveFlow(point, CurveKind.BT).states(s_grid)[2]
 
 
 def bl_boost_quadrature(lam: float, tol: float = 1e-13) -> float:
@@ -609,13 +575,14 @@ def _frenet_matrix(kappa: float) -> np.ndarray:
     return np.array([[0.0, 1.0, 0.0], [1.0, 0.0, -kappa], [0.0, kappa, 0.0]])
 
 
-def frenet_oracle(p, n_periods: float = 1.0, samples: int = 2048,
-                  rtol: float = 1e-13, atol: float = 1e-14) -> CurveSamples:
+def frenet_oracle(p, n_periods: float = 1.0,
+                  samples: int = 2048) -> CurveSamples:
     """Independent trajectory: integrate the Frenet linear system with
     kappa = mu^2 from the canonical frame at the apex (1,0,0).
 
     The result is related to the closed-form curve of the same modulus by the
-    fixed Lorentz transform that aligns the frames at s = 0.
+    fixed Lorentz transform that aligns the frames at s = 0.  It integrates
+    the whole range, with no periodicity assumed.
     """
     point = resolve(p)
     if not point.in_moduli_space:
@@ -637,8 +604,8 @@ def frenet_oracle(p, n_periods: float = 1.0, samples: int = 2048,
 
     y0 = np.concatenate(([qd.e2, 0.0, 0.0], np.eye(3).ravel()))
     s_end = n_periods * omega
-    sol = solve_ivp(rhs, (0.0, s_end), y0, method="DOP853", rtol=rtol,
-                    atol=atol, dense_output=True, max_step=omega / 64.0)
+    sol = solve_ivp(rhs, (0.0, s_end), y0, method="DOP853", rtol=_FLOW_RTOL,
+                    atol=_FLOW_ATOL, dense_output=True, max_step=omega / 64.0)
     if not sol.success:
         raise IntegrationError(f"frame integration failed: {sol.message}")
     s = np.linspace(0.0, s_end, int(round(samples * n_periods)) + 1)
@@ -708,12 +675,11 @@ def hyperbolic_rotation(t: float) -> np.ndarray:
     return np.array([[ch, sh, 0.0], [sh, ch, 0.0], [0.0, 0.0, 1.0]])
 
 
-def monodromy(p, rtol: float = 1e-13, atol: float = 1e-14) -> Monodromy:
+def monodromy(p) -> Monodromy:
     """Monodromy of the standard curve: F(omega) F(0)^{-1} with the
     closed-form initial frame."""
-    curve = make_curve(p, samples=16, periods=1.0, rtol=rtol, atol=atol)
-    oracle = frenet_oracle(curve.modulus, n_periods=1.0, samples=2,
-                           rtol=rtol, atol=atol)
+    curve = make_curve(p, samples=16, periods=1.0)
+    oracle = frenet_oracle(curve.modulus, n_periods=1.0, samples=2)
     f0 = initial_frame(curve)
     f_omega_canonical = np.column_stack([
         oracle.gamma[-1],

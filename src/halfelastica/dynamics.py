@@ -57,6 +57,10 @@ __all__ = [
 
 _DEGENERATE_GAP = 1e-12
 
+# DOP853 tolerances: absolute for every flow, relative for solve_mu's
+_FLOW_ATOL = 1e-14
+_MU_RTOL = 3e-14
+
 
 class OrbitKind(enum.Enum):
     """Orbit taxonomy of the curvature phase portrait."""
@@ -72,8 +76,8 @@ class OrbitKind(enum.Enum):
 
 @dataclass(frozen=True)
 class MuSolution:
-    """Sampled solution of the curvature dynamics over a whole number of
-    periods, starting from the minimum mu(0) = e2, mu'(0) = 0."""
+    """Sampled solution of the curvature dynamics over ``n_periods``
+    wavelengths, starting from the minimum mu(0) = e2, mu'(0) = 0."""
 
     modulus: ModulusPoint
     s: np.ndarray
@@ -81,17 +85,18 @@ class MuSolution:
     mu_dot: np.ndarray
     wavelength: float
     quartic: QuarticData
-    _dense: object = field(repr=False, compare=False, default=None)
+    _flow: object = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         for arr in (self.s, self.mu, self.mu_dot):
             arr.flags.writeable = False
 
     def at(self, s):
-        """Dense-output evaluation (mu, mu_dot) at arbitrary arclength."""
-        if self._dense is None:
+        """(mu, mu_dot) at arbitrary arclength: the dense output of the one
+        integrated period, extended by periodicity (:func:`_periodic_flow`)."""
+        if self._flow is None:
             raise IntegrationError("constant solution has no dense output")
-        out = self._dense(np.atleast_1d(np.asarray(s, dtype=float)))
+        out = self._flow(s)
         return out[0], out[1]
 
     def conservation_residual(self) -> float:
@@ -188,11 +193,34 @@ def _interior(p, e2=None) -> ModulusPoint:
     return point
 
 
-def solve_mu(p, n_periods: float = 1.0, rtol: float = 3e-14,
-             atol: float = 1e-14, samples_per_period: int = 2048,
+def _periodic_flow(rhs, y0, omega: float, rtol: float):
+    """s -> states (one row per component) of a flow from the orbit minimum,
+    integrated once over [0, omega]: (mu, mu') repeat and every further
+    component (the phase) advances by its value at omega per period.  s > 0
+    folds onto (0, omega], so a positive multiple of omega reads the end
+    state; s <= 0 folds onto [0, omega).  The step cap keeps the dense-output
+    error below the conservation and momentum budgets."""
+    sol = solve_ivp(rhs, (0.0, omega), y0, method="DOP853", rtol=rtol,
+                    atol=_FLOW_ATOL, dense_output=True, max_step=omega / 64.0)
+    if not sol.success:
+        raise IntegrationError(f"curvature flow failed: {sol.message}")
+    dense = sol.sol
+    advance = dense(omega)[2:, None]
+
+    def states(s):
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        k = np.where(s > 0.0, np.ceil(s / omega) - 1.0, np.floor(s / omega))
+        out = dense(s - k * omega)
+        out[2:] += k * advance
+        return out
+
+    return states
+
+
+def solve_mu(p, n_periods: float = 1.0, samples_per_period: int = 2048,
              residual_tol: float = 1e-8) -> MuSolution:
-    """Integrate the curvature dynamics from the orbit minimum over
-    ``n_periods`` wavelengths with dense output.
+    """The curvature dynamics from the orbit minimum over ``n_periods``
+    wavelengths: one period integrated, extended by periodicity.
 
     Inputs within 1e-12 of an equilibrium height return the constant
     solution explicitly: at the center the amplitude vanishes, at the saddle
@@ -216,21 +244,14 @@ def solve_mu(p, n_periods: float = 1.0, rtol: float = 3e-14,
         qd = QuarticData(e1=eta, e2=eta, e3=eta, e4=eta, c=c)
         return MuSolution(point, s, np.full_like(s, eta), np.zeros_like(s),
                           period, qd)
-    qd = point.quartic
     omega = wavelength(point)
-    s_end = n_periods * omega
-    # the step cap keeps the dense-output interpolation error under the
-    # conservation budget; the step error alone is far below it
-    sol = solve_ivp(lambda _s, st: (st[1], mu_acceleration(lam, st[0], st[1])),
-                    (0.0, s_end), [e2, 0.0], method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True,
-                    max_step=omega / 64.0)
-    if not sol.success:
-        raise IntegrationError(f"curvature integration failed: {sol.message}")
-    s = np.linspace(0.0, s_end, n_samples + 1)
-    states = sol.sol(s)
-    out = MuSolution(point, s, states[0], states[1], omega, qd,
-                     _dense=sol.sol)
+    flow = _periodic_flow(
+        lambda _s, st: (st[1], mu_acceleration(lam, st[0], st[1])),
+        [e2, 0.0], omega, _MU_RTOL)
+    s = np.linspace(0.0, n_periods * omega, n_samples + 1)
+    states = flow(s)
+    out = MuSolution(point, s, states[0], states[1], omega, point.quartic,
+                     _flow=flow)
     resid = out.conservation_residual()
     if resid > residual_tol:
         raise IntegrationError(
@@ -274,15 +295,24 @@ def wavelength(p, e2=None) -> float:
 
     Equals twice the quadrature of dx / (x sqrt(-Q(x))) over [e2, e1]; the
     equality is enforced by the test suite against the tanh-sinh oracle.
+    DomainError where the value is not a positive finite float, as at far
+    multipliers, where it underflows to 0.
     """
     point = _interior(p, e2)
     qd = point.quartic
     if qd.e1 - qd.e2 < 1e-10:
-        return linearized_center_period(point.lam)
-    a, m, n, g = elliptic_arguments(qd)
-    k = ellint.complete_K(m)
-    pi_n = ellint.complete_Pi(n, m)
-    return float((2.0 * g / qd.e1) * ((a / n) * k - ((a - n) / n) * pi_n))
+        value = linearized_center_period(point.lam)
+    else:
+        a, m, n, g = elliptic_arguments(qd)
+        k = ellint.complete_K(m)
+        pi_n = ellint.complete_Pi(n, m)
+        value = float((2.0 * g / qd.e1) * ((a / n) * k - ((a - n) / n) * pi_n))
+    if not 0.0 < value < math.inf:
+        raise DomainError(
+            f"the wavelength at ({point.lam!r}, {point.e2!r}) is {value!r}, "
+            "not a positive finite float"
+        )
+    return value
 
 
 def wavelength_quadrature(p, e2=None, tol: float = 1e-12) -> float:

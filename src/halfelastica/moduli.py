@@ -481,9 +481,11 @@ def exceptional_c(lam: float) -> float:
     the cubic of e1), so its height is the largest root of
     T(-2 lam, e) = 4 lam^2 e^3 + 8 lam^3 e^2 + e - 2 lam: the closed-form
     Cardano solution, polished by Newton steps on that cubic, whose root is
-    simple off the endpoint multiplier.  DomainError where the polished root
-    fails the radial-degeneracy check, as it does at most multipliers beyond
-    about -4e3, where the height rounds onto eta+.
+    simple off the endpoint multiplier.  DomainError unless
+    :func:`classify_region` tags the polished root E and it lies below the
+    largest quartic root e1 (a curvature orbit of positive amplitude): beyond
+    about -4e3 the height is not resolvable in floats, and the root rounds
+    onto e1 or leaves the time-like region at most multipliers.
     """
     if not lam < LAMBDA_EXCEPTIONAL:
         raise DomainError(
@@ -499,10 +501,11 @@ def exceptional_c(lam: float) -> float:
         for _ in range(3):
             slope = (12.0 * lam * lam * value + 16.0 * lam**3) * value + 1.0
             value -= exceptional_residual(-2.0 * lam, value) / slope
-        degeneracy = radial_degeneracy(roots_from_modulus((lam, value)).e1, value)
+        point = classify_region(lam, value)
+        on_locus = point.region is Region.E and value < point.quartic.e1
     except (OverflowError, OutsideModuliSpaceError):
-        degeneracy = math.inf
-    if degeneracy > 1e-9:
+        on_locus = False
+    if not on_locus:
         raise DomainError(
             f"the exceptional height at lambda={lam!r} is not resolvable in floats"
         )

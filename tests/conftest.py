@@ -8,7 +8,7 @@ unless it means to.
 import numpy as np
 import pytest
 
-from halfelastica import moduli
+from halfelastica import curvegen, dynamics, moduli
 from halfelastica.moduli import (
     LAMBDA_CRITICAL,
     LAMBDA_EXCEPTIONAL,
@@ -92,3 +92,16 @@ def quartic_solves(monkeypatch):
 
     monkeypatch.setattr(moduli, "_e1_companion", counting)
     return calls
+
+
+@pytest.fixture
+def ode_spans(monkeypatch):
+    """Records the t_span of every solve_ivp call of the package."""
+    spans = []
+    for module in (dynamics, curvegen):
+        def recording(fun, t_span, *args, _solve=module.solve_ivp, **kwargs):
+            spans.append(tuple(t_span))
+            return _solve(fun, t_span, *args, **kwargs)
+
+        monkeypatch.setattr(module, "solve_ivp", recording)
+    return spans

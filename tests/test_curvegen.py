@@ -263,6 +263,41 @@ class TestInvariantsAcrossFamilies:
             assert np.max(np.abs(bwd - mirrored)) <= 1e-6
 
 
+class TestOnePeriodFlow:
+    """A curve integrates its curvature period [0, omega] once and takes
+    every other arclength from it by periodicity."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: C.bt_curve(M.classify_region(-1.3, 2.3), samples=64,
+                           periods=10.0),
+        lambda: C.make_curve(M.classify_region(-1.5, 1.5), samples=64,
+                             periods=2.0),
+        lambda: C.make_curve(light_point(-1.5), samples=64, periods=2.0),
+    ], ids=["T", "S", "L"])
+    def test_one_integration_over_one_period(self, make, ode_spans):
+        cv = make()
+        assert ode_spans == [(0.0, cv.wavelength)]
+
+    @pytest.mark.parametrize("k", [-2, 1, 3])
+    def test_extension_by_periodicity(self, rng, k):
+        pts = (sample_lightlike(rng, 1) + sample_spacelike(rng, 1)
+               + sample_timelike(rng, 1))
+        for pt in pts:
+            cv = C.make_curve(pt, samples=16)
+            omega = cv.wavelength
+            # s is taken back from the shifted arclength, so that the fold
+            # of s + k omega lands on the float s itself
+            shifted = np.linspace(0.01, 0.99, 41) * omega + k * omega
+            s = shifted - k * omega
+            mu, mu_dot, theta = cv.state_at(s)
+            mu_k, mu_dot_k, theta_k = cv.state_at(shifted)
+            assert np.array_equal(mu_k, mu)
+            assert np.array_equal(mu_dot_k, mu_dot)
+            theta_omega = float(cv.theta_at(np.array([omega]))[0])
+            tol = 1e-12 * max(1.0, abs(k * theta_omega))
+            assert np.max(np.abs(theta_k - (theta + k * theta_omega))) <= tol
+
+
 class TestFrenetOracle:
     def test_frame_orthonormality(self):
         pt = M.classify_region(-1.1, 1.0)

@@ -2,6 +2,7 @@
 wavelength closed form vs quadrature, and the half-period inverse."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,10 @@ class TestSolveMu:
         s = np.linspace(0.0, 1.5, 64)
         assert np.max(np.abs(fwd.sol(s)[0] - bwd.sol(-s)[0])) <= 1e-9
 
+    def test_one_integration_over_one_period(self, ode_spans):
+        sol = D.solve_mu(M.classify_region(-1.3, 1.2), n_periods=3.0)
+        assert ode_spans == [(0.0, sol.wavelength)]
+
     def test_periodicity(self):
         pt = M.classify_region(-1.2, 1.5)
         sol = D.solve_mu(pt, n_periods=2.0)
@@ -152,6 +157,12 @@ class TestSolveMu:
 
 
 class TestWavelength:
+    def test_underflow_is_a_domain_error(self):
+        # an S point whose closed form underflows to 0
+        with pytest.raises(DomainError, match=re.escape(
+                "(-10000000000.0, 3000000000.0)")):
+            D.wavelength((-1e10, 3e9))
+
     def test_closed_form_vs_quadrature(self, rng):
         pts = [M.classify_region(-1.3, 1.2)] + sample_moduli(rng, 10)
         for pt in pts:

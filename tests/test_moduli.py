@@ -266,12 +266,17 @@ class TestExceptionalLocus:
             ref = _exceptional_c_by_bracket(lam)
             assert abs(M.exceptional_c(lam) - ref) <= 8 * np.spacing(ref)
 
-    @pytest.mark.parametrize("lam", [-910.2228457591266, -1739.4, -4000.0])
+    @pytest.mark.parametrize("lam", [-910.2228457591266, -1739.4, -4000.0,
+                                     -1e5])
     def test_far_multiplier(self, lam):
-        # the first and last leave the moduli space in the bracketed solve
+        # the first and third leave the moduli space in the bracketed solve;
+        # the last is one ulp below e1 = -2 lam, still tagged E
         assert M.classify_region(lam, M.exceptional_c(lam)).region is M.Region.E
 
-    @pytest.mark.parametrize("lam", [-1e4, -1e100])
+    # the Cardano root is tagged S at -1e20 and rounds onto e1 = -2 lam at
+    # -5.156...e19
+    @pytest.mark.parametrize("lam", [-1e4, -1e100, -1e20,
+                                     -5.1560466965201175e19])
     def test_unresolvable_height(self, lam):
         with pytest.raises(DomainError, match=re.escape(f"lambda={lam!r}")):
             M.exceptional_c(lam)
