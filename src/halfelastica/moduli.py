@@ -14,13 +14,13 @@ lower part T- and an upper part T+.  On the cubic of e1 the locus residual
 is T = -2 e1^2 e2^2 (e1 + 2 lambda), so E is the curve e1 = -2 lambda and
 its height at a multiplier is a root of a cubic (:func:`exceptional_c`).
 
-Root finding follows two independent routes: the reference path solves the
-cubic satisfied by e1 with the companion-matrix eigensolve of numpy.roots
-(the same matrix, one eigvals call) plus Newton polish, while
-:func:`cardano_e1` evaluates the closed-form Cardano solution of the same
-cubic with principal-branch complex radicals.  The two
-are cross-checked in the test suite; closed forms alone are branch-fragile
-near double roots.
+Root finding follows two independent routes.  Every computation takes e1
+from :func:`cardano_e1`, the real closed form of the cubic satisfied by e1
+(the cosine form where it has three real roots, a real cube root where it
+has one), polished by Newton steps, on floats and on slice arrays alike.
+The reference route, used only to check it, solves the same cubic with the
+companion-matrix eigensolve of numpy.roots (the same matrix, one eigvals
+call) plus the same polish.
 """
 
 from __future__ import annotations
@@ -264,41 +264,54 @@ def _e1_newton_polish(lam: float, e2: float, x: float, steps: int = 3) -> float:
     return x
 
 
-def cardano_e1(lam: float, e2: float) -> float:
-    """Closed-form largest root of the cubic satisfied by e1.
+def cardano_e1(lam, e2):
+    """Largest real root of the cubic satisfied by e1, in real closed form,
+    on floats (a Python float) or on slice arrays.
 
-    Standard Cardano solution with principal-branch complex radicals (branch
-    cut along the negative real axis); cross-check path for the
-    companion-matrix route.
+    The monic cubic x^3 + b x^2 + c x + d is rescaled by x = s y, with s the
+    largest of |b|, sqrt|c| and cbrt|d|, so that no power below overflows
+    where the coefficients are finite.  Its depressed form t^3 + p t + q has
+    three real roots where disc = q^2/4 + p^3/27 <= 0, the largest being
+    2 sqrt(-p/3) cos(theta/3) with theta = atan2(sqrt(-disc), -q/2) in
+    [0, pi]; elsewhere it has one, u - p/(3u) with u = cbrt(-q/2 -
+    sign(q) sqrt(disc)), free of cancellation.  On the moduli space the
+    cubic has three real roots: their product is -1/e2 and e1 > 0, so the
+    other two have a negative product.
     """
     a3, a2, a1, a0 = _e1_cubic_coeffs(lam, e2)
-    b = a2 / a3
-    c = a1 / a3
-    d = a0 / a3
-    p = c - b * b / 3.0
-    q = (2.0 * b**3 - 9.0 * b * c + 27.0 * d) / 27.0
-    disc = 0.25 * q * q + p**3 / 27.0
-    if disc <= 0.0:
-        # three real roots; the principal cube root of -q/2 + i sqrt(-disc)
-        # has the smallest argument and yields the largest root
-        z = complex(-0.5 * q, math.sqrt(-disc))
-        t = 2.0 * (z ** (1.0 / 3.0)).real
+    b, c, d = a2 / a3, a1 / a3, a0 / a3
+    array = isinstance(b, np.ndarray)
+    if array:
+        s = np.maximum(np.maximum(np.abs(b), np.sqrt(np.abs(c))), np.cbrt(np.abs(d)))
     else:
-        s = math.sqrt(disc)
-        t = math.copysign(abs(-0.5 * q + s) ** (1.0 / 3.0), -0.5 * q + s)
-        t += math.copysign(abs(-0.5 * q - s) ** (1.0 / 3.0), -0.5 * q - s)
-    return t - b / 3.0
+        s = max(abs(b), math.sqrt(abs(c)), abs(d) ** (1.0 / 3.0))
+    b, c, d = b / s, c / s / s, d / s / s / s
+    p = c - b * b / 3.0
+    q = (2.0 * b * b - 9.0 * c) * b / 27.0 + d
+    disc = 0.25 * q * q + p * p * p / 27.0
+    if array:
+        t = 2.0 * np.sqrt(np.maximum(-p / 3.0, 0.0)) * np.cos(
+            np.arctan2(np.sqrt(np.maximum(-disc, 0.0)), -0.5 * q) / 3.0)
+        one = disc > 0.0
+        if one.any():
+            p, q, disc = p[one], q[one], disc[one]
+            u = np.cbrt(-0.5 * q - np.copysign(np.sqrt(disc), q))
+            t[one] = u - p / (3.0 * u)
+    elif disc <= 0.0:
+        t = 2.0 * math.sqrt(max(-p / 3.0, 0.0)) * math.cos(
+            math.atan2(math.sqrt(-disc), -0.5 * q) / 3.0)
+    else:
+        w = -0.5 * q - math.copysign(math.sqrt(disc), q)
+        u = math.copysign(abs(w) ** (1.0 / 3.0), w)
+        t = u - p / (3.0 * u)
+    return s * (t - b / 3.0)
 
 
 def _companion(a3, a2, a1, a0):
     """The companion matrix numpy.roots builds for a3 x^3 + a2 x^2 + a1 x +
-    a0: top row -(a2, a1, a0)/a3, ones on the subdiagonal.  Float
-    coefficients give one 3x3 matrix, slice arrays an (N, 3, 3) stack."""
-    zero = 0.0 * a3
-    one = zero + 1.0
-    rows = np.array(((-a2 / a3, -a1 / a3, -a0 / a3), (one, zero, zero),
-                     (zero, one, zero)))
-    return rows if rows.ndim == 2 else rows.transpose(2, 0, 1)
+    a0: top row -(a2, a1, a0)/a3, ones on the subdiagonal."""
+    return np.array(((-a2 / a3, -a1 / a3, -a0 / a3), (1.0, 0.0, 0.0),
+                     (0.0, 1.0, 0.0)))
 
 
 def _beyond_floats(lam: float, e2: float) -> DomainError:
@@ -308,9 +321,10 @@ def _beyond_floats(lam: float, e2: float) -> DomainError:
 
 
 def _e1_companion(lam: float, e2: float) -> float:
-    """e1 from the eigenvalues of the companion matrix (the solve numpy.roots
-    makes), as Python floats, with Newton polish; DomainError where the
-    cubic's coefficients or its roots are not finite floats."""
+    """Reference e1, independent of :func:`cardano_e1`: the eigenvalues of
+    the companion matrix (the solve numpy.roots makes), as Python floats,
+    with Newton polish; DomainError where the cubic's coefficients or its
+    roots are not finite floats."""
     try:
         roots = np.linalg.eigvals(_companion(*_e1_cubic_coeffs(lam, e2))).tolist()
     except (OverflowError, np.linalg.LinAlgError):
@@ -328,19 +342,24 @@ def _e1_companion(lam: float, e2: float) -> float:
     return e1
 
 
+def _solve_e1(lam: float, e2: float) -> float:
+    """e1 of one modulus as a Python float: :func:`cardano_e1` with Newton
+    polish; DomainError where the cubic's coefficients or its root are not
+    finite floats."""
+    try:
+        e1 = _e1_newton_polish(lam, e2, cardano_e1(lam, e2))
+    except OverflowError:  # float ** overflows in the cubic's coefficients
+        raise _beyond_floats(lam, e2) from None
+    if not math.isfinite(e1):
+        raise _beyond_floats(lam, e2)
+    return e1
+
+
 def _quartic_on_slice(lam: float, e2: np.ndarray) -> QuarticData:
     """:func:`roots_from_modulus` at every height of one multiplier slice,
-    as arrays; the caller checks that the heights are in the moduli space.
-
-    e1 comes from one eigvals call on the stack of companion matrices, with
-    the real-root filter, fallback and Newton polish of :func:`_e1_companion`.
-    """
-    roots = np.linalg.eigvals(_companion(*_e1_cubic_coeffs(lam, e2)))
-    is_real = np.abs(roots.imag) <= 1e-8 * np.maximum(1.0, np.abs(roots))
-    real = np.where(is_real, roots.real, -np.inf)
-    above = np.where(real > e2[:, None], real, -np.inf).max(axis=1)
-    start = np.where(above > -np.inf, above, real.max(axis=1))
-    return _quartic_from_e1(lam, _e1_newton_polish(lam, e2, start), e2)
+    as arrays; the caller checks that the heights are in the moduli space."""
+    return _quartic_from_e1(lam, _e1_newton_polish(lam, e2, cardano_e1(lam, e2)),
+                            e2)
 
 
 def _unpack_point(p, e2=None) -> tuple[float, float]:
@@ -355,16 +374,16 @@ def _unpack_point(p, e2=None) -> tuple[float, float]:
 def roots_from_modulus(p, e2=None) -> QuarticData:
     """Quartic data (e1, e2, e3, e4, c) of a modulus point.
 
-    Accepts a ModulusPoint, a (lambda, e2) pair, or two scalars.  e1 comes
-    from the companion-matrix reference path with Newton polish; e3, e4 and c
-    follow from the closed root relations.
+    Accepts a ModulusPoint, a (lambda, e2) pair, or two scalars.  e1 is the
+    closed form :func:`cardano_e1` with Newton polish; e3, e4 and c follow
+    from the closed root relations.
     """
     lam, e2v = _unpack_point(p, e2)
     if not in_moduli_space(lam, e2v):
         raise OutsideModuliSpaceError(
             f"(lambda, e2) = ({lam!r}, {e2v!r}) is outside the moduli space"
         )
-    return _quartic_from_e1(lam, _e1_companion(lam, e2v), e2v)
+    return _quartic_from_e1(lam, _solve_e1(lam, e2v), e2v)
 
 
 def _quartic_from_e1(lam: float, e1, e2) -> QuarticData:
@@ -433,7 +452,8 @@ def classify_region(lam: float, e2: float) -> ModulusPoint:
     Points within 1e-9 (absolute, on the defining polynomial) of the
     light-like curve or of the exceptional locus are tagged to the locus,
     since the downstream parameterizations switch branch there.  Time-like
-    points below LAMBDA_EXCEPTIONAL carry the quartic solved for the tag.
+    points below LAMBDA_EXCEPTIONAL carry the quartic solved for the tag; a
+    point whose quartic has e1 <= e2 is B+.
     """
     lam = float(lam)
     e2 = float(e2)
@@ -456,6 +476,10 @@ def classify_region(lam: float, e2: float) -> ModulusPoint:
         return ModulusPoint(lam, e2, Region.S)
     if lam < LAMBDA_EXCEPTIONAL:
         qd = roots_from_modulus((lam, e2))
+        if not qd.e1 > e2:
+            # the orbit has no amplitude: the center boundary to float
+            # resolution, where the strict sign tests no longer separate
+            return ModulusPoint(lam, e2, Region.BOUNDARY_PLUS)
         offset = _timelike_offset(qd.e1, e2)
         return ModulusPoint(lam, e2, _REGION_OF_OFFSET[offset], qd)
     return ModulusPoint(lam, e2, Region.T_PLUS)
@@ -482,10 +506,10 @@ def exceptional_c(lam: float) -> float:
     T(-2 lam, e) = 4 lam^2 e^3 + 8 lam^3 e^2 + e - 2 lam: the closed-form
     Cardano solution, polished by Newton steps on that cubic, whose root is
     simple off the endpoint multiplier.  DomainError unless
-    :func:`classify_region` tags the polished root E and it lies below the
-    largest quartic root e1 (a curvature orbit of positive amplitude): beyond
-    about -4e3 the height is not resolvable in floats, and the root rounds
-    onto e1 or leaves the time-like region at most multipliers.
+    :func:`classify_region` tags the polished root E (which implies that it
+    lies below the largest quartic root e1): beyond about -4e3 the height is
+    not resolvable in floats, and the root rounds onto e1 or leaves the
+    time-like region at most multipliers.
     """
     if not lam < LAMBDA_EXCEPTIONAL:
         raise DomainError(
@@ -501,8 +525,7 @@ def exceptional_c(lam: float) -> float:
         for _ in range(3):
             slope = (12.0 * lam * lam * value + 16.0 * lam**3) * value + 1.0
             value -= exceptional_residual(-2.0 * lam, value) / slope
-        point = classify_region(lam, value)
-        on_locus = point.region is Region.E and value < point.quartic.e1
+        on_locus = classify_region(lam, value).region is Region.E
     except (OverflowError, OutsideModuliSpaceError):
         on_locus = False
     if not on_locus:

@@ -160,6 +160,13 @@ class FiberTrace:
     crossing: ModulusPoint | None
 
 
+def _no_amplitude(lam, e2) -> RegionError:
+    return RegionError(
+        f"({lam}, {e2}) is on the center boundary to float resolution: its "
+        "quartic has e1 <= e2"
+    )
+
+
 def _resolve_timelike(p, e2=None) -> tuple[ModulusPoint, QuarticData]:
     """Resolve an input to a time-like modulus by the strict sign tests,
     with its quartic data, which are solved once on the way.
@@ -183,6 +190,8 @@ def _resolve_timelike(p, e2=None) -> tuple[ModulusPoint, QuarticData]:
             f"({lam}, {e2v})"
         )
     qd = roots_from_modulus((lam, e2v))
+    if not qd.e1 > e2v:
+        raise _no_amplitude(lam, e2v)
     offset = (_timelike_offset(qd.e1, e2v) if lam < LAMBDA_EXCEPTIONAL
               else 0.0)
     return ModulusPoint(lam, e2v, _REGION_OF_OFFSET[offset], qd), qd
@@ -206,6 +215,10 @@ def _resolve_slice(lam, e2s) -> tuple[QuarticData, np.ndarray]:
             f"({lam[bad] if np.ndim(lam) else lam}, {e2[bad]})"
         )
     qd = _quartic_on_slice(lam, e2)
+    flat = ~(qd.e1 > e2)
+    if flat.any():
+        bad = np.argmax(flat)
+        raise _no_amplitude(lam[bad] if np.ndim(lam) else lam, e2[bad])
     below = lam < LAMBDA_EXCEPTIONAL
     return qd, np.where(below, _timelike_offset(qd.e1, e2), 0.0)
 

@@ -81,16 +81,16 @@ def rng():
 
 @pytest.fixture
 def quartic_solves(monkeypatch):
-    """Records every quartic solve: each goes through the companion-matrix
-    e1 path (the batched slice path does not)."""
+    """Records every quartic solve: each goes through the scalar closed-form
+    e1 route (the batched slice path does not)."""
     calls = []
-    solve = moduli._e1_companion
+    solve = moduli._solve_e1
 
     def counting(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(moduli, "_e1_companion", counting)
+    monkeypatch.setattr(moduli, "_solve_e1", counting)
     return calls
 
 

@@ -293,7 +293,7 @@ def test_criterion_10_algebraic_layer(rng):
         lam_r, c_r = M.reconstruct_lambda_c(qd.e1, qd.e2)
         worst_round = max(worst_round, abs(lam_r - pt.lam), abs(c_r - qd.c))
         worst_cardano = max(worst_cardano,
-                            abs(M.cardano_e1(pt.lam, pt.e2) - qd.e1))
+                            abs(qd.e1 - M._e1_companion(pt.lam, pt.e2)))
     worst_ident = 0.0
     for pt in sample_timelike(rng, 500):
         q_resid, bc_resid = P.coefficient_identity_residuals(pt)

@@ -5,11 +5,12 @@ import json
 import math
 import subprocess
 import sys
+import threading
 import warnings
 
 import pytest
 
-from halfelastica import cli
+from halfelastica import cli, periodmap
 from halfelastica import moduli as M
 
 
@@ -33,6 +34,12 @@ class TestClassify:
         assert doc["region"] == "L"
         assert abs(doc["c"]) < 1e-9
         assert doc["e1"] == pytest.approx(2.8507810593582121)
+
+    def test_point_without_amplitude_is_center_boundary(self):
+        code, out, _ = run_cli(["classify", "--lambda=-3970.806660815663",
+                                "--e2", "7941.613321631323"])
+        assert code == 2
+        assert json.loads(out)["region"] == "B+"
 
     def test_outside_exit_code(self):
         code, out, _ = run_cli(["classify", "--lambda", "-0.5", "--e2", "1.0"])
@@ -259,16 +266,26 @@ class TestMisc:
         assert code == 64
         assert out == ""
 
-    @pytest.mark.parametrize("args,solves", [
+    @pytest.mark.parametrize("args,resolves", [
         (["curve", "--lambda", "-1.3", "--e2", "2.3"], 1),
         (["classify", "--lambda", "-1.3", "--e2", "2.3"], 1),
-        # eight brentq evaluations of the period map, one resolve of the string
-        (["find-string", "--lambda", "-1.01", "--q", "11/10"], 9),
+        # the brentq evaluations of the period map, one resolve of the string
+        (["find-string", "--lambda", "-1.01", "--q", "11/10"], 1),
     ])
-    def test_quartic_solves(self, args, solves, quartic_solves):
+    def test_quartic_solves(self, args, resolves, quartic_solves, monkeypatch):
+        evaluations = []
+
+        def counting_brentq(f, *args, _brentq=periodmap.brentq, **kwargs):
+            def counted(x):
+                evaluations.append(x)
+                return f(x)
+            return _brentq(counted, *args, **kwargs)
+
+        monkeypatch.setattr(periodmap, "brentq", counting_brentq)
         code, _, _ = run_cli(args)
         assert code == 0
-        assert len(quartic_solves) == solves
+        assert bool(evaluations) is (args[0] == "find-string")
+        assert len(quartic_solves) == len(evaluations) + resolves
 
     def test_determinism(self):
         _, out1, _ = run_cli(["scan-period", "--lambda", "-1.3",
@@ -279,6 +296,53 @@ class TestMisc:
         _, j1, _ = run_cli(["classify", "--lambda", "-1.25", "--e2", "2.0"])
         _, j2, _ = run_cli(["classify", "--lambda", "-1.25", "--e2", "2.0"])
         assert j1 == j2
+
+
+_VALID_CALLS = [
+    ["classify", "--lambda", "-1.3", "--e2", "2.3"],
+    ["scan-period", "--lambda", "-1.3", "--samples", "32"],
+    ["find-string", "--lambda", "-1.01", "--q", "11/10"],
+    ["curve", "--lambda", "-1.3", "--e2", "2.3", "--samples", "64"],
+]
+
+
+class TestSharedParser:
+    def test_usage_error_leaves_later_calls_unchanged(self):
+        fresh = []
+        for args in _VALID_CALLS:
+            cli._parser.cache_clear()
+            fresh.append(run_cli(args))
+        assert run_cli(["classify", "--lambda", "-1.3"])[0] == 64
+        assert run_cli(["fiber", "--q", "0/1"])[0] == 64
+        assert [run_cli(args) for args in _VALID_CALLS] == fresh
+        assert cli._parser() is cli._parser()
+
+    def test_concurrent_calls_match_sequential(self, tmp_path):
+        def call(args, name):
+            path = tmp_path / name
+            code = cli.main(args + ["--out", str(path)])
+            return code, path.read_text(encoding="utf-8")
+
+        sequential = [call(args, f"seq-{i}") for i, args in enumerate(_VALID_CALLS)]
+        results = [None] * len(_VALID_CALLS)
+
+        def worker(i):
+            results[i] = call(_VALID_CALLS[i], f"par-{i}")
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(len(_VALID_CALLS))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == sequential
+        assert all(code == 0 for code, _ in sequential)
 
 
 def test_console_entry_point():

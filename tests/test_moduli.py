@@ -5,6 +5,7 @@ import math
 import re
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -107,7 +108,7 @@ class TestRootsFromModulus:
         worst = 0.0
         for pt in sample_moduli(rng, 400, margin=0.01):
             e1_closed = M.cardano_e1(pt.lam, pt.e2)
-            e1_ref = M.roots_from_modulus(pt).e1
+            e1_ref = M._e1_companion(pt.lam, pt.e2)
             worst = max(worst, abs(e1_closed - e1_ref))
         assert worst <= 1e-9
 
@@ -135,6 +136,18 @@ class TestClassifyRegion:
         em, ep = M.eta_pm(-1.3)
         assert M.classify_region(-1.3, em).region is M.Region.BOUNDARY_MINUS
         assert M.classify_region(-1.3, ep).region is M.Region.BOUNDARY_PLUS
+
+    # interior by the strict sign tests, but e1 rounds onto or below e2
+    @pytest.mark.parametrize("lam,e2", [
+        (-3970.806660815663, 7941.613321631323),
+        (-5.1560466965201175e19, 1.0312093393040235e20),
+    ])
+    def test_flat_quartic_is_center_boundary(self, lam, e2):
+        assert M.in_moduli_space(lam, e2)
+        assert not M.roots_from_modulus((lam, e2)).e1 > e2
+        point = M.classify_region(lam, e2)
+        assert point.region is M.Region.BOUNDARY_PLUS
+        assert M.resolve(point).quartic is None
 
     @pytest.mark.parametrize("lam,e2,region", [
         (-1.2, 1e100, M.Region.OUTSIDE),  # e2 > -2 lam: P >= 1
@@ -219,6 +232,109 @@ def test_companion_solve_is_numpy_roots(lam, u, timelike):
     e1 = M._e1_companion(lam, e2)
     assert type(e1) is float
     assert e1 == _e1_by_numpy_roots(lam, e2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 20.0).map(lambda x: -(10.0**x)), st.integers(0, 4096))
+@example(-3970.806660815663, 3)
+@example(-5.1560466965201175e19, 0)
+def test_timelike_tags_have_amplitude(lam, ulps):
+    """Every T-/E/T+ tag carries a quartic with e1 > e2, also in the far
+    tail, where heights a few ulps below -2 lam pass the strict sign tests
+    of the time-like region by rounding."""
+    e2 = -2.0 * lam - ulps * math.ulp(-2.0 * lam)
+    point = M.classify_region(lam, e2)
+    if point.timelike:
+        assert M.resolve(point).quartic.e1 > e2
+
+
+def _polish_limit(lam, e2, e1):
+    """Relative accuracy the float Newton polish can reach at e1: the
+    rounding of the cubic's evaluation over its slope.  It is about 5e-16
+    on most of the moduli space and grows near the critical multiplier,
+    where the cubic's two positive roots close in (2e-14 at -0.8775)."""
+    a3, a2, a1, a0 = M._e1_cubic_coeffs(lam, e2)
+    size = abs(a3 * e1**3) + abs(a2 * e1 * e1) + abs(a1 * e1) + abs(a0)
+    slope = (3.0 * a3 * e1 + 2.0 * a2) * e1 + a1
+    return sys.float_info.epsilon * size / abs(slope * e1)
+
+
+def _e1_by_mpmath(lam, e2):
+    """The largest root of the cubic of e1 at the exact float inputs, to 50
+    digits."""
+    with mpmath.workdps(50):
+        lam_mp, e2_mp = mpmath.mpf(lam), mpmath.mpf(e2)
+        roots = mpmath.polyroots([e2_mp**2, e2_mp**3 + 4 * lam_mp * e2_mp**2, 1,
+                                  e2_mp], maxsteps=200, extraprec=100)
+        return max(mpmath.re(r) for r in roots)
+
+
+@pytest.mark.parametrize("lam", [-2.0, -1.3, -1.0005, -0.95, -0.8775])
+def test_e1_against_mpmath_ladder(lam):
+    """The closed-form route (slice and scalar) and the companion reference
+    are within 1e-14 relative of the 50-digit root across a time-like
+    slice, down to insets of 1e-7 of its width from both ends, or within
+    four times the polish's own limit where that is larger (near the
+    critical multiplier)."""
+    lo, hi = M.a_lower(lam), M.eta_pm(lam)[1]
+    insets = (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 0.5)
+    e2 = np.array([lo + f * (hi - lo) for f in insets]
+                  + [hi - f * (hi - lo) for f in insets])
+    slice_e1 = M._quartic_on_slice(lam, e2).e1.tolist()
+    for h, route in zip(e2.tolist(), slice_e1):
+        true = _e1_by_mpmath(lam, h)
+        tol = max(1e-14, 4.0 * _polish_limit(lam, h, float(true)))
+        for value in (route, M.roots_from_modulus((lam, h)).e1,
+                      M._e1_companion(lam, h)):
+            assert float(abs(value - true) / true) <= tol, (h, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-100.0, M.LAMBDA_CRITICAL - 1e-9), st.floats(1e-9, 1.0 - 1e-9),
+       st.booleans())
+@example(-1.3, 0.5, True)  # near the exceptional locus
+@example(-1.0 - 1e-9, 0.5, False)
+@example(M.LAMBDA_CRITICAL - 1e-9, 0.5, True)  # polish limit 1.2e-11
+def test_closed_form_route_matches_companion(lam, u, timelike):
+    """On time-like and space-like points the closed-form e1 agrees with
+    the companion eigensolve within 2e-14 relative, or within four times
+    the polish's limit where that is larger, as a Python float."""
+    if timelike:
+        lo, hi = M.a_lower(lam), M.eta_pm(lam)[1]
+    else:
+        assume(lam < -1.0)
+        lo, hi = M.eta_pm(lam)[0], M.b0(lam)
+    e2 = lo + u * (hi - lo)
+    assume(M.in_moduli_space(lam, e2))
+    e1 = M.roots_from_modulus((lam, e2)).e1
+    assert type(e1) is float
+    assert type(M.cardano_e1(lam, e2)) is float
+    ref = M._e1_companion(lam, e2)
+    assert abs(e1 - ref) <= max(2e-14, 4.0 * _polish_limit(lam, e2, ref)) * ref
+
+
+def test_domain_errors_match_the_companion_route():
+    """On a log grid out to lambda = -1e300 and e2 from 1e-120 to 1e150,
+    roots_from_modulus raises DomainError exactly where the quartic built on
+    the companion e1 does; the float range is scaled out of the closed form
+    (no p^3 or b^3 overflows first)."""
+    raising = mismatched = 0
+    for lam in (-10.0 ** np.linspace(0.01, 300.0, 301)).tolist():
+        for e2 in (10.0 ** np.linspace(-120.0, 150.0, 109)).tolist():
+            if not M.in_moduli_space(lam, e2):
+                continue
+            outcome = []
+            for solve in (M._solve_e1, M._e1_companion):
+                try:
+                    M._quartic_from_e1(lam, solve(lam, e2), e2)
+                except DomainError:
+                    outcome.append(True)
+                else:
+                    outcome.append(False)
+            raising += outcome[1]
+            mismatched += outcome[0] is not outcome[1]
+    assert mismatched == 0
+    assert raising == 19113  # of 19651 interior grid points
 
 
 class TestResolve:

@@ -3,6 +3,7 @@ quadrature oracle, endpoint limits, string search, fibers and family
 invariants."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -490,6 +491,26 @@ class TestPeriodMapSlice:
         assert np.max(np.abs(values - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-11
         with pytest.raises(RegionError, match=r"\(-1\.3, 1\.2\)"):
             P.period_map_slice(np.array([-1.3, -1.3]), [2.3, 1.2])
+
+
+@pytest.mark.parametrize("lam, e2", [
+    (-3970.806660815663, 7941.613321631323),
+    (-5.1560466965201175e19, 1.0312093393040235e20),
+])
+def test_point_without_amplitude_is_rejected(lam, e2):
+    """Time-like by the strict sign tests, but its quartic has e1 <= e2:
+    each period-map route raises a RegionError naming the point, and
+    wavelength, which once returned the linearized center period there,
+    finds a B+ point outside the moduli space."""
+    named = re.escape(f"({lam}, {e2})")
+    with pytest.raises(RegionError, match=named):
+        P.period_map((lam, e2))
+    with pytest.raises(DomainError, match="BOUNDARY_PLUS"):
+        D.wavelength((lam, e2))
+    with pytest.raises(RegionError, match=named):
+        P.period_map_slice(lam, [e2])
+    with pytest.raises(RegionError, match=named):
+        P.period_map_slice(np.array([lam]), [e2])
 
 
 @pytest.mark.parametrize("fn", [P.period_map, P.period_map_oracle, D.wavelength])
