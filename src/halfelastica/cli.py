@@ -84,13 +84,23 @@ def dumps_json(obj, indent: int = 0) -> str:
     return _fmt(obj)
 
 
-def write_csv(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            f"{v:.17g}" if isinstance(v, float) else str(v) for v in row
-        ))
-    return "\n".join(lines) + "\n"
+def write_csv(header: list[str], columns) -> str:
+    """The CSV table of equal-length columns: float arrays or lists with 17
+    significant digits, str and int lists as they are.
+
+    The whole table is one ``%`` over the interleaved values, with
+    ``"%.17g" % v == f"{v:.17g}"`` for every float."""
+    # numpy's float64 is a float subclass
+    kinds = [len(c) > 0 and isinstance(c[0], float) for c in columns]
+    n = len(columns[0])
+    if all(kinds):
+        values = np.column_stack(columns).ravel().tolist()
+    else:
+        lists = [c.tolist() if isinstance(c, np.ndarray) else c
+                 for c in columns]
+        values = [v for row in zip(*lists) for v in row]
+    row = ",".join("%.17g" if k else "%s" for k in kinds)
+    return ",".join(header) + "\n" + (row + "\n") * n % tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -98,16 +108,14 @@ def write_csv(header: list[str], rows) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _disk_xy(u: float, v: float) -> tuple[float, float]:
+def _disk_xy(u, v):
     return 500.0 * (1.0 + u), 500.0 * (1.0 - v)
 
 
-def _svg_path(points, stroke: str, width: float = 2.0,
+def _svg_path(xs, ys, stroke: str, width: float = 2.0,
               dashed: bool = False) -> str:
-    coords = " ".join(
-        f"{'M' if i == 0 else 'L'}{x:.6f},{y:.6f}"
-        for i, (x, y) in enumerate(points)
-    )
+    template = "M%.6f,%.6f" + " L%.6f,%.6f" * (len(xs) - 1)
+    coords = template % tuple(np.column_stack([xs, ys]).ravel().tolist())
     dash = ' stroke-dasharray="8,6"' if dashed else ""
     return (f'<path d="{coords}" fill="none" stroke="{stroke}" '
             f'stroke-width="{width:.2f}"{dash}/>')
@@ -161,10 +169,10 @@ def _osculating_circles(curve) -> list[str]:
 
 
 def curve_svg(curve) -> str:
-    pts = [_disk_xy(u, v) for u, v in curve.poincare]
+    xs, ys = _disk_xy(curve.poincare[:, 0], curve.poincare[:, 1])
     return svg_document([_svg_circle(500, 500, 500, "black", 2.0)]
                         + _osculating_circles(curve)
-                        + [_svg_path(pts, "steelblue", 2.0)])
+                        + [_svg_path(xs, ys, "steelblue", 2.0)])
 
 
 def phase_portrait_orbits(lam: float, n_orbits: int = 6,
@@ -215,8 +223,8 @@ def phase_portrait_svg(lam: float) -> str:
             elements.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="6" '
                             f'fill="{colors[kind]}"/>')
         else:
-            pts = [to_xy(x, y) for x, y in orbit]
-            elements.append(_svg_path(pts, colors[kind], 1.5,
+            elements.append(_svg_path(*to_xy(orbit[:, 0], orbit[:, 1]),
+                                      colors[kind], 1.5,
                                       dashed=(kind == "separatrix")))
     return svg_document(elements)
 
@@ -260,12 +268,10 @@ def cmd_curve(cfg: RunConfig) -> int:
     if cfg.format == "svg":
         _emit(cfg, curve_svg(curve))
         return EXIT_OK
-    rows = zip(curve.s, curve.mu, curve.mu_dot, curve.gamma[:, 0],
-               curve.gamma[:, 1], curve.gamma[:, 2], curve.poincare[:, 0],
-               curve.poincare[:, 1], curve.theta)
     _emit(cfg, write_csv(
         ["s", "mu", "mu_dot", "x1", "x2", "x3", "u", "v", "theta"],
-        ([float(v) for v in row] for row in rows),
+        [curve.s, curve.mu, curve.mu_dot, *curve.gamma.T, *curve.poincare.T,
+         curve.theta],
     ))
     return EXIT_OK
 
@@ -280,14 +286,13 @@ def cmd_signature(cfg: RunConfig) -> int:
         def to_xy(x, y):
             return 1000.0 * x / x_hi, 500.0 * (1.0 - y / y_hi)
 
-        loop = [to_xy(x, y) for x, y in sig] + [to_xy(sig[0, 0], sig[0, 1])]
-        _emit(cfg, svg_document([_svg_path(loop, "firebrick", 2.0)]))
+        loop = np.vstack([sig, sig[:1]])
+        _emit(cfg, svg_document([_svg_path(*to_xy(loop[:, 0], loop[:, 1]),
+                                           "firebrick", 2.0)]))
         return EXIT_OK
     omega = dynamics.wavelength(point)
     s = np.linspace(0.0, omega, len(sig), endpoint=False)
-    _emit(cfg, write_csv(["s", "mu", "mu_dot"],
-                         ([float(a), float(b), float(c)]
-                          for a, (b, c) in zip(s, sig))))
+    _emit(cfg, write_csv(["s", "mu", "mu_dot"], [s, *sig.T]))
     return EXIT_OK
 
 
@@ -298,8 +303,7 @@ def cmd_scan_period(cfg: RunConfig) -> int:
     n = cfg.samples
     e2 = a + (eta_p - a) * np.arange(1, n + 1) / (n + 1.0)
     values = periodmap.period_map_slice(lam, e2)
-    _emit(cfg, write_csv(["e2", "P"], ([float(x), float(v)]
-                                       for x, v in zip(e2, values))))
+    _emit(cfg, write_csv(["e2", "P"], [e2, values]))
     return EXIT_OK
 
 
@@ -331,8 +335,10 @@ def cmd_find_string(cfg: RunConfig) -> int:
 
 def cmd_fiber(cfg: RunConfig) -> int:
     trace = periodmap.trace_fiber(cfg.q, steps=cfg.steps)
-    rows = [[pt.lam, pt.e2, pt.region.value] for pt in trace.points]
-    _emit(cfg, write_csv(["lambda", "e2", "region"], rows))
+    pts = trace.points
+    _emit(cfg, write_csv(["lambda", "e2", "region"],
+                         [[p.lam for p in pts], [p.e2 for p in pts],
+                          [p.region.value for p in pts]]))
     return EXIT_OK
 
 
@@ -340,11 +346,13 @@ def cmd_phase_portrait(cfg: RunConfig) -> int:
     if cfg.format == "svg":
         _emit(cfg, phase_portrait_svg(cfg.lam))
         return EXIT_OK
-    rows = []
-    for idx, (kind, orbit) in enumerate(phase_portrait_orbits(cfg.lam)):
-        for x, y in orbit:
-            rows.append([idx, kind, float(x), float(y)])
-    _emit(cfg, write_csv(["orbit", "kind", "x", "y"], rows))
+    orbits = phase_portrait_orbits(cfg.lam)
+    _emit(cfg, write_csv(
+        ["orbit", "kind", "x", "y"],
+        [[idx for idx, (_, o) in enumerate(orbits) for _ in o],
+         [kind for kind, o in orbits for _ in o],
+         *np.concatenate([o for _, o in orbits]).T],
+    ))
     return EXIT_OK
 
 

@@ -587,11 +587,14 @@ def trace_fiber(q, steps: int = 200) -> FiberTrace:
             f"[{float(lo[i])!r}, {float(hi[i])!r}] for q={qv!r} at "
             f"e2={float(heights[i])!r}"
         )
-    points = [classify_region(lam, e2)
-              for lam, e2 in zip(rows.x.tolist(), heights.tolist())]
-    sides = [None if pt.lam >= LAMBDA_EXCEPTIONAL
-             else exceptional_residual(resolve(pt).quartic.e1, pt.e2)
-             for pt in points]
+    # find_root evaluated the period map at every row, so the rows resolve
+    qd, offsets = _resolve_slice(rows.x, heights)
+    points = [ModulusPoint(lam, e2, _REGION_OF_OFFSET[offset])
+              for lam, e2, offset in zip(rows.x.tolist(), heights.tolist(),
+                                         offsets.tolist())]
+    residuals = exceptional_residual(qd.e1, heights).tolist()
+    sides = [None if pt.lam >= LAMBDA_EXCEPTIONAL else t
+             for pt, t in zip(points, residuals)]
 
     def lam_on_locus(e2: float) -> float:
         return brentq(lambda lam: exceptional_residual(-2.0 * lam, e2),

@@ -8,9 +8,10 @@ import sys
 import threading
 import warnings
 
+import numpy as np
 import pytest
 
-from halfelastica import cli, periodmap
+from halfelastica import cli, curvegen, periodmap
 from halfelastica import moduli as M
 
 
@@ -123,6 +124,29 @@ class TestCurve:
                                 "--format", "csv"])
         assert code == 65
         assert "error" in err
+
+    # criterion 08's CSV check: the printed table parses back to the library
+    # curve exactly, on one point of each of T-, T+, S and L
+    @pytest.mark.parametrize("lam, e2, region", [
+        (-1.3, 2.3, "T-"), (-1.3, 2.51, "T+"), (-1.3, 1.2, "S"),
+        (-1.17, M.b0(-1.17), "L"),
+    ])
+    def test_csv_parses_back_to_the_library_curve(self, lam, e2, region):
+        point = M.resolve(lam, e2)
+        assert point.region.value == region
+        code, out, err = run_cli(["curve", "--lambda", repr(lam), "--e2",
+                                  repr(e2), "--samples", "256", "--periods",
+                                  "2", "--format", "csv"])
+        assert code == 0 and err == ""
+        header, body = out.split("\n", 1)
+        assert header == "s,mu,mu_dot,x1,x2,x3,u,v,theta"
+        table = np.array(body.replace("\n", ",").rstrip(",").split(","),
+                         dtype=float).reshape(-1, 9)
+        curve = curvegen.make_curve(point, samples=256, periods=2.0)
+        columns = (curve.s, curve.mu, curve.mu_dot, *curve.gamma.T,
+                   *curve.poincare.T, curve.theta)
+        assert table.shape == (2 * 256 + 1, 9)
+        assert all(np.array_equal(c, table[:, i]) for i, c in enumerate(columns))
 
 
 class TestScanPeriod:
@@ -296,6 +320,70 @@ class TestMisc:
         _, j1, _ = run_cli(["classify", "--lambda", "-1.25", "--e2", "2.0"])
         _, j2, _ = run_cli(["classify", "--lambda", "-1.25", "--e2", "2.0"])
         assert j1 == j2
+
+
+def _reference_csv(header, columns):
+    """The table written one value at a time, as rows of Python values."""
+    lists = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    lines = [",".join(header)]
+    for row in zip(*lists):
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                              for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestWriteCsv:
+    def test_float_block_matches_per_value_reference(self):
+        rng = np.random.default_rng(20231)
+        block = (rng.standard_normal((400, 6))
+                 * 10.0 ** rng.integers(-300, 300, (400, 6)))
+        # random bit patterns: every exponent, NaN payloads and signs
+        block[200:] = rng.integers(0, 2**63, (200, 6), dtype=np.uint64).view(
+            np.float64) * rng.choice([-1.0, 1.0], (200, 6))
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                   -1.5e-310, 1e300, -1e300, 1e-300, -1e-300,
+                   1.7976931348623157e308, float("nan"), float("inf"),
+                   -float("inf"), 1.0, 0.1, -2.5, 1e16 + 1]
+        block[:len(special)] = np.array(special)[:, None]
+        block[len(special):2 * len(special)] = np.array(special)[::-1, None]
+        # array views, a transposed view and a list of Python floats
+        columns = [block[:, 0], block[:, 1].copy(), *block[:, 2:5].T,
+                   block[:, 5].tolist()]
+        header = [f"c{i}" for i in range(6)]
+        text = cli.write_csv(header, columns)
+        assert text == _reference_csv(header, columns)
+        assert text.count("\n") == 401
+        assert "nan" in text and "-inf" in text and ",-0," in text
+
+    def test_phase_portrait_table_matches_per_value_reference(self):
+        orbits = cli.phase_portrait_orbits(-1.3)
+        columns = [[i for i, (_, o) in enumerate(orbits) for _ in o],
+                   [kind for kind, o in orbits for _ in o],
+                   np.concatenate([o[:, 0] for _, o in orbits]),
+                   np.concatenate([o[:, 1] for _, o in orbits])]
+        header = ["orbit", "kind", "x", "y"]
+        assert (cli.write_csv(header, columns)
+                == _reference_csv(header, columns))
+        code, out, _ = run_cli(["phase-portrait", "--lambda", "-1.3",
+                                "--format", "csv"])
+        assert code == 0 and out == _reference_csv(header, columns)
+
+    def test_fiber_table_matches_per_value_reference(self):
+        points = periodmap.trace_fiber("11/10", steps=40).points
+        columns = [[pt.lam for pt in points], [pt.e2 for pt in points],
+                   [pt.region.value for pt in points]]
+        header = ["lambda", "e2", "region"]
+        assert (cli.write_csv(header, columns)
+                == _reference_csv(header, columns))
+        code, out, _ = run_cli(["fiber", "--q", "11/10", "--steps", "40"])
+        assert code == 0 and out == _reference_csv(header, columns)
+
+    def test_mixed_columns_with_special_floats(self):
+        floats = [-0.0, 5e-324, float("nan"), -float("inf"), 1e-300]
+        columns = [list(range(-2, 3)), ["T-", "E", "T+", "S", "a%sb"],
+                   np.array(floats), floats]
+        assert (cli.write_csv(["i", "tag", "x", "y"], columns)
+                == _reference_csv(["i", "tag", "x", "y"], columns))
 
 
 _VALID_CALLS = [
