@@ -441,8 +441,12 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     # options a subcommand does not take keep their RunConfig defaults
     cfg = RunConfig(**vars(ns))
-    if cfg.samples < 16:
-        sys.stderr.write("error: --samples must be at least 16\n")
+    usage = ("--samples must be at least 16" if cfg.samples < 16
+             else "--steps must not be negative" if cfg.steps < 0
+             else "--periods must be finite and not negative"
+             if not 0.0 <= cfg.periods < math.inf else None)
+    if usage:
+        sys.stderr.write(f"error: {usage}\n")
         return EXIT_USAGE
     try:
         return _COMMANDS[cfg.command](cfg)

@@ -304,8 +304,7 @@ def wavelength(p, e2=None) -> float:
         value = linearized_center_period(point.lam)
     else:
         a, m, n, g = elliptic_arguments(qd)
-        k = ellint.complete_K(m)
-        pi_n = ellint.complete_Pi(n, m)
+        k, pi_n = ellint.complete_K_Pi(m, n)
         value = float((2.0 * g / qd.e1) * ((a / n) * k - ((a - n) / n) * pi_n))
     if not 0.0 < value < math.inf:
         raise DomainError(

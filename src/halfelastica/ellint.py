@@ -38,6 +38,7 @@ __all__ = [
     "complete_K",
     "complete_E",
     "complete_Pi",
+    "complete_K_Pi",
     "incomplete_F",
     "incomplete_Pi",
     "jacobi_am",
@@ -69,23 +70,9 @@ def _check_n(n) -> None:
         raise DomainError(f"characteristic n={n!r} must be < 1")
 
 
-def _route(one_minus, general, asymptotic):
-    """``general()`` where 1 - m >= 1e-12 and ``asymptotic()`` closer to
-    m = 1, where the Legendre form has no digits left.  Floats give floats,
-    arrays give arrays."""
-    near = one_minus < _NEAR_ONE
-    if isinstance(near, (bool, np.bool_)):
-        return float(asymptotic() if near else general())
-    value = general()
-    return np.where(near, asymptotic(), value) if near.any() else value
-
-
 def complete_K(m):
     """Complete elliptic integral of the first kind; m may be an array."""
-    _check_m(m)
-    one_minus = 1.0 - m
-    return _route(one_minus, lambda: elliprf(0.0, one_minus, 1.0),
-                  lambda: _log_divergence(one_minus))
+    return complete_K_Pi(m)[0]
 
 
 def complete_E(m: float) -> float:
@@ -111,15 +98,37 @@ def _pi_asymptotic_near_one(n, one_minus):
 def complete_Pi(n, m):
     """Complete elliptic integral of the third kind with characteristic
     n < 1; n and m may be arrays."""
-    _check_n(n)
+    return complete_K_Pi(m, n)[1]
+
+
+def complete_K_Pi(m, *ns):
+    """[K(m), Pi(n, m) for each n of ``ns``] with one R_F(0, 1 - m, 1)
+    shared by all of them; floats give floats, arrays give arrays.
+
+    Where 1 - m < 1e-12, closer to m = 1 than the Legendre forms have digits
+    for, the values are the logarithmic asymptotic forms instead.
+    """
     _check_m(m)
+    for n in ns:
+        _check_n(n)
     one_minus = 1.0 - m
-    return _route(
-        one_minus,
-        lambda: elliprf(0.0, one_minus, 1.0)
-        + (n / 3.0) * elliprj(0.0, one_minus, 1.0, 1.0 - n),
-        lambda: _pi_asymptotic_near_one(n, one_minus),
-    )
+
+    def general():
+        rf = elliprf(0.0, one_minus, 1.0)
+        return [rf] + [rf + (n / 3.0) * elliprj(0.0, one_minus, 1.0, 1.0 - n)
+                       for n in ns]
+
+    def asymptotic():
+        return [_log_divergence(one_minus)] + [
+            _pi_asymptotic_near_one(n, one_minus) for n in ns]
+
+    near = one_minus < _NEAR_ONE
+    if isinstance(near, (bool, np.bool_)):
+        return [float(v) for v in (asymptotic() if near else general())]
+    values = general()
+    if not near.any():
+        return values
+    return [np.where(near, a, v) for a, v in zip(asymptotic(), values)]
 
 
 def incomplete_F(phi: float, m: float) -> float:

@@ -391,7 +391,7 @@ def _quartic_from_e1(lam: float, e1, e2) -> QuarticData:
     # they leave the float range) or slice arrays
     try:
         s = np.sqrt(4.0 * e1**3 * e2**3 + (e1 + e2) ** 2)
-        _, c = reconstruct_lambda_c(e1, e2)
+        c = _causal_constant(e1, e2)
     except OverflowError:
         raise _beyond_floats(lam, e2) from None
     e3 = (e1 + e2 + s) / (2.0 * e1 * e1 * e2 * e2)
@@ -404,12 +404,16 @@ def _quartic_from_e1(lam: float, e1, e2) -> QuarticData:
 def reconstruct_lambda_c(e1: float, e2: float) -> tuple[float, float]:
     """Multiplier and causal constant from the two largest quartic roots."""
     lam = -(e1**3 * e2**2 + e1**2 * e2**3 + e1 + e2) / (4.0 * e1**2 * e2**2)
-    c = (
+    return lam, _causal_constant(e1, e2)
+
+
+def _causal_constant(e1, e2):
+    # c of reconstruct_lambda_c; floats or slice arrays
+    return (
         e1**4 * e2**4 * (e1 - e2) ** 2
         - 2.0 * e1**2 * e2**2 * (e1**2 + e2**2)
         + (e1 + e2) ** 2
     ) / (16.0 * e1**4 * e2**4)
-    return lam, c
 
 
 def exceptional_residual(e1: float, e2: float) -> float:
@@ -428,7 +432,11 @@ def radial_degeneracy(e1: float, e2: float) -> float:
     quantity has a tangential (quadratic) zero; the factored form keeps full
     relative accuracy.
     """
-    t = exceptional_residual(e1, e2)
+    return _degeneracy_of_residual(exceptional_residual(e1, e2), e1, e2)
+
+
+def _degeneracy_of_residual(t, e1, e2):
+    # radial_degeneracy from a locus residual T already at hand
     return t * t / (4.0 * e1 * e1 * e2**4)
 
 
@@ -437,8 +445,9 @@ def _timelike_offset(e1, e2):
     period-map offset: 1/2 on E (radial degeneracy within _REGION_TOL), else
     1 on T- and 0 on T+ by the sign of the locus residual T.  Floats (a
     Python-float e1 keeps off slow numpy scalar arithmetic) or slice arrays."""
-    on_locus = radial_degeneracy(e1, e2) <= _REGION_TOL
-    below = exceptional_residual(e1, e2) < 0.0
+    t = exceptional_residual(e1, e2)
+    on_locus = _degeneracy_of_residual(t, e1, e2) <= _REGION_TOL
+    below = t < 0.0
     return 0.5 * on_locus + (1.0 - on_locus) * below
 
 

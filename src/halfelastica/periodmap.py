@@ -30,7 +30,6 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.optimize.elementwise import find_root
 
 from . import ellint
 from .dynamics import elliptic_arguments, wavelength
@@ -50,6 +49,7 @@ from .moduli import (
     QuarticData,
     Region,
     _REGION_OF_OFFSET,
+    _degeneracy_of_residual,
     _quartic_on_slice,
     _timelike_offset,
     _unpack_point,
@@ -237,7 +237,7 @@ def _stable_small_factors(qd: QuarticData):
     one_minus_p2 = (1.0 - p_hat) * (1.0 + p_hat)
     sc = np.sqrt(np.maximum(one_minus_p2, 0.0)) / (2.0 * e1)
     w1p = 1.0 + 2.0 * sc * e1
-    kappa1 = radial_degeneracy(e1, e2) / w1p
+    kappa1 = _degeneracy_of_residual(t, e1, e2) / w1p
     q_hat = (e1 + e2) * (1.0 + e1 * e1 * e2 * e2)
     w = q_hat / (2.0 * e1**3 * e2 * e2)
     num = t * (-(2.0 * e1**3 * e2 * e2 + q_hat)
@@ -291,9 +291,9 @@ def _closed_form(lam, qd: QuarticData, on_locus):
         n1, b_coeff = np.where(on_locus, 0.0, n1), np.where(on_locus, 0.0, b_coeff)
     elif on_locus:
         n1 = b_coeff = 0.0
+    k, pi_n1, pi_n2 = ellint.complete_K_Pi(m, n1, n2)
     return (2.0 * np.sqrt(-qd.c) / math.pi) * (
-        a_coeff * ellint.complete_K(m) + b_coeff * ellint.complete_Pi(n1, m)
-        + c_coeff * ellint.complete_Pi(n2, m))
+        a_coeff * k + b_coeff * pi_n1 + c_coeff * pi_n2)
 
 
 def _b_plus_c(lam: float, qd: QuarticData) -> float:
@@ -552,10 +552,72 @@ def _lambda_bracket(e2):
     return lam_lo, lam_hi
 
 
+def _chandrupatla(f, lo, hi, args, xatol, xrtol):
+    """Roots of the elementwise ``f(x, *args)`` on the brackets [lo, hi],
+    all rows at once, by Chandrupatla's hybrid of inverse quadratic
+    interpolation and bisection (Adv. Eng. Software 28, 145, 1997), written
+    as scipy's ``elementwise.find_root`` writes it with fatol = frtol = 0, so
+    the iterates are the same bit for bit.
+
+    Both bracket ends are evaluated in one call of ``f``, and rows drop out
+    of the later calls as they stop.  A row stops on an exact zero or when
+    |x2 - x1| < |xmin| xrtol + xatol, where xmin is the end with the smaller
+    |f|.  Returns (x, success); x is NaN where success is False: where the
+    bracket has no sign change, an abscissa is not finite or both values
+    are NaN.
+    """
+    n = len(lo)
+    both = f(np.concatenate((lo, hi)), *(np.concatenate((a, a)) for a in args))
+    x1, x2, f1, f2 = lo, hi, both[:n], both[n:]
+    # scipy's frtol times the smaller end value: 0, but NaN where that is
+    # NaN or infinite, which rules out the exact-zero stop
+    ftol = 0.0 * np.minimum(np.abs(f1), np.abs(f2))
+    x, success = np.full(n, np.nan), np.zeros(n, dtype=bool)
+    live, t, x3, f3 = np.arange(n), 0.5, None, None
+    while True:
+        smaller = np.abs(f1) < np.abs(f2)
+        xmin, fmin = np.where(smaller, x1, x2), np.where(smaller, f1, f2)
+        zero = np.abs(fmin) <= ftol
+        bad = ~zero & ((np.sign(f1) == np.sign(f2))
+                       | ~(np.isfinite(x1) & np.isfinite(x2))
+                       | (np.isnan(f1) & np.isnan(f2)))
+        xmin = np.where(bad, np.nan, xmin)
+        dx = np.abs(x2 - x1)
+        tol = np.abs(xmin) * xrtol + xatol
+        converged = zero | (dx < tol)
+        stop = converged | bad
+        if stop.any():
+            x[live[stop]], success[live[stop]] = xmin[stop], converged[stop]
+            keep = ~stop
+            live, x1, x2, f1, f2, ftol, dx, tol = (
+                v[keep] for v in (live, x1, x2, f1, f2, ftol, dx, tol))
+            args = [a[keep] for a in args]
+            if x3 is not None:
+                x3, f3 = x3[keep], f3[keep]
+        if not live.size:
+            return x, success
+        if x3 is not None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi1 = (x1 - x2) / (x3 - x2)
+                phi1 = (f1 - f2) / (f3 - f2)
+                alpha = (x3 - x1) / (x2 - x1)
+                inverse = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
+                t = np.where(inverse, f1 / (f1 - f2) * f3 / (f3 - f2)
+                             - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+            tl = 0.5 * tol / dx
+            t = np.clip(t, tl, 1 - tl)
+        xt = x1 + t * (x2 - x1)
+        ft = f(xt, *args)
+        same = np.sign(ft) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = xt, ft
+
+
 def trace_fiber(q, steps: int = 200) -> FiberTrace:
     """Trace the fiber of q from the corner (-1, 1) to its endpoint on the
     center boundary by root solves in the multiplier, all heights in one
-    array solve on their full brackets.
+    :func:`_chandrupatla` array solve on their full brackets.
 
     Root solving is self-correcting, unlike direct integration of the
     fiber-tangent vector field, whose non-vanishing is only experimental.
@@ -576,21 +638,20 @@ def trace_fiber(q, steps: int = 200) -> FiberTrace:
     # insets must clear the locus-tagging tolerance zones at both ends
     lo, hi = lam_lo + 1e-8, lam_hi - 1e-8
     # stop on the step alone, at the xtol and rtol of scipy's brentq
-    tolerances = {"xatol": 1e-13, "xrtol": 4.0 * np.finfo(float).eps,
-                  "fatol": 0.0, "frtol": 0.0}
-    rows = find_root(lambda lam, e2: period_map_slice(lam, e2) - qv, (lo, hi),
-                     args=(heights,), tolerances=tolerances)
-    if not rows.success.all():
-        i = np.argmin(rows.success)
+    lams, success = _chandrupatla(lambda lam, e2: period_map_slice(lam, e2) - qv,
+                                  lo, hi, (heights,), 1e-13,
+                                  4.0 * np.finfo(float).eps)
+    if not success.all():
+        i = np.argmin(success)
         raise BracketError(
             f"no sign change of P - q on the full lambda bracket "
             f"[{float(lo[i])!r}, {float(hi[i])!r}] for q={qv!r} at "
             f"e2={float(heights[i])!r}"
         )
-    # find_root evaluated the period map at every row, so the rows resolve
-    qd, offsets = _resolve_slice(rows.x, heights)
+    # the solve evaluated the period map at every row, so the rows resolve
+    qd, offsets = _resolve_slice(lams, heights)
     points = [ModulusPoint(lam, e2, _REGION_OF_OFFSET[offset])
-              for lam, e2, offset in zip(rows.x.tolist(), heights.tolist(),
+              for lam, e2, offset in zip(lams.tolist(), heights.tolist(),
                                          offsets.tolist())]
     residuals = exceptional_residual(qd.e1, heights).tolist()
     sides = [None if pt.lam >= LAMBDA_EXCEPTIONAL else t

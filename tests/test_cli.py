@@ -278,6 +278,31 @@ class TestMisc:
                               "--samples", "4", "--format", "csv"])
         assert code == 64
 
+    @pytest.mark.parametrize("args, message", [
+        (["fiber", "--q", "11/10", "--steps", "-1"],
+         "--steps must not be negative"),
+        (["curve", "--lambda", "-1.3", "--e2", "2.3", "--periods", "nan"],
+         "--periods must be finite and not negative"),
+        (["curve", "--lambda", "-1.3", "--e2", "2.3", "--periods", "inf"],
+         "--periods must be finite and not negative"),
+        (["curve", "--lambda", "-1.3", "--e2", "2.3", "--periods", "-1"],
+         "--periods must be finite and not negative"),
+    ])
+    def test_negative_or_non_finite_counts_are_usage_errors(self, args, message):
+        code, out, err = run_cli(args)
+        assert code == 64
+        assert out == "" and err == f"error: {message}\n"
+
+    def test_zero_steps_and_periods_keep_their_output(self):
+        assert run_cli(["fiber", "--q", "11/10", "--steps", "0"]) == (
+            0, "lambda,e2,region\n", "")
+        code, out, err = run_cli(["curve", "--lambda", "-1.3", "--e2", "2.3",
+                                  "--samples", "16", "--periods", "0"])
+        assert code == 0 and err == ""
+        assert out == ("s,mu,mu_dot,x1,x2,x3,u,v,theta\n"
+                       "0,2.2999999999999998,0,1.3815792463598073,"
+                       "-0.9532896799882673,0,-0.40027627946680761,0,0\n")
+
     @pytest.mark.parametrize("args", [
         ["classify", "--lambda", "-1.25", "--e2", "2.0", "--tol", "1e-3"],
         ["fiber", "--q", "11/10", "--periods", "3"],

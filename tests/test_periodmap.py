@@ -9,9 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 
 from halfelastica import curvegen as C
 from halfelastica import dynamics as D
+from halfelastica import ellint
 from halfelastica import moduli as M
 from halfelastica import periodmap as P
 from halfelastica.errors import (
@@ -551,3 +553,155 @@ def test_unreachable_fiber_raises_bracket_error():
     message = str(info.value)
     assert "q=1.3333333333333333" in message
     assert "e2=" in message and "bracket" in message
+
+
+# _chandrupatla against scipy's find_root, the reference it transcribes
+XRTOL = 4.0 * np.finfo(float).eps
+FIND_ROOT_TOLERANCES = {"xatol": 1e-13, "xrtol": XRTOL, "fatol": 0.0, "frtol": 0.0}
+
+
+def _fiber_rows(q, steps):
+    """The residual, brackets and heights of trace_fiber's array solve."""
+    qv = float(Fraction(q))
+    _, e_star = P.fiber_endpoint(q)
+    heights = np.linspace(1.0 + 1e-3 * (e_star - 1.0),
+                          e_star - 1e-5 * (e_star - 1.0), steps)
+    lam_lo, lam_hi = P._lambda_bracket(heights)
+    return (lambda lam, e2: P.period_map_slice(lam, e2) - qv,
+            lam_lo + 1e-8, lam_hi - 1e-8, heights)
+
+
+def _solve_both(f, lo, hi, args):
+    """_chandrupatla's (x, success), after asserting both equal find_root's
+    bit for bit, NaN included."""
+    x, success = P._chandrupatla(f, lo, hi, args, 1e-13, XRTOL)
+    ref = find_root(f, (lo, hi), args=args, tolerances=FIND_ROOT_TOLERANCES)
+    assert x.dtype == np.float64 and x.shape == np.shape(ref.x)
+    assert x.tobytes() == np.asarray(ref.x, dtype=float).tobytes()
+    assert success.tolist() == np.asarray(ref.success).tolist()
+    return x, success, ref
+
+
+@pytest.mark.parametrize("q", ["11/10", "6/5", "19/16", "13/11", "24/23"])
+def test_fiber_solver_matches_find_root(q):
+    f, lo, hi, heights = _fiber_rows(q, 200)
+    x, success, ref = _solve_both(f, lo, hi, (heights,))
+    assert success.all()
+    # rows stop at different iterations, so stopped rows are dropped mid-solve
+    assert ref.nit.max() - ref.nit.min() >= 4
+    assert [pt.lam for pt in P.trace_fiber(q, steps=200).points
+            if pt.region is not M.Region.E] == x.tolist()
+
+
+def test_fiber_solver_on_no_rows():
+    x, success, _ = _solve_both(*_fiber_rows("11/10", 0)[:3], (np.empty(0),))
+    assert x.size == 0 and success.size == 0
+    trace = P.trace_fiber("11/10", steps=0)
+    assert trace.points == () and trace.crossing is None
+
+
+def test_fiber_solver_row_without_sign_change():
+    """At q = 4/3 the first rows have no sign change on their brackets: they
+    fail with NaN, and trace_fiber names the first of them as it did with
+    find_root."""
+    f, lo, hi, heights = _fiber_rows("4/3", 20)
+    x, success, _ = _solve_both(f, lo, hi, (heights,))
+    assert not success.all() and success.any()
+    assert np.isnan(x[~success]).all() and np.isfinite(x[success]).all()
+    i = int(np.argmin(success))
+    with pytest.raises(BracketError) as info:
+        P.trace_fiber("4/3", steps=20)
+    assert str(info.value) == (
+        f"no sign change of P - q on the full lambda bracket "
+        f"[{float(lo[i])!r}, {float(hi[i])!r}] for q={4 / 3!r} at "
+        f"e2={float(heights[i])!r}")
+
+
+def test_solver_edge_rows_match_find_root():
+    """Exact zeros at either bracket end and at the first iterate, a
+    bracket without sign change, NaN values at both ends and an infinite
+    abscissa, next to ordinary rows that keep iterating."""
+    lo = np.array([1.0, 0.0, 0.0, 2.0, 0.0, -np.inf, 0.0, 0.0])
+    hi = np.array([3.0, 2.0, 2.0, 3.0, 2.0, 2.0, 2.0, 2.0])
+    c = np.array([1.0, 8.0, 2.0, 1.0, np.nan, 2.0, 1.0, 5.0])
+    with np.errstate(invalid="ignore"):
+        x, success, _ = _solve_both(lambda x, c: x**3 - c, lo, hi, (c,))
+    assert success.tolist() == [True, True, True, False, False, False, True, True]
+    assert x[[0, 1, 6]].tolist() == [1.0, 2.0, 1.0]
+    assert abs(x[2] - 2.0 ** (1 / 3)) <= 1e-13 and abs(x[7] - 5.0 ** (1 / 3)) <= 1e-13
+    sizes = []
+
+    def counting(x, c):
+        sizes.append(x.size)
+        return x**3 - c
+
+    with np.errstate(invalid="ignore"):
+        P._chandrupatla(counting, lo, hi, (c,), 1e-13, XRTOL)
+    # both ends in one call; a row is not evaluated again once it stops
+    assert sizes[:3] == [16, 3, 2]
+
+
+def _closed_form_unshared(lam, qd, on_locus):
+    """_closed_form with T evaluated in each factor that uses it and K, Pi(n1)
+    and Pi(n2) evaluated one by one, each with its own R_F(0, 1 - m, 1)."""
+    g, m, n1, n2, a_coeff, b_coeff, c_coeff = P._coefficients(lam, qd)
+    sc, kappa1, _ = P._stable_small_factors(qd)
+    w1p = 1.0 + 2.0 * sc * qd.e1
+    assert np.asarray(kappa1).tobytes() == np.asarray(
+        M.radial_degeneracy(qd.e1, qd.e2) / w1p).tobytes()
+    n1 = np.where(on_locus, 0.0, n1)
+    b_coeff = np.where(on_locus, 0.0, b_coeff)
+    return (2.0 * np.sqrt(-qd.c) / math.pi) * (
+        a_coeff * ellint.complete_K(m) + b_coeff * ellint.complete_Pi(n1, m)
+        + c_coeff * ellint.complete_Pi(n2, m))
+
+
+def _band_heights(lam):
+    a, eta_p = M.a_lower(lam), M.eta_pm(lam)[1]
+    return a + (eta_p - a) * np.array([1e-14, 1e-13, 0.3, 0.7])
+
+
+@pytest.mark.parametrize("lam, e2", [
+    (-1.3, 2.477640202588786 + np.array([-0.2, -3e-6, -1e-7, 0.0, 1e-7, 3e-6])),
+    (-0.95, _band_heights(-0.95)),
+    (-1.3, np.array([2.3])),
+    (-0.95, np.array([1.0597236215964205])),
+    (np.array([-1.3, -0.95, -1.01]), np.array([2.3, 1.3, 1.5])),
+])
+def test_slice_evaluation_shares_rf_and_t_bit_for_bit(lam, e2):
+    """The slice's closed form, with one T per factor set and one R_F per
+    evaluation, is bit for bit the expression that computes them apiece;
+    so are the E/T-/T+ offsets and the causal constant."""
+    qd, offset = P._resolve_slice(lam, e2)
+    t = M.exceptional_residual(qd.e1, e2)
+    on_locus = M.radial_degeneracy(qd.e1, e2) <= M._REGION_TOL
+    assert offset.tolist() == np.where(
+        np.asarray(lam) < M.LAMBDA_EXCEPTIONAL,
+        0.5 * on_locus + (1.0 - on_locus) * (t < 0.0), 0.0).tolist()
+    assert qd.c.tobytes() == M.reconstruct_lambda_c(qd.e1, e2)[1].tobytes()
+    values = P.period_map_slice(lam, e2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reference = _closed_form_unshared(lam, qd, offset == 0.5) + offset
+    assert values.tobytes() == reference.tobytes()
+
+
+def test_slice_evaluation_covers_e_band_and_asymptotic_route():
+    _, offset = P._resolve_slice(-1.3, 2.477640202588786 + np.array([-1e-7, 0.0, 1e-7]))
+    assert offset.tolist() == [0.5, 0.5, 0.5]
+    qd, _ = P._resolve_slice(-0.95, _band_heights(-0.95))
+    one_minus = 1.0 - D.elliptic_arguments(qd)[1]
+    assert (one_minus[:2] < 1e-12).all() and (one_minus[2:] > 1e-12).all()
+
+
+@pytest.mark.parametrize("point, value", [
+    ((-1.3, 2.3), 1.021065050599245),
+    ((-0.95, 1.3), 1.2052628732678474),
+    ((-1.01, 1.5), 1.0965966340623077),
+    ((-1.3, 2.477640202588786), 1.0253443108829114),  # on E
+    ((-0.95, 1.0597236215964205), 4.9958621648557),  # 1 - m below 1e-12
+])
+def test_scalar_period_map_unchanged(point, value):
+    """Values of the scalar path before R_F and T were shared, bit for bit,
+    and the same as a one-point slice."""
+    assert P.period_map(point) == value
+    assert P.period_map_slice(point[0], [point[1]]).tolist() == [value]
