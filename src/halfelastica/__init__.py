@@ -23,16 +23,12 @@ from .ellint import (
     complete_Pi,
     incomplete_F,
     incomplete_Pi,
-    inverse_sn,
-    jacobi_am,
-    jacobi_sn,
     quad_oracle,
 )
 from .moduli import (
     GOLDEN_RATIO,
     LAMBDA_CRITICAL,
     LAMBDA_EXCEPTIONAL,
-    LocusFunctions,
     ModulusPoint,
     QuarticData,
     Region,
@@ -44,7 +40,6 @@ from .moduli import (
     eta_pm,
     exceptional_c,
     in_moduli_space,
-    locus_functions,
     resolve,
     roots_from_modulus,
 )

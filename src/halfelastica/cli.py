@@ -175,24 +175,27 @@ def curve_svg(curve) -> str:
                         + [_svg_path(xs, ys, "steelblue", 2.0)])
 
 
-def phase_portrait_orbits(lam: float, n_orbits: int = 6,
-                          samples: int = 400):
+# closed orbits and samples per orbit of the phase portrait
+_PORTRAIT_ORBITS, _PORTRAIT_SAMPLES = 6, 400
+
+
+def phase_portrait_orbits(lam: float):
     """Representative phase-plane orbits: closed loops between the
     equilibria, the separatrix level, and the two equilibrium points."""
     eta_m, eta_p = moduli.eta_pm(lam)
     orbits = []
-    for frac in np.linspace(0.15, 0.85, n_orbits):
+    for frac in np.linspace(0.15, 0.85, _PORTRAIT_ORBITS):
         e2 = eta_m + (eta_p - eta_m) * frac
         if not moduli.in_moduli_space(lam, e2):
             continue
-        sig = dynamics.signature((lam, e2), samples)
+        sig = dynamics.signature((lam, e2), _PORTRAIT_SAMPLES)
         orbits.append(("closed", sig))
     # separatrix: level through the saddle, both lobes sampled from the quartic
     c_sep = dynamics.saddle_level(lam)
     mstar = dynamics.m_star(lam)
     for lo, hi, kind in ((eta_m, mstar, "separatrix"),
                          (1e-3, eta_m, "separatrix")):
-        xs = np.linspace(lo + 1e-9, hi - 1e-9, samples)
+        xs = np.linspace(lo + 1e-9, hi - 1e-9, _PORTRAIT_SAMPLES)
         q = moduli.quartic_value(lam, c_sep, xs)
         ys = xs * np.sqrt(np.maximum(-q, 0.0))
         loop = np.concatenate([np.column_stack([xs, ys]),

@@ -35,6 +35,7 @@ from . import ellint
 from .errors import DomainError, IntegrationError, RegionError
 from .dynamics import (
     _FLOW_ATOL,
+    _interior,
     _periodic_flow,
     mu_acceleration,
     saddle_level,
@@ -85,8 +86,10 @@ _METRIC = np.diag([-1.0, 1.0, 1.0])
 # 1 + 4 c mu^2 from its factored form
 _NEAR_LOCUS = 1e-6
 
-# DOP853 relative tolerance of the curve flow and of the Frenet oracle
+# DOP853 relative tolerance of the curve flow and of the Frenet oracle, and
+# the error target of the light-like boost quadrature
 _FLOW_RTOL = 1e-13
+_BOOST_TOL = 1e-13
 
 
 class CurveKind(enum.Enum):
@@ -468,7 +471,7 @@ def angular_function(p, s_grid) -> np.ndarray:
     return _CurveFlow(point, CurveKind.BT).states(s_grid)[2]
 
 
-def bl_boost_quadrature(lam: float, tol: float = 1e-13) -> float:
+def bl_boost_quadrature(lam: float) -> float:
     """Parabolic-boost increment of the light-like family over one period,
     by quadrature of the defining curvature integral:
 
@@ -485,7 +488,7 @@ def bl_boost_quadrature(lam: float, tol: float = 1e-13) -> float:
     def smooth(x):
         return x * (x + 2.0 * lam) / np.sqrt((x - e3) * (x - e4))
 
-    return 2.0 * ellint.quad_oracle(smooth, e2, e1, tol, singular=(-0.5, -0.5))
+    return 2.0 * ellint.quad_oracle(smooth, e2, e1, _BOOST_TOL, singular=(-0.5, -0.5))
 
 
 def bl_boost_closed_form(lam: float) -> float:
@@ -584,9 +587,7 @@ def frenet_oracle(p, n_periods: float = 1.0,
     fixed Lorentz transform that aligns the frames at s = 0.  It integrates
     the whole range, with no periodicity assumed.
     """
-    point = resolve(p)
-    if not point.in_moduli_space:
-        raise DomainError(f"{point!r} is not in the moduli space")
+    point = _interior(p)
     kind = _KIND_OF_REGION[point.region]
     qd = point.quartic
     omega = wavelength(point)

@@ -57,9 +57,13 @@ __all__ = [
 
 _DEGENERATE_GAP = 1e-12
 
-# DOP853 tolerances: absolute for every flow, relative for solve_mu's
+# DOP853 tolerances: absolute for every flow, relative for solve_mu's; the
+# band on the conserved level within which classify_orbit tags equilibria and
+# separatrices; the error target of the wavelength quadrature
 _FLOW_ATOL = 1e-14
 _MU_RTOL = 3e-14
+_LEVEL_TOL = 1e-10
+_QUAD_TOL = 1e-12
 
 
 class OrbitKind(enum.Enum):
@@ -152,11 +156,10 @@ def m_star(lam: float) -> float:
     return x
 
 
-def classify_orbit(lam: float, x0: float, y0: float,
-                   tol: float = 1e-10) -> OrbitKind:
+def classify_orbit(lam: float, x0: float, y0: float) -> OrbitKind:
     """Orbit type of the phase curve through (x0, y0).
 
-    Equilibria and separatrices are tagged within ``tol`` on the conserved
+    Equilibria and separatrices are tagged within 1e-10 on the conserved
     level value.  Above the critical multiplier no equilibria exist and every
     orbit is of a non-closed kind.
     """
@@ -165,13 +168,13 @@ def classify_orbit(lam: float, x0: float, y0: float,
     c = conserved_level(lam, x0, y0)
     if lam < LAMBDA_CRITICAL:
         eta_m, eta_p = eta_pm(lam)
-        if abs(c - saddle_level(lam)) <= tol:
+        if abs(c - saddle_level(lam)) <= _LEVEL_TOL:
             if abs(x0 - eta_m) <= 1e-6 and abs(y0) <= 1e-6:
                 return OrbitKind.UNSTABLE_EQUILIBRIUM
             if x0 > eta_m:
                 return OrbitKind.EXCEPTIONAL_FIRST_KIND
             return OrbitKind.EXCEPTIONAL_SECOND_KIND
-        if abs(c - conserved_level(lam, eta_p, 0.0)) <= tol and x0 > eta_m:
+        if abs(c - conserved_level(lam, eta_p, 0.0)) <= _LEVEL_TOL and x0 > eta_m:
             return OrbitKind.STABLE_EQUILIBRIUM
     real = _real_level_roots(lam, c)[::-1]
     if len(real) == 4 and real[2] > 0.0 > real[3]:
@@ -186,8 +189,8 @@ def classify_orbit(lam: float, x0: float, y0: float,
     return OrbitKind.NONCLOSED_FIRST_KIND
 
 
-def _interior(p, e2=None) -> ModulusPoint:
-    point = resolve(p, e2)
+def _interior(p) -> ModulusPoint:
+    point = resolve(p)
     if not point.in_moduli_space:
         raise DomainError(f"{point!r} is not in the moduli space")
     return point
@@ -290,7 +293,7 @@ def elliptic_arguments(qd: QuarticData) -> tuple[float, float, float, float]:
     return a, m, n, g
 
 
-def wavelength(p, e2=None) -> float:
+def wavelength(p) -> float:
     """Least period of the curvature, in closed elliptic form.
 
     Equals twice the quadrature of dx / (x sqrt(-Q(x))) over [e2, e1]; the
@@ -298,7 +301,7 @@ def wavelength(p, e2=None) -> float:
     DomainError where the value is not a positive finite float, as at far
     multipliers, where it underflows to 0.
     """
-    point = _interior(p, e2)
+    point = _interior(p)
     qd = point.quartic
     if qd.e1 - qd.e2 < 1e-10:
         value = linearized_center_period(point.lam)
@@ -314,20 +317,20 @@ def wavelength(p, e2=None) -> float:
     return value
 
 
-def wavelength_quadrature(p, e2=None, tol: float = 1e-12) -> float:
+def wavelength_quadrature(p) -> float:
     """Independent wavelength evaluation by singular-endpoint quadrature."""
-    e1, e2v, e3, e4 = _interior(p, e2).quartic.roots
+    e1, e2v, e3, e4 = _interior(p).quartic.roots
 
     def smooth(x):
         return 1.0 / (x * np.sqrt((x - e3) * (x - e4)))
 
-    return 2.0 * ellint.quad_oracle(smooth, e2v, e1, tol, singular=(-0.5, -0.5))
+    return 2.0 * ellint.quad_oracle(smooth, e2v, e1, _QUAD_TOL, singular=(-0.5, -0.5))
 
 
-def h_inverse(p, mu, e2=None) -> float:
+def h_inverse(p, mu) -> float:
     """Arclength h(mu) in [0, omega/2] at which the rising curvature branch
     reaches the value mu; h(e2) = 0 and h(e1) = omega/2."""
-    point = _interior(p, e2)
+    point = _interior(p)
     qd = point.quartic
     e1, e2v, _, e4 = qd.roots
     if not e2v - 1e-12 <= mu <= e1 + 1e-12:
@@ -336,18 +339,18 @@ def h_inverse(p, mu, e2=None) -> float:
     a, m, n, g = elliptic_arguments(qd)
     omega = wavelength(point)
     ratio = ((e2v - e4) * (e1 - mu)) / ((e1 - e2v) * (mu - e4))
-    u = ellint.inverse_sn(math.sqrt(min(max(ratio, 0.0), 1.0)), m)
-    phi = ellint.jacobi_am(u, m)
+    # sn(u, m) = sqrt(ratio), and am(F(phi, m), m) = phi
+    phi = math.asin(math.sqrt(min(max(ratio, 0.0), 1.0)))
+    u = ellint.incomplete_F(phi, m)
     return 0.5 * omega - (g / e1) * (
         (a / n) * u - ((a - n) / n) * ellint.incomplete_Pi(n, phi, m)
     )
 
 
-def signature(p, n: int = 512, e2=None) -> np.ndarray:
+def signature(p, n: int = 512) -> np.ndarray:
     """n samples of the modified invariant signature (mu, mu') over one
     period: a closed loop on the singular elliptic curve y^2 + x^2 Q(x) = 0."""
-    sol = solve_mu(resolve(p, e2), n_periods=1.0,
-                   samples_per_period=max(int(n), 16))
+    sol = solve_mu(p, n_periods=1.0, samples_per_period=max(int(n), 16))
     s = np.linspace(0.0, sol.wavelength, int(n), endpoint=False)
     mu, mu_dot = sol.at(s)
     return np.column_stack([mu, mu_dot])

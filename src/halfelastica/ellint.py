@@ -1,6 +1,5 @@
 """Special-function kernel: complete and incomplete elliptic integrals of the
-first, second and third kind, the Jacobi amplitude and sn with its inverse,
-and a tanh-sinh quadrature oracle.
+first, second and third kind, and a tanh-sinh quadrature oracle.
 
 The Legendre-form integrals are evaluated through Carlson's symmetric forms
 R_F, R_D and R_J, taken from scipy's ufuncs ``scipy.special.elliprf``,
@@ -41,9 +40,6 @@ __all__ = [
     "complete_K_Pi",
     "incomplete_F",
     "incomplete_Pi",
-    "jacobi_am",
-    "jacobi_sn",
-    "inverse_sn",
     "quad_oracle",
 ]
 
@@ -159,48 +155,6 @@ def incomplete_Pi(n: float, phi: float, m: float) -> float:
                  + (n / 3.0) * elliprj(c - 1.0, c - m, c, c - n))
 
 
-def jacobi_am(u: float, m: float) -> float:
-    """Jacobi amplitude am(u, m) by the arithmetic-geometric mean descent."""
-    _check_m(m)
-    if u == 0.0:
-        return 0.0
-    if u < 0.0:
-        return -jacobi_am(-u, m)
-    if m == 0.0:
-        return u
-    a, b = 1.0, math.sqrt(1.0 - m)
-    scale = []
-    for _ in range(60):
-        an = 0.5 * (a + b)
-        cn = 0.5 * (a - b)
-        b = math.sqrt(a * b)
-        a = an
-        scale.append((an, cn))
-        if cn <= 1e-18 * an:
-            break
-    phi = (2.0 ** len(scale)) * a * u
-    for an, cn in reversed(scale):
-        t = cn / an * math.sin(phi)
-        phi = 0.5 * (phi + math.asin(max(-1.0, min(1.0, t))))
-    return phi
-
-
-def jacobi_sn(u: float, m: float) -> float:
-    """Jacobi elliptic sine sn(u, m) = sin(am(u, m))."""
-    return math.sin(jacobi_am(u, m))
-
-
-def inverse_sn(x: float, m: float) -> float:
-    """Inverse of sn on the principal branch: u in [0, K(m)] with sn(u, m) = x."""
-    _check_m(m)
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"inverse_sn argument x={x!r} outside [0, 1]")
-    if x == 0.0:
-        return 0.0
-    c = 1.0 / (x * x)
-    return float(elliprf(c - 1.0, c - m, c))
-
-
 # ---------------------------------------------------------------------------
 # tanh-sinh quadrature oracle
 # ---------------------------------------------------------------------------
@@ -236,8 +190,7 @@ def _ts_level_nodes(level: int):
     return _ts_cache[level]
 
 
-def _tanh_sinh(fd, a: float, b: float, tol: float, singular=None,
-               max_level: int = _TS_MAX_LEVEL):
+def _tanh_sinh(fd, a: float, b: float, tol: float, singular=None):
     """Core tanh-sinh driver.
 
     ``fd(x, da, db)`` must be vectorized; da = x - a and db = b - x are exact
@@ -268,7 +221,7 @@ def _tanh_sinh(fd, a: float, b: float, tol: float, singular=None,
     total = level_sum(0)
     value = half * h * total
     err = math.inf
-    for level in range(1, max_level + 1):
+    for level in range(1, _TS_MAX_LEVEL + 1):
         h *= 0.5
         total += level_sum(level)
         new_value = half * h * total

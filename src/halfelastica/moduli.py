@@ -42,7 +42,6 @@ __all__ = [
     "Region",
     "ModulusPoint",
     "QuarticData",
-    "LocusFunctions",
     "boundary_quartic",
     "in_moduli_space",
     "eta_pm",
@@ -57,7 +56,6 @@ __all__ = [
     "classify_region",
     "resolve",
     "exceptional_c",
-    "locus_functions",
 ]
 
 GOLDEN_RATIO = 0.5 * (1.0 + math.sqrt(5.0))
@@ -74,6 +72,9 @@ E2_EXCEPTIONAL_MIN = GOLDEN_RATIO**0.25
 # absolute band within which a point is tagged to a locus: on the boundary
 # and light-like polynomials, and on the radial degeneracy 1 + 4 c e1^2 (E)
 _REGION_TOL = 1e-9
+
+# Newton steps that polish every closed-form or companion e1
+_POLISH_STEPS = 3
 
 
 class Region(enum.Enum):
@@ -127,18 +128,6 @@ class QuarticData:
     @property
     def roots(self) -> tuple[float, float, float, float]:
         return (self.e1, self.e2, self.e3, self.e4)
-
-
-@dataclass(frozen=True)
-class LocusFunctions:
-    """Bundle of the boundary and locus heights at a fixed multiplier."""
-
-    eta_minus: float
-    eta_plus: float
-    a_lower: float
-    b0: float | None
-    c_exc: float | None
-    chi: float
 
 
 def boundary_quartic(lam: float, x):
@@ -204,7 +193,7 @@ def eta_pm(lam: float) -> tuple[float, float]:
             f"lambda={lam!r}: the roots of the boundary quartic are not "
             "resolvable in floats"
         ) from None
-    # one Newton step to polish
+    # two Newton steps to polish
     for _ in range(2):
         lo -= boundary_quartic(lam, lo) / (4.0 * lo**3 + 6.0 * lam * lo**2)
         hi -= boundary_quartic(lam, hi) / (4.0 * hi**3 + 6.0 * lam * hi**2)
@@ -251,9 +240,9 @@ def _e1_cubic_coeffs(lam: float, e2: float) -> tuple[float, float, float, float]
     return (e2 * e2, e2**3 + 4.0 * lam * e2 * e2, 1.0, e2)
 
 
-def _e1_newton_polish(lam: float, e2: float, x: float, steps: int = 3) -> float:
+def _e1_newton_polish(lam: float, e2: float, x: float) -> float:
     a3, a2, a1, a0 = _e1_cubic_coeffs(lam, e2)
-    for _ in range(steps):
+    for _ in range(_POLISH_STEPS):
         f = ((a3 * x + a2) * x + a1) * x + a0
         fp = (3.0 * a3 * x + 2.0 * a2) * x + a1
         # a double root; slice heights lie inside the moduli space, where
@@ -362,23 +351,19 @@ def _quartic_on_slice(lam: float, e2: np.ndarray) -> QuarticData:
                             e2)
 
 
-def _unpack_point(p, e2=None) -> tuple[float, float]:
-    if e2 is not None:
-        return float(p), float(e2)
-    if isinstance(p, ModulusPoint):
-        return p.lam, p.e2
-    lam, e2 = p
+def _unpack_point(p) -> tuple[float, float]:
+    lam, e2 = (p.lam, p.e2) if isinstance(p, ModulusPoint) else p
     return float(lam), float(e2)
 
 
-def roots_from_modulus(p, e2=None) -> QuarticData:
-    """Quartic data (e1, e2, e3, e4, c) of a modulus point.
+def roots_from_modulus(p) -> QuarticData:
+    """Quartic data (e1, e2, e3, e4, c) of a modulus point ``p``, a
+    ModulusPoint or a (lambda, e2) pair.
 
-    Accepts a ModulusPoint, a (lambda, e2) pair, or two scalars.  e1 is the
-    closed form :func:`cardano_e1` with Newton polish; e3, e4 and c follow
-    from the closed root relations.
+    e1 is the closed form :func:`cardano_e1` with Newton polish; e3, e4 and
+    c follow from the closed root relations.
     """
-    lam, e2v = _unpack_point(p, e2)
+    lam, e2v = _unpack_point(p)
     if not in_moduli_space(lam, e2v):
         raise OutsideModuliSpaceError(
             f"(lambda, e2) = ({lam!r}, {e2v!r}) is outside the moduli space"
@@ -497,11 +482,11 @@ def classify_region(lam: float, e2: float) -> ModulusPoint:
 def resolve(p, e2=None) -> ModulusPoint:
     """A ModulusPoint, a (lambda, e2) pair or two scalars as a classified
     point (:func:`classify_region`) that carries its quartic data when it is
-    interior; the quartic is solved only when the point has none yet."""
-    if isinstance(p, ModulusPoint) and e2 is None:
-        point = p
-    else:
-        point = classify_region(*_unpack_point(p, e2))
+    interior; the quartic is solved only when the point has none yet.  It is
+    the one function that takes two scalars: every other takes one point."""
+    if e2 is not None:
+        p = (p, e2)
+    point = p if isinstance(p, ModulusPoint) else classify_region(*p)
     if point.quartic is None and point.in_moduli_space:
         point = replace(point, quartic=roots_from_modulus(point))
     return point
@@ -543,15 +528,3 @@ def exceptional_c(lam: float) -> float:
         )
     return value
 
-
-def locus_functions(lam: float) -> LocusFunctions:
-    """All locus heights at a multiplier, with None where undefined."""
-    em, ep = eta_pm(lam)
-    return LocusFunctions(
-        eta_minus=em,
-        eta_plus=ep,
-        a_lower=a_lower(lam),
-        b0=b0(lam) if lam <= -1.0 else None,
-        c_exc=exceptional_c(lam) if lam < LAMBDA_EXCEPTIONAL else None,
-        chi=chi(lam),
-    )

@@ -90,6 +90,12 @@ __all__ = [
 # period-map offset of each time-like region (1 on T-, 1/2 on E, 0 on T+)
 _OFFSET = {region: offset for offset, region in _REGION_OF_OFFSET.items()}
 
+# the oracle's quadrature error target, the size of the scan that brackets
+# a slice's crossings, and the monotonicity transition's bracket and width
+_ORACLE_TOL = 1e-12
+_N_SCAN = 512
+_TRANSITION_BRACKET, _TRANSITION_TOL = (-0.9995, -0.945), 2e-4
+
 
 @dataclass(frozen=True)
 class EllipticCoeffs:
@@ -167,7 +173,7 @@ def _no_amplitude(lam, e2) -> RegionError:
     )
 
 
-def _resolve_timelike(p, e2=None) -> tuple[ModulusPoint, QuarticData]:
+def _resolve_timelike(p) -> tuple[ModulusPoint, QuarticData]:
     """Resolve an input to a time-like modulus by the strict sign tests,
     with its quartic data, which are solved once on the way.
 
@@ -179,10 +185,10 @@ def _resolve_timelike(p, e2=None) -> tuple[ModulusPoint, QuarticData]:
     Merging the two policies would change which points the period map
     accepts.
     """
-    if isinstance(p, ModulusPoint) and e2 is None and p.timelike:
+    if isinstance(p, ModulusPoint) and p.timelike:
         point = resolve(p)
         return point, point.quartic
-    lam, e2v = _unpack_point(p, e2)
+    lam, e2v = _unpack_point(p)
     t2 = e2v * e2v + 2.0 * lam * e2v + 1.0
     if not in_moduli_space(lam, e2v) or t2 <= 0.0:
         raise RegionError(
@@ -264,18 +270,13 @@ def _coefficients(lam, qd: QuarticData):
     return g, m, n1, n2, a_coeff, b_coeff, c_coeff
 
 
-def elliptic_coeffs(p, e2=None) -> EllipticCoeffs:
+def elliptic_coeffs(p) -> EllipticCoeffs:
     """Closed-form coefficients (g, m, n1, n2, A, B, C) of a time-like
     modulus; n1 and B are withheld on the exceptional locus where they
     diverge."""
-    return _coeffs_from_quartic(*_resolve_timelike(p, e2))
-
-
-def _coeffs_from_quartic(point: ModulusPoint, qd: QuarticData,
-                         force_general: bool = False) -> EllipticCoeffs:
+    point, qd = _resolve_timelike(p)
     g, m, n1, n2, a_coeff, b_coeff, c_coeff = _coefficients(point.lam, qd)
-    valid = ((force_general or point.region is not Region.E)
-             and math.isfinite(n1))
+    valid = point.region is not Region.E and math.isfinite(n1)
     if not valid:
         n1 = b_coeff = None
     return EllipticCoeffs(g=g, m=m, n1=n1, n2=n2, A=a_coeff, B=b_coeff,
@@ -305,35 +306,35 @@ def _b_plus_c(lam: float, qd: QuarticData) -> float:
     return num / den
 
 
-def b_plus_c_closed_form(p, e2=None) -> float:
+def b_plus_c_closed_form(p) -> float:
     """Closed form of B + C (finite even where B and C individually are
     large with opposite signs)."""
-    point, qd = _resolve_timelike(p, e2)
+    point, qd = _resolve_timelike(p)
     return _b_plus_c(point.lam, qd)
 
 
-def coefficient_identity_residuals(p, e2=None) -> tuple[float, float]:
+def coefficient_identity_residuals(p) -> tuple[float, float]:
     """Residuals of the two algebraic identities satisfied by the
     coefficients: the partial-fraction sum identity and the B + C closed
     form.  Both should vanish to rounding off the exceptional locus."""
-    point, qd = _resolve_timelike(p, e2)
-    co = _coeffs_from_quartic(point, qd)
-    if not co.valid_n1B:
-        raise RegionError("coefficient identities need the off-locus branch")
+    point, qd = _resolve_timelike(p)
     lam = point.lam
+    g, _, n1, n2, a_coeff, b_coeff, c_coeff = _coefficients(lam, qd)
+    if point.region is Region.E or not math.isfinite(n1):
+        raise RegionError("coefficient identities need the off-locus branch")
     e2v = qd.e2
-    lhs = co.A + co.B / (1.0 - co.n1) + co.C / (1.0 - co.n2)
-    rhs = -co.g * e2v * (e2v + 2.0 * lam) / (1.0 + 4.0 * qd.c * e2v * e2v)
+    lhs = a_coeff + b_coeff / (1.0 - n1) + c_coeff / (1.0 - n2)
+    rhs = -g * e2v * (e2v + 2.0 * lam) / (1.0 + 4.0 * qd.c * e2v * e2v)
     q_resid = (lhs - rhs) / max(1.0, abs(rhs))
-    bc = co.B + co.C
+    bc = b_coeff + c_coeff
     bc_closed = _b_plus_c(lam, qd)
     bc_resid = (bc - bc_closed) / max(1.0, abs(bc_closed))
     return q_resid, bc_resid
 
 
-def period_map(p, e2=None) -> float:
+def period_map(p) -> float:
     """Closed-form period map value of a time-like modulus."""
-    point, qd = _resolve_timelike(p, e2)
+    point, qd = _resolve_timelike(p)
     return float(_closed_form(point.lam, qd, point.region is Region.E)
                  + _OFFSET[point.region])
 
@@ -352,7 +353,7 @@ def period_map_slice(lam, e2s) -> np.ndarray:
         return _closed_form(lam, qd, offset == 0.5) + offset
 
 
-def divergent_term(p, e2=None) -> float:
+def divergent_term(p) -> float:
     """The jump-carrying term (2 sqrt|c| / pi) B Pi(n1, m); it tends to
     -1/2 and +1/2 as the modulus approaches the exceptional locus from
     below and above.
@@ -360,22 +361,22 @@ def divergent_term(p, e2=None) -> float:
     Always evaluated on the general branch (the analytic continuation off
     the locus), even when the point is close enough to be tagged to it.
     """
-    point, qd = _resolve_timelike(p, e2)
-    co = _coeffs_from_quartic(point, qd, force_general=True)
-    if not co.valid_n1B:
+    point, qd = _resolve_timelike(p)
+    _, m, n1, _, _, b_coeff, _ = _coefficients(point.lam, qd)
+    if not math.isfinite(n1):
         raise RegionError("the divergent term is undefined exactly on the locus")
     sc = math.sqrt(-qd.c)
-    return (2.0 * sc / math.pi) * co.B * ellint.complete_Pi(co.n1, co.m)
+    return (2.0 * sc / math.pi) * b_coeff * ellint.complete_Pi(n1, m)
 
 
-def period_map_oracle(p, e2=None, tol: float = 1e-12) -> float:
+def period_map_oracle(p) -> float:
     """Independent period-map value by adaptive quadrature of the defining
     angular integral in the curvature variable.
 
     The near-locus denominator is rebuilt from the factored small quantities
     and the exact node distance to e1 supplied by the tanh-sinh driver.
     """
-    point, qd = _resolve_timelike(p, e2)
+    point, qd = _resolve_timelike(p)
     lam = point.lam
     e1, e2v, e3, e4 = qd.roots
     sc, kappa1, _ = _stable_small_factors(qd)
@@ -389,7 +390,8 @@ def period_map_oracle(p, e2=None, tol: float = 1e-12) -> float:
             denom = (kappa1 + 2.0 * sc * db) * (1.0 + 2.0 * sc * x)
             return x * (x + 2.0 * lam) / (denom * np.sqrt((x - e3) * (x - e4)))
         scale = 4.0 * sc
-    value, err, ok = _tanh_sinh(integrand, e2v, e1, tol, singular=(-0.5, -0.5))
+    value, err, ok = _tanh_sinh(integrand, e2v, e1, _ORACLE_TOL,
+                                singular=(-0.5, -0.5))
     if not ok:
         raise QuadratureError(
             "oracle quadrature failed" + (" on the locus" if on_locus else ""),
@@ -397,11 +399,11 @@ def period_map_oracle(p, e2=None, tol: float = 1e-12) -> float:
     return float(-(scale * value) / (2.0 * math.pi) + _OFFSET[point.region])
 
 
-def r_term(p, e2=None) -> float:
+def r_term(p) -> float:
     """The bounded companion of the logarithmic divergence of the period
     integral near the lower boundary (arctan combination of the two
     characteristics)."""
-    co = elliptic_coeffs(p, e2)
+    co = elliptic_coeffs(p)
     if not co.valid_n1B:
         raise RegionError("r_term needs the off-locus branch")
 
@@ -438,7 +440,7 @@ def _as_fraction(q) -> Fraction:
     return frac
 
 
-def string_candidates(lam: float, q, n_scan: int = 512) -> list[float]:
+def string_candidates(lam: float, q) -> list[float]:
     """All e2 heights on the multiplier slice where the period map crosses q.
 
     A full scan brackets every sign change before refinement; monotonicity
@@ -456,7 +458,7 @@ def string_candidates(lam: float, q, n_scan: int = 512) -> list[float]:
     a = a_lower(lam)
     eta_p = eta_pm(lam)[1]
     inset = 1e-7 * (eta_p - a)
-    grid = np.linspace(a + inset, eta_p - inset, n_scan)
+    grid = np.linspace(a + inset, eta_p - inset, _N_SCAN)
     vals = period_map_slice(lam, grid) - qv
     roots = []
     for i in range(len(grid) - 1):
@@ -472,7 +474,7 @@ def string_candidates(lam: float, q, n_scan: int = 512) -> list[float]:
     if not roots:
         raise BracketError(
             f"no period-map crossing of q={frac} found on the slice "
-            f"lambda={lam!r} after a {n_scan}-point scan"
+            f"lambda={lam!r} after a {_N_SCAN}-point scan"
         )
     return roots
 
@@ -499,12 +501,12 @@ def family_invariants(q, p: ModulusPoint) -> FamilyInvariants:
     )
 
 
-def find_string(lam: float, q, n_scan: int = 512) -> StringRecord:
+def find_string(lam: float, q) -> StringRecord:
     """Locate the canonical closed curve with characteristic number q on the
     multiplier slice; the smallest crossing height is canonical, all
     crossings are discoverable through :func:`string_candidates`."""
     frac = _as_fraction(q)
-    e2 = string_candidates(lam, frac, n_scan)[0]
+    e2 = string_candidates(lam, frac)[0]
     point = resolve(lam, e2)
     pval = period_map(point)
     if abs(pval - float(frac)) > 1e-9:
@@ -692,18 +694,19 @@ def _endpoint_slope(lam: float) -> float:
     return (period_map((lam, e2 + h)) - period_map((lam, e2 - h))) / (2.0 * h)
 
 
-def monotonicity_transition(lo: float = -0.9995, hi: float = -0.945,
-                            tol: float = 2e-4) -> float:
+def monotonicity_transition() -> float:
     """Multiplier at which the slice-wise period map switches from having an
     interior minimum to being strictly decreasing, located by bisection on
-    the sign of the slope at the center end."""
+    the sign of the slope at the center end, on [-0.9995, -0.945] to a
+    width of 2e-4."""
+    lo, hi = _TRANSITION_BRACKET
     flo, fhi = _endpoint_slope(lo), _endpoint_slope(hi)
     if not (flo > 0.0 > fhi):
         raise BracketError(
             f"monotonicity transition not bracketed on [{lo}, {hi}]: "
             f"slopes ({flo:.3e}, {fhi:.3e})"
         )
-    while hi - lo > tol:
+    while hi - lo > _TRANSITION_TOL:
         mid = 0.5 * (lo + hi)
         if _endpoint_slope(mid) > 0.0:
             lo = mid

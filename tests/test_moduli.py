@@ -478,14 +478,7 @@ class TestALower:
         assert M.a_lower(-0.95) == pytest.approx(M.eta_pm(-0.95)[0], rel=1e-14)
 
     def test_below_center(self):
-        for lam in (-0.9, -1.0, -1.7):
-            assert M.a_lower(lam) < M.eta_pm(lam)[1]
+        for lam in (-0.9, -1.0, -1.3, -1.7):
+            eta_m, eta_p = M.eta_pm(lam)
+            assert eta_m <= M.a_lower(lam) < eta_p
 
-
-def test_locus_functions_bundle():
-    lf = M.locus_functions(-1.3)
-    assert lf.b0 == pytest.approx(M.b0(-1.3))
-    assert lf.c_exc == pytest.approx(M.exceptional_c(-1.3))
-    assert lf.eta_minus < lf.a_lower < lf.c_exc < lf.eta_plus
-    lf2 = M.locus_functions(-0.9)
-    assert lf2.b0 is None and lf2.c_exc is None
