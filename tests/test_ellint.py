@@ -156,7 +156,7 @@ class TestAgainstMpmath:
     """Accuracy against a 40-digit mpmath reference, with m formed as a
     float and 1 - m taken from it as the kernels take it."""
 
-    GAPS = (0.5, 1e-3, 1e-6, 1e-8, 1e-11)
+    GAPS = (0.5, 1e-3, 1e-6, 1e-8, 1e-11, 1e-13, 1e-14, 1e-15, 2.0**-52)
     CHARACTERISTICS = (-1e6, -1e3, -10.0, -0.3, 0.5, 0.99)
     AMPLITUDES = (0.05, 0.4, 0.9, 1.3, 1.55)
     PARAMETERS = (0.0, 0.3, 0.9, 1.0 - 1e-6, 1.0 - 1e-11)
@@ -180,13 +180,15 @@ class TestAgainstMpmath:
             for n in self.CHARACTERISTICS:
                 worst_pi = max(worst_pi, self.rel(ellint.complete_Pi(n, m),
                                                   mpmath.ellippi(n, mm)))
+        # measured 3.2e-16, 5.7e-15 (at 1 - m = 2^-52) and 9.2e-12 (at
+        # n = -1e6, 1 - m = 1e-14: the R_J cancellation, 5.3e-13 at m = 0)
         assert worst_k <= 1e-14
         assert worst_e <= 1e-14
         assert worst_pi <= 1e-11
 
     def test_complete_integrals_on_arrays(self):
         m = 1.0 - np.array(self.GAPS)
-        n = np.array(self.CHARACTERISTICS[:len(self.GAPS)])
+        n = np.resize(self.CHARACTERISTICS, len(self.GAPS))
         k = ellint.complete_K(m)
         pi = ellint.complete_Pi(n, m)
         assert isinstance(k, np.ndarray) and isinstance(pi, np.ndarray)
@@ -195,11 +197,10 @@ class TestAgainstMpmath:
                             for a, b in zip(n, m)]
 
     def test_asymptotic_route_on_arrays(self):
-        # 1 - m below 1e-12 takes the logarithmic forms, element by element
+        # 1 - m below 1e-12 goes through the same kernels, element by element
         m = np.array([0.5, 1.0 - 1e-13])
         n = np.array([-0.3, 0.5])
         k = ellint.complete_K(m)
-        assert k[1] == np.log(4.0 / np.sqrt(1.0 - m[1]))
         assert list(k) == [ellint.complete_K(float(x)) for x in m]
         assert list(ellint.complete_Pi(n, m)) == [
             ellint.complete_Pi(float(a), float(b)) for a, b in zip(n, m)]

@@ -337,6 +337,28 @@ def test_domain_errors_match_the_companion_route():
     assert raising == 19113  # of 19651 interior grid points
 
 
+@pytest.mark.parametrize("lam, e2", [
+    (-1022821.8569340456, 1.0),
+    (-10227433.55468003, 1.0),
+    (-102266486.00269397, 0.0031622776601683794),
+    (-1022586370.610395, 0.0031622776601683794),
+])
+def test_rounded_positive_discriminant(lam, e2):
+    """At these far S points of the grid above, the scaled discriminant of
+    the cubic of e1 rounds to +2e-19...+4e-19 instead of <= 0; the cosine
+    form, with the discriminant clamped to 0, still gives the companion's
+    e1 within 2e-14 relative."""
+    a3, a2, a1, a0 = M._e1_cubic_coeffs(lam, e2)
+    b, c, d = a2 / a3, a1 / a3, a0 / a3
+    s = max(abs(b), math.sqrt(abs(c)), abs(d) ** (1.0 / 3.0))
+    b, c, d = b / s, c / s / s, d / s / s / s
+    p, q = c - b * b / 3.0, (2.0 * b * b - 9.0 * c) * b / 27.0 + d
+    assert 0.25 * q * q + p * p * p / 27.0 > 0.0
+    assert M.classify_region(lam, e2).region is M.Region.S
+    ref = M._e1_companion(lam, e2)
+    assert abs(M.roots_from_modulus((lam, e2)).e1 - ref) <= 2e-14 * ref
+
+
 class TestResolve:
     @pytest.mark.parametrize("p", [(-1.3, 1.2), (-1.25, 2.0), (-1.3, 2.3),
                                    (-0.9, 1.24)])

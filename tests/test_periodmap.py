@@ -258,6 +258,19 @@ class TestFiberEndpoint:
             P.fiber_endpoint(Fraction(9, 10))
 
 
+@pytest.mark.parametrize("q", ["1/0", (1, 0), "x/2", math.nan, math.inf, -math.inf])
+def test_unreadable_characteristic_is_a_domain_error(q):
+    """A q that is no finite rational raises DomainError naming it, from
+    every entry point that reads one, not ZeroDivisionError, ValueError or
+    OverflowError."""
+    calls = (lambda: P.find_string(-1.01, q), lambda: P.trace_fiber(q, 4),
+             lambda: P.fiber_endpoint(q),
+             lambda: P.family_invariants(q, (-1.3, 2.3)))
+    for call in calls:
+        with pytest.raises(DomainError, match=re.escape(f"q={q!r}")):
+            call()
+
+
 @pytest.fixture(scope="module")
 def trace():
     return P.trace_fiber("11/10", steps=80)
@@ -698,7 +711,7 @@ def test_slice_evaluation_covers_e_band_and_asymptotic_route():
     ((-0.95, 1.3), 1.2052628732678474),
     ((-1.01, 1.5), 1.0965966340623077),
     ((-1.3, 2.477640202588786), 1.0253443108829114),  # on E
-    ((-0.95, 1.0597236215964205), 4.9958621648557),  # 1 - m below 1e-12
+    ((-0.95, 1.0597236215964205), 4.995862164855721),  # 1 - m below 1e-12
 ])
 def test_scalar_period_map_unchanged(point, value):
     """Values of the scalar path before R_F and T were shared, bit for bit,
