@@ -30,6 +30,7 @@ from .moduli import (
     ModulusPoint,
     QuarticData,
     Region,
+    _sqrt,
     eta_pm,
     quartic_value,
     resolve,
@@ -285,12 +286,19 @@ def constant_curvature_census(lam: float) -> int:
 def elliptic_arguments(qd: QuarticData) -> tuple[float, float, float, float]:
     """The (a, m, n, g) arguments of the complete-elliptic wavelength form;
     floats or arrays."""
-    e1, e2, e3, e4 = qd.roots
+    e1, e2, _, e4 = qd.roots
+    m, g = _parameter_and_scale(qd)
     a = (e2 - e1) / (e2 - e4)
-    m = ((e1 - e2) * (e3 - e4)) / ((e1 - e3) * (e2 - e4))
     n = e4 * a / e1
-    g = 2.0 / np.sqrt((e1 - e3) * (e2 - e4))
     return a, m, n, g
+
+
+def _parameter_and_scale(qd: QuarticData):
+    """The parameter m and the scale g = 2/sqrt((e1 - e3)(e2 - e4)) shared
+    by the wavelength and period-map forms; floats or arrays."""
+    e1, e2, e3, e4 = qd.roots
+    spread = (e1 - e3) * (e2 - e4)
+    return ((e1 - e2) * (e3 - e4)) / spread, 2.0 / _sqrt(spread)
 
 
 def wavelength(p) -> float:

@@ -217,7 +217,7 @@ def a_lower(lam: float) -> float:
     if lam > LAMBDA_CRITICAL:
         raise DomainError(f"lambda={lam!r} above the critical multiplier")
     if lam <= -1.0:
-        return math.sqrt(lam * lam - 1.0) - lam
+        return b0(lam)
     return eta_pm(lam)[0]
 
 
@@ -228,7 +228,11 @@ def chi(lam: float) -> float:
     increasing, tends to 1 as lam -> -inf and diverges at the critical
     multiplier where eta+^4 -> 3.
     """
-    eta = eta_pm(lam)[1]
+    return _chi_of_center(eta_pm(lam)[1])
+
+
+def _chi_of_center(eta: float) -> float:
+    # chi from the center height eta+ at hand
     q4 = eta**4
     if q4 <= 3.0:
         raise DomainError("chi undefined: eta+^4 <= 3 at the critical multiplier")
@@ -342,6 +346,15 @@ def _quartic_on_slice(lam: float, e2: np.ndarray) -> QuarticData:
                             e2)
 
 
+def _sqrt(x):
+    """Square root of a float or an array.  A positive float gives a Python
+    float, which keeps the scalar path off slow numpy-scalar arithmetic; a
+    zero, negative or NaN float gives a numpy scalar, so that the divisions
+    by it that follow give inf or NaN, as on arrays, rather than raise
+    ZeroDivisionError."""
+    return math.sqrt(x) if isinstance(x, float) and x > 0.0 else np.sqrt(x)
+
+
 def _unpack_point(p) -> tuple[float, float]:
     lam, e2 = (p.lam, p.e2) if isinstance(p, ModulusPoint) else p
     return float(lam), float(e2)
@@ -366,7 +379,7 @@ def _quartic_from_e1(lam: float, e1, e2) -> QuarticData:
     # e3, e4 and c from the closed root relations; floats (DomainError where
     # they leave the float range) or slice arrays
     try:
-        s = np.sqrt(4.0 * e1**3 * e2**3 + (e1 + e2) ** 2)
+        s = _sqrt(4.0 * e1**3 * e2**3 + (e1 + e2) ** 2)
         c = _causal_constant(e1, e2)
     except OverflowError:
         raise _beyond_floats(lam, e2) from None

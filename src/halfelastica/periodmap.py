@@ -32,7 +32,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import ellint
-from .dynamics import elliptic_arguments, wavelength
+from .dynamics import _parameter_and_scale, wavelength
 from .ellint import _tanh_sinh
 from .errors import (
     BracketError,
@@ -49,13 +49,14 @@ from .moduli import (
     QuarticData,
     Region,
     _REGION_OF_OFFSET,
+    _chi_of_center,
     _degeneracy_of_residual,
     _quartic_on_slice,
+    _sqrt,
     _timelike_offset,
     _unpack_point,
-    a_lower,
+    b0,
     boundary_quartic,
-    chi,
     classify_region,
     eta_pm,
     exceptional_residual,
@@ -241,31 +242,42 @@ def _stable_small_factors(qd: QuarticData):
     p_hat = t / (2.0 * e1 * e2 * e2)
     # 1 - p^2 = 4 |c| e1^2; both factors are far from zero in the interior
     one_minus_p2 = (1.0 - p_hat) * (1.0 + p_hat)
-    sc = np.sqrt(np.maximum(one_minus_p2, 0.0)) / (2.0 * e1)
+    # max on floats keeps them Python floats
+    clip = np.maximum if isinstance(t, np.ndarray) else max
+    sc = _sqrt(clip(one_minus_p2, 0.0)) / (2.0 * e1)
     w1p = 1.0 + 2.0 * sc * e1
     kappa1 = _degeneracy_of_residual(t, e1, e2) / w1p
     q_hat = (e1 + e2) * (1.0 + e1 * e1 * e2 * e2)
     w = q_hat / (2.0 * e1**3 * e2 * e2)
     num = t * (-(2.0 * e1**3 * e2 * e2 + q_hat)
                + q_hat * q_hat * t / (4.0 * e1 * e1 * e2**4)) / (4.0 * e1**6 * e2**4)
-    u = num / (1.0 + w * np.sqrt(np.maximum(1.0 - p_hat * p_hat, 0.0)))
+    u = num / (1.0 + w * _sqrt(clip(1.0 - p_hat * p_hat, 0.0)))
     return sc, kappa1, u
+
+
+def _divide(num, den):
+    """num / den on floats or arrays, with numpy's inf or NaN where a float
+    den is zero, as at a point exactly on E, whose kappa1 and radial
+    degeneracy are 0.0, rather than ZeroDivisionError."""
+    if isinstance(den, np.ndarray) or den != 0.0:
+        return num / den
+    return np.divide(num, den)
 
 
 def _coefficients(lam, qd: QuarticData):
     """(g, m, n1, n2, A, B, C) of the closed form, on floats or on the
     arrays of one slice.  n1 and B diverge like 1/kappa1 at the exceptional
     locus, where the callers drop them."""
-    e1, e2v, e3, e4 = qd.roots
-    _, m, _, g = elliptic_arguments(qd)
+    e1, e2v, _, e4 = qd.roots
+    m, g = _parameter_and_scale(qd)
     sc, kappa1, u = _stable_small_factors(qd)
     w1p = 1.0 + 2.0 * sc * e1
     w4m = 1.0 - 2.0 * sc * e4
     w4p = 1.0 + 2.0 * sc * e4
-    n1 = (w4m * (e2v - e1)) / (kappa1 * (e2v - e4))
+    n1 = _divide(w4m * (e2v - e1), kappa1 * (e2v - e4))
     n2 = (w4p * (e2v - e1)) / (w1p * (e2v - e4))
     a_coeff = -g * e4 * (e4 + 2.0 * lam) / (w4m * w4p)
-    b_coeff = -g * u * (e1 - e4) / (4.0 * sc * w4m * kappa1)
+    b_coeff = _divide(-g * u * (e1 - e4), 4.0 * sc * w4m * kappa1)
     c_coeff = g * (1.0 - 4.0 * lam * sc) * (e1 - e4) / (4.0 * sc * w4p * w1p)
     return g, m, n1, n2, a_coeff, b_coeff, c_coeff
 
@@ -293,17 +305,17 @@ def _closed_form(lam, qd: QuarticData, on_locus):
     elif on_locus:
         n1 = b_coeff = 0.0
     k, pi_n1, pi_n2 = ellint.complete_K_Pi(m, n1, n2)
-    return (2.0 * np.sqrt(-qd.c) / math.pi) * (
+    return (2.0 * _sqrt(-qd.c) / math.pi) * (
         a_coeff * k + b_coeff * pi_n1 + c_coeff * pi_n2)
 
 
 def _b_plus_c(lam: float, qd: QuarticData) -> float:
     e1, _, _, e4 = qd.roots
     c = qd.c
-    _, _, _, g = elliptic_arguments(qd)
+    _, g = _parameter_and_scale(qd)
     num = g * (e1 - e4) * (e4 * (8.0 * c * lam * e1 - 1.0) - e1 - 2.0 * lam)
     den = radial_degeneracy(e1, qd.e2) * (1.0 + 4.0 * c * e4 * e4)
-    return num / den
+    return _divide(num, den)
 
 
 def b_plus_c_closed_form(p) -> float:
@@ -417,12 +429,20 @@ def j_interval(lam: float) -> tuple[float, float]:
     """Open interval of characteristic numbers guaranteed to be attained by
     the period map at multiplier lam; (1, chi) for lam <= -1 and
     (chi, +inf) above."""
+    return _slice_ends(lam)[0]
+
+
+def _slice_ends(lam: float) -> tuple[tuple[float, float], float, float]:
+    """(:func:`j_interval`, a_lower, eta+) of the multiplier slice from one
+    solve of the boundary quartic: the lower end is the light-like height
+    b0 for lam <= -1 and the saddle height eta- above, as in a_lower."""
     if lam >= LAMBDA_CRITICAL:
         raise DomainError(f"lambda={lam!r} above the critical multiplier")
-    x = chi(lam)
+    eta_m, eta_p = eta_pm(lam)
+    x = _chi_of_center(eta_p)
     if lam <= -1.0:
-        return (1.0, x)
-    return (x, math.inf)
+        return (1.0, x), b0(lam), eta_p
+    return (x, math.inf), eta_m, eta_p
 
 
 def _as_fraction(q) -> Fraction:
@@ -445,34 +465,35 @@ def _as_fraction(q) -> Fraction:
 def string_candidates(lam: float, q) -> list[float]:
     """All e2 heights on the multiplier slice where the period map crosses q.
 
-    A full scan brackets every sign change before refinement; monotonicity
-    of the slice is experimental and never assumed.
+    The admissible interval and both ends of the slice come from one solve
+    of the boundary quartic.  A full scan, one :func:`period_map_slice`
+    call, brackets every sign change before refinement; monotonicity of the
+    slice is experimental and never assumed.  The brackets are found as one
+    array search: a scan value that is exactly zero is a root, and each
+    sign change between neighbours is refined by brentq on the scalar
+    period map, in increasing height; NaN values bracket nothing.
     """
     frac = _as_fraction(q)
     qv = float(frac)
-    lo_int, hi_int = j_interval(lam)
+    (lo_int, hi_int), a, eta_p = _slice_ends(lam)
     if not lo_int < qv < hi_int:
         raise CharacteristicIntervalError(
             f"q={frac} outside the admissible interval ({lo_int}, "
             f"{hi_int if math.isfinite(hi_int) else 'inf'}) at lambda={lam!r}",
             interval=(lo_int, hi_int),
         )
-    a = a_lower(lam)
-    eta_p = eta_pm(lam)[1]
     inset = 1e-7 * (eta_p - a)
     grid = np.linspace(a + inset, eta_p - inset, _N_SCAN)
     vals = period_map_slice(lam, grid) - qv
-    roots = []
-    for i in range(len(grid) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0:
-            roots.append(float(grid[i]))
-        elif va * vb < 0.0:
-            roots.append(brentq(lambda e2: period_map((lam, e2)) - qv,
-                                grid[i], grid[i + 1], xtol=1e-14,
-                                rtol=8.9e-16))
+    head = vals[:-1]
+    hits = np.flatnonzero((head == 0.0) | (head * vals[1:] < 0.0)).tolist()
     if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
+        hits.append(len(grid) - 1)
+    heights = grid.tolist()
+    roots = [heights[i] if vals[i] == 0.0 else
+             brentq(lambda e2: period_map((lam, e2)) - qv, heights[i],
+                    heights[i + 1], xtol=1e-14, rtol=8.9e-16)
+             for i in hits]
     if not roots:
         raise BracketError(
             f"no period-map crossing of q={frac} found on the slice "
@@ -688,8 +709,7 @@ def _endpoint_slope(lam: float) -> float:
     """Slope of the period map at the center end of the slice; positive when
     an interior minimum exists, negative when the slice is strictly
     decreasing."""
-    a = a_lower(lam)
-    eta_p = eta_pm(lam)[1]
+    _, a, eta_p = _slice_ends(lam)
     span = eta_p - a
     e2 = eta_p - 1e-5 * span
     h = 1e-6 * span

@@ -243,6 +243,156 @@ class TestFindString:
         assert np.max(np.abs(power - np.eye(3))) <= 1e-6
 
 
+def _loop_roots(grid, vals, solve):
+    """The bracket search as a loop over neighbouring scan values: an exact
+    zero is a root, a sign change is refined by ``solve``."""
+    roots = []
+    for i in range(len(grid) - 1):
+        va, vb = vals[i], vals[i + 1]
+        if va == 0.0:
+            roots.append(float(grid[i]))
+        elif va * vb < 0.0:
+            roots.append(solve(grid[i], grid[i + 1]))
+    if vals[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    return roots
+
+
+def _crafted_scan(case):
+    # scan values of magnitude >= 1e-3 (so adding and subtracting q keeps
+    # every sign) with the exact zeros and NaNs of each case
+    v = np.where(np.arange(P._N_SCAN) % 97 < 60, 0.25, -0.5)
+    if case == "zero ends":
+        v[0] = v[-1] = 0.0
+    elif case == "interior zero":
+        v[200] = 0.0
+    elif case == "adjacent zeros":
+        v[100] = v[101] = 0.0
+    elif case == "zero beside a sign change":
+        v[58], v[59], v[60] = 0.0, 0.25, -0.5
+        v[300], v[301] = -0.5, 0.0
+    elif case == "nans":
+        v[10] = np.nan
+        v[59] = np.nan
+        v[400:403] = np.nan
+        v[-1] = np.nan
+    elif case == "everything":
+        v[0] = v[200] = v[100] = v[101] = v[-1] = 0.0
+        v[58] = 0.0
+        v[150] = v[450] = np.nan
+    return v
+
+
+@pytest.mark.parametrize("case", ["zero ends", "interior zero", "adjacent zeros",
+                                  "zero beside a sign change", "nans",
+                                  "everything"])
+def test_bracket_search_matches_loop(case, monkeypatch):
+    """The array bracket search gives the roots of the loop over neighbours,
+    in the same order, from the same brentq brackets."""
+    lam, q = -1.3, Fraction(51, 50)
+    qv = float(q)
+    crafted = _crafted_scan(case)
+    scans, brackets = [], []
+
+    def scan(lam_arg, grid):
+        scans.append(np.array(grid))
+        return crafted + qv
+
+    def solve(f, a, b, **kwargs):
+        brackets.append((float(a), float(b), kwargs))
+        return 0.5 * (a + b)
+
+    monkeypatch.setattr(P, "period_map_slice", scan)
+    monkeypatch.setattr(P, "brentq", solve)
+    roots = P.string_candidates(lam, q)
+    found = brackets[:]
+    del brackets[:]
+    (grid,) = scans
+    expected = _loop_roots(grid, (crafted + qv) - qv,
+                           lambda a, b: solve(None, a, b, xtol=1e-14,
+                                              rtol=8.9e-16))
+    assert roots == expected
+    assert found == brackets
+    assert all(type(r) is float for r in roots)
+    assert len(roots) > 1
+
+
+def test_bracket_search_without_crossing(monkeypatch):
+    monkeypatch.setattr(P, "period_map_slice",
+                        lambda lam, grid: np.full(len(grid), np.nan))
+    with pytest.raises(BracketError):
+        P.string_candidates(-1.3, Fraction(51, 50))
+
+
+@pytest.mark.parametrize("lam, q", [(-1.5, "101/100"), (-0.99, "3/2"),
+                                    (-0.9, "3/2")])
+def test_find_string_solves_boundary_quartic_once(lam, q, monkeypatch):
+    """One eta+- solve gives the admissible interval and both ends of the
+    scanned slice, and they are the ones j_interval, a_lower and eta_pm
+    give."""
+    interval, lower, upper = P.j_interval(lam), M.a_lower(lam), M.eta_pm(lam)[1]
+    calls, scans = [], []
+    solve, scan = M.eta_pm, P.period_map_slice
+
+    def counting(lam_arg):
+        calls.append(lam_arg)
+        return solve(lam_arg)
+
+    def recording(lam_arg, grid):
+        scans.append(np.array(grid))
+        return scan(lam_arg, grid)
+
+    monkeypatch.setattr(M, "eta_pm", counting)
+    monkeypatch.setattr(P, "eta_pm", counting)
+    monkeypatch.setattr(P, "period_map_slice", recording)
+    P.find_string(lam, q)
+    assert calls == [lam]
+    inset = 1e-7 * (upper - lower)
+    assert scans[0].tobytes() == np.linspace(lower + inset, upper - inset,
+                                             P._N_SCAN).tobytes()
+    with pytest.raises(CharacteristicIntervalError) as info:
+        P.string_candidates(lam, Fraction(1, 2))
+    assert info.value.interval == interval
+
+
+def test_exact_locus_float_point():
+    """A pair whose float locus residual T is exactly 0, so kappa1 is 0,
+    where the crossing search of ``fiber --q 25/24 --steps 200`` evaluates
+    the period map: the divisions by kappa1 give numpy's inf and NaN, which
+    the E branch and the RegionError checks handle, never
+    ZeroDivisionError."""
+    p = (-1.17398550521972, 2.1744797279556325)
+    qd = M.roots_from_modulus(p)
+    assert M.exceptional_residual(qd.e1, p[1]) == 0.0
+    assert M.classify_region(*p).region is M.Region.E
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = P.period_map(p)
+        assert type(value) is float
+        assert P.period_map_slice(p[0], [p[1]]).tolist() == [value]
+        assert P.elliptic_coeffs(p).valid_n1B is False
+        with pytest.raises(RegionError):
+            P.divergent_term(p)
+        with pytest.raises(RegionError):
+            P.coefficient_identity_residuals(p)
+        assert not math.isfinite(P.b_plus_c_closed_form(p))
+    assert type(D.wavelength(p)) is float
+
+
+def test_rounded_light_like_point():
+    """A time-like pair just above L whose float c rounds to >= 0, so that
+    sqrt|c| is 0: the scalar path gives the NaN of the one-point slice and
+    numpy's infinite B and C, never ZeroDivisionError or a math domain
+    error."""
+    p = (-1.2010999999999998, 1.8664128662516606)
+    assert M.roots_from_modulus(p).c >= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert P._stable_small_factors(M.roots_from_modulus(p))[0] == 0.0
+        assert math.isnan(P.period_map(p))
+        assert math.isnan(P.period_map_slice(p[0], [p[1]])[0])
+        co = P.elliptic_coeffs(p)
+        assert math.isinf(co.B) and math.isinf(co.C)
+
+
 class TestFiberEndpoint:
     def test_eleven_tenths(self):
         lam_star, e_star = P.fiber_endpoint("11/10")
