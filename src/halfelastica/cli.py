@@ -301,8 +301,7 @@ def cmd_signature(cfg: RunConfig) -> int:
 
 def cmd_scan_period(cfg: RunConfig) -> int:
     lam = cfg.lam
-    a = moduli.a_lower(lam)
-    eta_p = moduli.eta_pm(lam)[1]
+    a, eta_p = periodmap._slice_bounds(lam)
     n = cfg.samples
     e2 = a + (eta_p - a) * np.arange(1, n + 1) / (n + 1.0)
     values = periodmap.period_map_slice(lam, e2)

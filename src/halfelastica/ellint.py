@@ -95,6 +95,22 @@ def complete_K_Pi(m, *ns):
     return [float(v) for v in values]
 
 
+def _scaled_Pi(nu, m, k):
+    """G(nu, m) = sqrt(-n) Pi(n, m) at n = -1/nu <= 0, from K(m) = R_F(0,
+    1 - m, 1) at hand and one R_J; floats or arrays.  The change of
+    characteristic N = (m - n)/(1 - n) (DLMF 19.7(iii)) collected over R_F
+    gives G = sqrt(nu)/(1 + nu) (K + (1 - m) R_J(0, 1 - m, 1, 1 - N)/(3 (1 +
+    nu))), 1 - N = nu (1 - m)/(1 + nu): positive terms that do not cancel at
+    large -n as R_F + (n/3) R_J does, and pi/2 at nu = 0 (R_J is NaN)."""
+    array = isinstance(nu, np.ndarray)
+    if not array and nu == 0.0:
+        return math.pi / 2.0
+    one_minus, s = 1.0 - m, 1.0 + nu
+    g = (np.sqrt(nu) if array else math.sqrt(nu)) / s * (
+        k + one_minus * elliprj(0.0, one_minus, 1.0, nu * one_minus / s) / (3.0 * s))
+    return np.where(nu == 0.0, math.pi / 2.0, g) if array else float(g)
+
+
 def incomplete_F(phi: float, m: float) -> float:
     """Incomplete elliptic integral of the first kind with amplitude phi."""
     _check_m(m)

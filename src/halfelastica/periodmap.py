@@ -12,14 +12,17 @@ and a time-like curve closes exactly when P is rational, q = m/n in lowest
 terms, with n the wave number (order of the rotational symmetry group) and
 m the hyperbolic turning number.
 
-Numerical posture near the exceptional locus: the coefficient B and the
-characteristic n1 of the closed form blow up like 1/(e2 - e_hat), through
-the factor kappa1 = 1 - 2 sqrt|c| e1 which has a tangential zero there.
-kappa1, and the companion small factor 1 + 4 lambda sqrt|c|, are therefore
-evaluated through the signed locus residual T = e1^2 e2^3 - e1^3 e2^2 + e1
-+ e2 (exact cancellation pulled out algebraically), never by direct
-subtraction.  The quadrature oracle uses the same factorization inside its
-integrand, with exact node distances supplied by the tanh-sinh driver.
+Numerical posture near the exceptional locus: n1 and B of the closed form
+diverge like 1/T, T = e1^2 e2^3 - e1^3 e2^2 + e1 + e2 the signed locus
+residual, through kappa1 = 1 - 2 sqrt|c| e1 = O(T^2); kappa1 and 1 + 4
+lambda sqrt|c| = O(T) are evaluated from T, never by subtraction.  In nu =
+-1/n1 and the smooth beta = sign(T) B sqrt(nu) the closed form is one
+expression on both sides of E and on it, P = (2 sqrt|c|/pi)(A K + sign(T)
+beta G(nu, m) + C Pi(n2)) + (1 - sign T)/2: G(nu, m) = sqrt(-n1) Pi(n1, m)
+tends to pi/2 as nu -> 0, so the jump of the divergent term cancels that of
+the offset.  The quadrature oracle uses the same factorization inside its
+integrand, with exact node distances from the tanh-sinh driver, and a
+first-order on-locus integrand at points tagged E.
 """
 
 from __future__ import annotations
@@ -100,11 +103,9 @@ _TRANSITION_BRACKET, _TRANSITION_TOL = (-0.9995, -0.945), 2e-4
 
 @dataclass(frozen=True)
 class EllipticCoeffs:
-    """Arguments of the closed-form period integral.
-
-    ``valid_n1B`` is False exactly on the exceptional locus, where n1 and B
-    diverge and the exceptional reduction (without the B term) applies.
-    """
+    """Arguments of the closed-form period integral.  n1 and B diverge like
+    1/T at the exceptional locus; ``valid_n1B`` is False, and n1 and B are
+    None, only where the float locus residual T is exactly 0."""
 
     g: float
     m: float
@@ -182,7 +183,7 @@ def _resolve_timelike(p) -> tuple[ModulusPoint, QuarticData]:
     the corner multiplier -1 where the light-like polynomial has a double
     root; the period map is defined on the open strict-sign region, so the
     space/light-like decision here is exact, with only the exceptional
-    sub-tag keeping its tolerance (the closed form branches there).
+    sub-tag keeping its tolerance (the oracle branches there).
     Merging the two policies would change which points the period map
     accepts.
     """
@@ -207,8 +208,8 @@ def _resolve_timelike(p) -> tuple[ModulusPoint, QuarticData]:
 def _resolve_slice(lam, e2s) -> tuple[QuarticData, np.ndarray]:
     """:func:`_resolve_timelike` at every height of one multiplier slice, or
     pointwise where ``lam`` is an array broadcast against the heights: the
-    quartic data as arrays, and the period-map offset of each point (1 on
-    T-, 1/2 on E, 0 on T+), which encodes its region."""
+    quartic data as arrays, and the region of each point as its offset (1
+    on T-, 1/2 on E, 0 on T+)."""
     e2 = np.atleast_1d(np.asarray(e2s, dtype=float))
     if np.ndim(lam):
         lam, e2 = np.broadcast_arrays(lam, e2)
@@ -231,82 +232,68 @@ def _resolve_slice(lam, e2s) -> tuple[QuarticData, np.ndarray]:
 
 
 def _stable_small_factors(qd: QuarticData):
-    """(sqrt|c|, kappa1, 1 + 4 lam sqrt|c|) without catastrophic
+    """(sqrt|c|, kappa1, (1 + 4 lam sqrt|c|)/T, T) without catastrophic
     cancellation, on floats or on the arrays of one slice.
 
     Uses 1 - p^2 = 4|c| e1^2 with p = T/(2 e1 e2^2) and the factored
-    tangential zero 1 + 4 c e1^2 = T^2/(4 e1^2 e2^4).
+    tangential zero 1 + 4 c e1^2 = T^2/(4 e1^2 e2^4); 1 + 4 lam sqrt|c|
+    vanishes on E like T and is returned over T.
     """
     e1, e2 = qd.e1, qd.e2
     t = exceptional_residual(e1, e2)
     p_hat = t / (2.0 * e1 * e2 * e2)
-    # 1 - p^2 = 4 |c| e1^2; both factors are far from zero in the interior
-    one_minus_p2 = (1.0 - p_hat) * (1.0 + p_hat)
-    # max on floats keeps them Python floats
+    # 1 - p^2 = 4 |c| e1^2, both factors far from zero in the interior; max
+    # on floats keeps them Python floats
     clip = np.maximum if isinstance(t, np.ndarray) else max
-    sc = _sqrt(clip(one_minus_p2, 0.0)) / (2.0 * e1)
-    w1p = 1.0 + 2.0 * sc * e1
-    kappa1 = _degeneracy_of_residual(t, e1, e2) / w1p
+    sc = _sqrt(clip((1.0 - p_hat) * (1.0 + p_hat), 0.0)) / (2.0 * e1)
+    kappa1 = _degeneracy_of_residual(t, e1, e2) / (1.0 + 2.0 * sc * e1)
     q_hat = (e1 + e2) * (1.0 + e1 * e1 * e2 * e2)
-    w = q_hat / (2.0 * e1**3 * e2 * e2)
-    num = t * (-(2.0 * e1**3 * e2 * e2 + q_hat)
-               + q_hat * q_hat * t / (4.0 * e1 * e1 * e2**4)) / (4.0 * e1**6 * e2**4)
-    u = num / (1.0 + w * _sqrt(clip(1.0 - p_hat * p_hat, 0.0)))
-    return sc, kappa1, u
-
-
-def _divide(num, den):
-    """num / den on floats or arrays, with numpy's inf or NaN where a float
-    den is zero, as at a point exactly on E, whose kappa1 and radial
-    degeneracy are 0.0, rather than ZeroDivisionError."""
-    if isinstance(den, np.ndarray) or den != 0.0:
-        return num / den
-    return np.divide(num, den)
+    u_over_t = ((q_hat * q_hat * t / (4.0 * e1 * e1 * e2**4)
+                 - 2.0 * e1**3 * e2 * e2 - q_hat)
+                / (4.0 * e1**4 * e2 * e2 * (e1 * e1 * e2 * e2 + q_hat * sc)))
+    return sc, kappa1, u_over_t, t
 
 
 def _coefficients(lam, qd: QuarticData):
-    """(g, m, n1, n2, A, B, C) of the closed form, on floats or on the
-    arrays of one slice.  n1 and B diverge like 1/kappa1 at the exceptional
-    locus, where the callers drop them."""
+    """(g, m, nu, n2, A, beta, C, sign T) of the closed form, on floats or
+    on the arrays of one slice: nu = -1/n1 and beta = sign(T) B sqrt(nu) are
+    finite across E, as sqrt(kappa1) = |T|/(2 e1 e2^2 sqrt(w1p))."""
     e1, e2v, _, e4 = qd.roots
     m, g = _parameter_and_scale(qd)
-    sc, kappa1, u = _stable_small_factors(qd)
+    sc, kappa1, u_over_t, t = _stable_small_factors(qd)
     w1p = 1.0 + 2.0 * sc * e1
     w4m = 1.0 - 2.0 * sc * e4
     w4p = 1.0 + 2.0 * sc * e4
-    n1 = _divide(w4m * (e2v - e1), kappa1 * (e2v - e4))
+    ratio = (e2v - e4) / (w4m * (e1 - e2v))
     n2 = (w4p * (e2v - e1)) / (w1p * (e2v - e4))
     a_coeff = -g * e4 * (e4 + 2.0 * lam) / (w4m * w4p)
-    b_coeff = _divide(-g * u * (e1 - e4), 4.0 * sc * w4m * kappa1)
+    beta = (-g * u_over_t * (e1 - e4) * e1 * e2v * e2v * _sqrt(w1p * ratio)
+            / (2.0 * sc * w4m))
     c_coeff = g * (1.0 - 4.0 * lam * sc) * (e1 - e4) / (4.0 * sc * w4p * w1p)
-    return g, m, n1, n2, a_coeff, b_coeff, c_coeff
+    sign = np.sign(t) if isinstance(t, np.ndarray) else (t > 0.0) - (t < 0.0)
+    return g, m, kappa1 * ratio, n2, a_coeff, beta, c_coeff, sign
 
 
 def elliptic_coeffs(p) -> EllipticCoeffs:
     """Closed-form coefficients (g, m, n1, n2, A, B, C) of a time-like
-    modulus; n1 and B are withheld on the exceptional locus where they
-    diverge."""
+    modulus; n1 and B are withheld where they are infinite, at float T = 0."""
     point, qd = _resolve_timelike(p)
-    g, m, n1, n2, a_coeff, b_coeff, c_coeff = _coefficients(point.lam, qd)
-    valid = point.region is not Region.E and math.isfinite(n1)
-    if not valid:
-        n1 = b_coeff = None
+    g, m, nu, n2, a_coeff, beta, c_coeff, sign = _coefficients(point.lam, qd)
+    n1, b_coeff = (-1.0 / nu, sign * beta / math.sqrt(nu)) if nu > 0.0 else (None, None)
     return EllipticCoeffs(g=g, m=m, n1=n1, n2=n2, A=a_coeff, B=b_coeff,
-                          C=c_coeff, valid_n1B=valid)
+                          C=c_coeff, valid_n1B=n1 is not None)
 
 
-def _closed_form(lam, qd: QuarticData, on_locus):
-    """The closed-form integral -Theta(omega)/(2 pi), without the region
-    offset, on floats or on the arrays of one slice; the B Pi(n1) term is
-    dropped where ``on_locus``."""
-    g, m, n1, n2, a_coeff, b_coeff, c_coeff = _coefficients(lam, qd)
-    if not isinstance(on_locus, bool):  # np.where costs microseconds on floats
-        n1, b_coeff = np.where(on_locus, 0.0, n1), np.where(on_locus, 0.0, b_coeff)
-    elif on_locus:
-        n1 = b_coeff = 0.0
-    k, pi_n1, pi_n2 = ellint.complete_K_Pi(m, n1, n2)
-    return (2.0 * _sqrt(-qd.c) / math.pi) * (
-        a_coeff * k + b_coeff * pi_n1 + c_coeff * pi_n2)
+def _closed_form(lam, qd: QuarticData):
+    """(P, D) on floats or on the arrays of one slice, with one R_F and two
+    R_J: P = -Theta(omega)/(2 pi) + (1 - sign T)/2 and its divergent term
+    D = (2 sqrt|c|/pi) sign(T) beta G(nu, m), 0 where T is 0."""
+    _, m, nu, n2, a_coeff, beta, c_coeff, sign = _coefficients(lam, qd)
+    k, pi_n2 = ellint.complete_K_Pi(m, n2)
+    scale = 2.0 * _sqrt(-qd.c) / math.pi
+    divergent = scale * sign * beta * ellint._scaled_Pi(nu, m, k)
+    return (scale * (a_coeff * k + c_coeff * pi_n2) + divergent
+            + 0.5 * (1.0 - sign)), divergent
 
 
 def _b_plus_c(lam: float, qd: QuarticData) -> float:
@@ -315,7 +302,7 @@ def _b_plus_c(lam: float, qd: QuarticData) -> float:
     _, g = _parameter_and_scale(qd)
     num = g * (e1 - e4) * (e4 * (8.0 * c * lam * e1 - 1.0) - e1 - 2.0 * lam)
     den = radial_degeneracy(e1, qd.e2) * (1.0 + 4.0 * c * e4 * e4)
-    return _divide(num, den)
+    return np.divide(num, den)  # inf where T is 0, not ZeroDivisionError
 
 
 def b_plus_c_closed_form(p) -> float:
@@ -330,15 +317,14 @@ def coefficient_identity_residuals(p) -> tuple[float, float]:
     coefficients: the partial-fraction sum identity and the B + C closed
     form.  Both should vanish to rounding off the exceptional locus."""
     point, qd = _resolve_timelike(p)
-    lam = point.lam
-    g, _, n1, n2, a_coeff, b_coeff, c_coeff = _coefficients(lam, qd)
-    if point.region is Region.E or not math.isfinite(n1):
-        raise RegionError("coefficient identities need the off-locus branch")
-    e2v = qd.e2
-    lhs = a_coeff + b_coeff / (1.0 - n1) + c_coeff / (1.0 - n2)
-    rhs = -g * e2v * (e2v + 2.0 * lam) / (1.0 + 4.0 * qd.c * e2v * e2v)
+    co = elliptic_coeffs(point)
+    if not co.valid_n1B:
+        raise RegionError("coefficient identities need finite n1 and B")
+    lam, e2v = point.lam, qd.e2
+    lhs = co.A + co.B / (1.0 - co.n1) + co.C / (1.0 - co.n2)
+    rhs = -co.g * e2v * (e2v + 2.0 * lam) / (1.0 + 4.0 * qd.c * e2v * e2v)
     q_resid = (lhs - rhs) / max(1.0, abs(rhs))
-    bc = b_coeff + c_coeff
+    bc = co.B + co.C
     bc_closed = _b_plus_c(lam, qd)
     bc_resid = (bc - bc_closed) / max(1.0, abs(bc_closed))
     return q_resid, bc_resid
@@ -347,38 +333,32 @@ def coefficient_identity_residuals(p) -> tuple[float, float]:
 def period_map(p) -> float:
     """Closed-form period map value of a time-like modulus."""
     point, qd = _resolve_timelike(p)
-    return float(_closed_form(point.lam, qd, point.region is Region.E)
-                 + _OFFSET[point.region])
+    return float(_closed_form(point.lam, qd)[0])
 
 
 def period_map_slice(lam, e2s) -> np.ndarray:
     """Closed-form period map at every height of one multiplier slice, in
     one array pass; an array ``lam`` broadcasts against the heights, giving
-    the map at the points (lam[i], e2[i]).  Each point gets the region
-    :func:`period_map` gives it and the same value up to rounding.  Raises
-    RegionError when any point (NaN and infinities included) is not
-    time-like."""
+    the map at the points (lam[i], e2[i]).  Each point gets the value
+    :func:`period_map` gives it up to rounding.  Raises RegionError when
+    any point (NaN and infinities included) is not time-like."""
     if np.ndim(lam):
         lam = np.asarray(lam, dtype=float)
-    qd, offset = _resolve_slice(lam, e2s)
+    qd, _ = _resolve_slice(lam, e2s)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _closed_form(lam, qd, offset == 0.5) + offset
+        return _closed_form(lam, qd)[0]
 
 
 def divergent_term(p) -> float:
-    """The jump-carrying term (2 sqrt|c| / pi) B Pi(n1, m); it tends to
-    -1/2 and +1/2 as the modulus approaches the exceptional locus from
-    below and above.
-
-    Always evaluated on the general branch (the analytic continuation off
-    the locus), even when the point is close enough to be tagged to it.
-    """
+    """The jump-carrying term (2 sqrt|c| / pi) B Pi(n1, m) of the closed form:
+    it tends to -1/2 and +1/2 as the modulus approaches the exceptional locus
+    from below and above, and is 0 where the float T is 0.  RegionError
+    naming the point where c rounds to >= 0, on L to float resolution."""
     point, qd = _resolve_timelike(p)
-    _, m, n1, _, _, b_coeff, _ = _coefficients(point.lam, qd)
-    if not math.isfinite(n1):
-        raise RegionError("the divergent term is undefined exactly on the locus")
-    sc = math.sqrt(-qd.c)
-    return (2.0 * sc / math.pi) * b_coeff * ellint.complete_Pi(n1, m)
+    if not qd.c < 0.0:
+        raise RegionError(f"({point.lam}, {point.e2}) is light-like to float "
+                          f"resolution: its causal constant c = {qd.c!r} >= 0")
+    return float(_closed_form(point.lam, qd)[1])
 
 
 def period_map_oracle(p) -> float:
@@ -391,7 +371,7 @@ def period_map_oracle(p) -> float:
     point, qd = _resolve_timelike(p)
     lam = point.lam
     e1, e2v, e3, e4 = qd.roots
-    sc, kappa1, _ = _stable_small_factors(qd)
+    sc, kappa1, _, _ = _stable_small_factors(qd)
     on_locus = point.region is Region.E
     if on_locus:
         def integrand(x, da, db):
@@ -432,17 +412,23 @@ def j_interval(lam: float) -> tuple[float, float]:
     return _slice_ends(lam)[0]
 
 
-def _slice_ends(lam: float) -> tuple[tuple[float, float], float, float]:
-    """(:func:`j_interval`, a_lower, eta+) of the multiplier slice from one
-    solve of the boundary quartic: the lower end is the light-like height
-    b0 for lam <= -1 and the saddle height eta- above, as in a_lower."""
-    if lam >= LAMBDA_CRITICAL:
+def _slice_bounds(lam: float) -> tuple[float, float]:
+    """(a_lower, eta+) of the multiplier slice from one solve of the
+    boundary quartic, with a_lower's DomainError above the critical
+    multiplier."""
+    if lam > LAMBDA_CRITICAL:
         raise DomainError(f"lambda={lam!r} above the critical multiplier")
     eta_m, eta_p = eta_pm(lam)
+    return (b0(lam) if lam <= -1.0 else eta_m), eta_p
+
+
+def _slice_ends(lam: float) -> tuple[tuple[float, float], float, float]:
+    """(:func:`j_interval`, a_lower, eta+) from :func:`_slice_bounds`."""
+    if lam >= LAMBDA_CRITICAL:
+        raise DomainError(f"lambda={lam!r} above the critical multiplier")
+    a, eta_p = _slice_bounds(lam)
     x = _chi_of_center(eta_p)
-    if lam <= -1.0:
-        return (1.0, x), b0(lam), eta_p
-    return (x, math.inf), eta_m, eta_p
+    return ((1.0, x) if lam <= -1.0 else (x, math.inf)), a, eta_p
 
 
 def _as_fraction(q) -> Fraction:
@@ -694,10 +680,8 @@ def trace_fiber(q, steps: int = 200) -> FiberTrace:
         # E starts at the height E2_EXCEPTIONAL_MIN on the center boundary,
         # where the period map along it diverges
         bottom = max(points[i].e2, E2_EXCEPTIONAL_MIN + 1e-6)
-        # kappa1 = 0 on E in the n1 and B terms the on-locus branch drops
-        with np.errstate(divide="ignore", invalid="ignore"):
-            e_c = brentq(lambda e2: period_map((lam_on_locus(e2), e2)) - qv,
-                         bottom, points[i + 1].e2, xtol=1e-14, rtol=8.9e-16)
+        e_c = brentq(lambda e2: period_map((lam_on_locus(e2), e2)) - qv,
+                     bottom, points[i + 1].e2, xtol=1e-14, rtol=8.9e-16)
         crossing = classify_region(lam_on_locus(e_c), e_c)
         points = sorted(points + [crossing], key=lambda pt: pt.e2)
         break
@@ -709,7 +693,7 @@ def _endpoint_slope(lam: float) -> float:
     """Slope of the period map at the center end of the slice; positive when
     an interior minimum exists, negative when the slice is strictly
     decreasing."""
-    _, a, eta_p = _slice_ends(lam)
+    a, eta_p = _slice_bounds(lam)
     span = eta_p - a
     e2 = eta_p - 1e-5 * span
     h = 1e-6 * span

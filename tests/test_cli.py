@@ -458,6 +458,27 @@ class TestSharedParser:
         assert all(code == 0 for code, _ in sequential)
 
 
+def test_scan_period_solves_boundary_quartic_once(monkeypatch):
+    """One eta+- solve gives both ends of the scanned slice above lambda = -1,
+    and they are the ones a_lower and eta_pm give."""
+    lam, n = -0.95, 16
+    a, eta_p = M.a_lower(lam), M.eta_pm(lam)[1]
+    calls = []
+    solve = M.eta_pm
+
+    def counting(lam_arg):
+        calls.append(lam_arg)
+        return solve(lam_arg)
+
+    monkeypatch.setattr(M, "eta_pm", counting)
+    monkeypatch.setattr(periodmap, "eta_pm", counting)
+    code, out, err = run_cli(["scan-period", "--lambda", str(lam),
+                              "--samples", str(n)])
+    assert (code, err, calls) == (0, "", [lam])
+    heights = [float(row.split(",")[0]) for row in out.splitlines()[1:]]
+    assert heights == (a + (eta_p - a) * np.arange(1, n + 1) / (n + 1.0)).tolist()
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "halfelastica.cli", "classify", "--lambda",
