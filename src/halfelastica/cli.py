@@ -84,23 +84,187 @@ def dumps_json(obj, indent: int = 0) -> str:
     return _fmt(obj)
 
 
+# Floats as Python's '%.17g', exactly, on whole arrays.  A finite x with
+# 1e-10 <= |x| < 1e16 is m 2^e with a 53-bit integer m.  With X the decimal
+# exponent of |x| and p = 16 - X in [1, 26], its 17 significant digits are
+# the integer q = round(m 5^p 2^(e + p)), rounded half to even on the exact
+# binary value: (8m) 5^p < 2^117 is a two-limb uint64 product and the shift
+# 3 - e - p lies in [1, 63].  No float of the range lies within half a unit
+# of the 17th digit below a power of ten, so q < 10^17.  Each cell is _CELL
+# bytes: a sign and the lead "0.000" of the fixed form, 17 (digit, dot)
+# byte pairs, the exponent "e-XX" of the scientific form (X < -4) and a
+# separator; the bytes a value does not use are NUL, and the table drops
+# them when it joins its cells.  Zeros are cells too; every other value
+# (non-finite, 0 < |x| < 1e-10, |x| >= 1e16) is formatted one at a time by
+# '%.17g'.
+_EXP_MIN, _EXP_MAX = -10, 16
+_DIGITS = 17
+_CELL = 48
+_LEAD = 6
+_SEP = _CELL - 1
+_TEXT = 24  # the longest '%.17g' of a float, as "-2.2250738585072014e-308"
+_CSV_BLOCK_ROWS = 256
+
+
+def _at_least_pow10(k: int) -> float:
+    # the least float >= 10^k: x >= 10^k exactly where x >= it
+    t = float(Fraction(10) ** k)
+    return t if Fraction(t) >= Fraction(10) ** k else math.nextafter(t, math.inf)
+
+
+_DECADE_START = np.array([_at_least_pow10(k)
+                          for k in range(_EXP_MIN, _EXP_MAX + 1)])
+_POW5 = np.array([5**p for p in range(_DIGITS - _EXP_MIN)], dtype=np.uint64)
+
+
+def _group_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The four digits of each group g < 10^4 at the even bytes of a word,
+    and its count of trailing zero digits (4 for g = 0)."""
+    # the digit rows of 0000 ... 9999 as bytes, with no int64 temporaries
+    d = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)
+    digits = np.zeros((d.shape[1], 8), np.uint8)
+    digits[:, ::2] = d.T + ord("0")
+    zeros = np.logical_and.accumulate(d[::-1] == 0, axis=0).sum(axis=0)
+    return digits.view(np.uint64).ravel(), zeros
+
+
+_GROUP_DIGITS, _GROUP_ZEROS = _group_tables()
+
+
+def _cell_layout(exp: int | None, nd: int) -> tuple[bytes, bytes]:
+    """The (mask, literal) bytes of a cell with decimal exponent exp and nd
+    significant digits; exp None is a zero.  A cell is (digits & mask) |
+    literal."""
+    mask, lit = bytearray(_CELL), bytearray(_CELL)
+    keep, dot = nd, None
+    if exp is None:
+        lit[1], keep = ord("0"), 0
+    elif exp < -4:
+        dot = 0 if nd > 1 else None
+        lit[_LEAD + 2 * _DIGITS:_SEP - 3] = b"e-%02d" % -exp
+    elif exp < 0:
+        lit[1:2 - exp] = b"0." + b"0" * (-exp - 1)
+    else:
+        keep = max(nd, exp + 1)
+        dot = exp if nd > exp + 1 else None
+    mask[_LEAD:_LEAD + 2 * keep:2] = b"\xff" * keep
+    if dot is not None:
+        lit[_LEAD + 2 * dot + 1] = ord(".")
+    return bytes(mask), bytes(lit)
+
+
+def _cell_tables() -> tuple[np.ndarray, np.ndarray]:
+    # one row per (exponent, nd), then the zero; then all of them negative
+    masks, lits = zip(*(_cell_layout(exp, nd)
+                        for exp in [*range(_EXP_MIN, _EXP_MAX + 1), None]
+                        for nd in range(1, _DIGITS + 1)))
+    mask = b"".join(masks) * 2
+    lit = bytearray(b"".join(lits) * 2)
+    lit[len(lits) * _CELL::_CELL] = b"-" * len(lits)
+    return (np.frombuffer(mask, np.uint64).reshape(2 * len(masks), -1),
+            np.frombuffer(lit, np.uint64).reshape(2 * len(lits), -1))
+
+
+_CELL_MASK, _CELL_LITERAL = _cell_tables()
+_ZERO_CELL = (_EXP_MAX + 1 - _EXP_MIN) * _DIGITS
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """(len(x), _CELL) bytes: the '%.17g' text of each float of x, NUL
+    padded, with the separator byte NUL."""
+    u64 = np.uint64
+    ax = np.abs(x)
+    exact = (ax >= 1e-10) & (ax < 1e16)
+    zero = ax == 0.0
+    ax = np.where(exact, ax, 1.0)
+    bits = ax.view(np.uint64)
+    biased = ax.view(np.int64) >> 52
+    # floor(log10 2^E) is (E * 78913) >> 18 for |E| < 1650; floor(log10 x)
+    # is that or one more
+    exp = (biased - 1023) * 78913 >> 18
+    exp += ax >= _DECADE_START.take(exp + 1 - _EXP_MIN)
+    p = 16 - exp
+    m = ((bits & u64((1 << 52) - 1)) | u64(1 << 52)) << u64(3)
+    shift = (1078 - p - biased).astype(np.uint64)
+    f = _POW5.take(p)
+    m_lo, m_hi = m & u64(0xFFFFFFFF), m >> u64(32)
+    f_lo, f_hi = f & u64(0xFFFFFFFF), f >> u64(32)
+    lo = m_lo * f_lo
+    mid = m_lo * f_hi + m_hi * f_lo
+    hi = m_hi * f_hi + (mid >> u64(32))
+    mid = lo + (mid << u64(32))
+    hi += mid < lo
+    lo = mid
+    q = (lo >> shift) | (hi << (u64(64) - shift))
+    rest = lo & ((u64(1) << shift) - u64(1))
+    half = u64(1) << (shift - u64(1))
+    q += (rest > half) | ((rest == half) & (q & u64(1)).astype(bool))
+    q = q.view(np.int64)
+    lead = q // 10**16
+    hi8 = q - lead * 10**16
+    hi8, lo8 = hi8 // 10**8, hi8 % 10**8
+    groups = np.empty((4, len(x)), np.int64)
+    groups[0], groups[1] = hi8 // 10**4, hi8 % 10**4
+    groups[2], groups[3] = lo8 // 10**4, lo8 % 10**4
+    # nd = 17 - the trailing zero digits of q, group by group from the last
+    zeros = _GROUP_ZEROS.take(groups)
+    whole = zeros == 4
+    nd = _DIGITS - (zeros[3] + whole[3] * (zeros[2] + whole[2] * (
+        zeros[1] + whole[1] * zeros[0])))
+    row = (exp - _EXP_MIN) * _DIGITS + nd - 1
+    row[zero] = _ZERO_CELL
+    row += np.signbit(x) * (len(_CELL_MASK) // 2)
+    words = np.empty((len(x), _CELL // 8), np.uint64)
+    words[:, 1:5] = _GROUP_DIGITS.take(groups.T)
+    cells = words.view(np.uint8)
+    cells[:, _LEAD] = lead + 48
+    words &= _CELL_MASK.take(row, axis=0)
+    words |= _CELL_LITERAL.take(row, axis=0)
+    other = ~(exact | zero)
+    if other.any():
+        cells[other, :_TEXT] = np.array(
+            [("%.17g" % v).encode() for v in x[other].tolist()],
+            dtype=f"S{_TEXT}").view(np.uint8).reshape(-1, _TEXT)
+        cells[other, _TEXT:] = 0
+    return cells
+
+
 def write_csv(header: list[str], columns) -> str:
     """The CSV table of equal-length columns: float arrays or lists with 17
-    significant digits, str and int lists as they are.
+    significant digits, exactly as ``'%.17g' % v``, str and int lists as
+    ``str`` gives them (a str cell holds no NUL character).
 
-    The whole table is one ``%`` over the interleaved values, with
-    ``"%.17g" % v == f"{v:.17g}"`` for every float."""
+    The float cells come from :func:`_float_cells`, the others from their
+    ``str`` bytes, and the rows are joined in blocks of _CSV_BLOCK_ROWS."""
+    n = len(columns[0])
     # numpy's float64 is a float subclass
     kinds = [len(c) > 0 and isinstance(c[0], float) for c in columns]
-    n = len(columns[0])
-    if all(kinds):
-        values = np.column_stack(columns).ravel().tolist()
-    else:
-        lists = [c.tolist() if isinstance(c, np.ndarray) else c
-                 for c in columns]
-        values = [v for row in zip(*lists) for v in row]
-    row = ",".join("%.17g" if k else "%s" for k in kinds)
-    return ",".join(header) + "\n" + (row + "\n") * n % tuple(values)
+    seps = [b","] * (len(columns) - 1) + [b"\n"]
+    floats = np.column_stack([np.asarray(c, dtype=float)
+                              for c, k in zip(columns, kinds) if k]
+                             or [np.empty((n, 0))])
+    float_seps = np.frombuffer(b"".join(s for s, k in zip(seps, kinds) if k),
+                               np.uint8)
+    # the other columns as NUL-padded bytes with their separators
+    texts = {}
+    for j, (c, k, sep) in enumerate(zip(columns, kinds, seps)):
+        if not k:
+            values = c.tolist() if isinstance(c, np.ndarray) else c
+            texts[j] = np.array([str(v).encode() + sep for v in values])
+    parts = [",".join(header) + "\n"]
+    for start in range(0, n, _CSV_BLOCK_ROWS):
+        block = floats[start:start + _CSV_BLOCK_ROWS]
+        rows = len(block)
+        cells = _float_cells(block.ravel()).reshape(rows, -1, _CELL)
+        cells[:, :, _SEP] = float_seps
+        if texts:
+            fields = iter(cells.transpose(1, 0, 2))
+            cells = np.concatenate(
+                [next(fields) if k else texts[j][start:start + rows]
+                 .view(np.uint8).reshape(rows, -1)
+                 for j, k in enumerate(kinds)], axis=1)
+        parts.append(cells.tobytes().translate(None, b"\0").decode())
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -249,9 +249,12 @@ def solve_mu(p, n_periods: float = 1.0, samples_per_period: int = 2048,
         return MuSolution(point, s, np.full_like(s, eta), np.zeros_like(s),
                           period, qd)
     omega = wavelength(point)
-    flow = _periodic_flow(
-        lambda _s, st: (st[1], mu_acceleration(lam, st[0], st[1])),
-        [e2, 0.0], omega, _MU_RTOL)
+
+    def rhs(_s, state):
+        x, y = state.tolist()
+        return (y, mu_acceleration(lam, x, y))
+
+    flow = _periodic_flow(rhs, [e2, 0.0], omega, _MU_RTOL)
     s = np.linspace(0.0, n_periods * omega, n_samples + 1)
     states = flow(s)
     out = MuSolution(point, s, states[0], states[1], omega, point.quartic,

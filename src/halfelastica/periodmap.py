@@ -54,12 +54,14 @@ from .moduli import (
     _REGION_OF_OFFSET,
     _chi_of_center,
     _degeneracy_of_residual,
+    _e1_newton_polish,
     _quartic_on_slice,
     _sqrt,
     _timelike_offset,
     _unpack_point,
     b0,
     boundary_quartic,
+    cardano_e1,
     classify_region,
     eta_pm,
     exceptional_residual,
@@ -175,21 +177,19 @@ def _no_amplitude(lam, e2) -> RegionError:
     )
 
 
-def _resolve_timelike(p) -> tuple[ModulusPoint, QuarticData]:
-    """Resolve an input to a time-like modulus by the strict sign tests,
-    with its quartic data, which are solved once on the way.
+def _timelike_quartic(p) -> tuple[float, QuarticData]:
+    """Resolve an input to a time-like modulus by the strict sign tests:
+    its multiplier and its quartic data, which are solved once on the way.
 
     The tolerance tagging of classify_region widens to square-root scale at
     the corner multiplier -1 where the light-like polynomial has a double
     root; the period map is defined on the open strict-sign region, so the
-    space/light-like decision here is exact, with only the exceptional
-    sub-tag keeping its tolerance (the oracle branches there).
-    Merging the two policies would change which points the period map
-    accepts.
+    space/light-like decision here is exact.  Merging the two policies
+    would change which points the period map accepts.
     """
     if isinstance(p, ModulusPoint) and p.timelike:
         point = resolve(p)
-        return point, point.quartic
+        return point.lam, point.quartic
     lam, e2v = _unpack_point(p)
     t2 = e2v * e2v + 2.0 * lam * e2v + 1.0
     if not in_moduli_space(lam, e2v) or t2 <= 0.0:
@@ -200,16 +200,25 @@ def _resolve_timelike(p) -> tuple[ModulusPoint, QuarticData]:
     qd = roots_from_modulus((lam, e2v))
     if not qd.e1 > e2v:
         raise _no_amplitude(lam, e2v)
-    offset = (_timelike_offset(qd.e1, e2v) if lam < LAMBDA_EXCEPTIONAL
+    return lam, qd
+
+
+def _resolve_timelike(p) -> tuple[ModulusPoint, QuarticData]:
+    """:func:`_timelike_quartic` as a point tagged E, T- or T+, with the
+    exceptional sub-tag within its tolerance (the oracle branches there)."""
+    if isinstance(p, ModulusPoint) and p.timelike:
+        point = resolve(p)
+        return point, point.quartic
+    lam, qd = _timelike_quartic(p)
+    offset = (_timelike_offset(qd.e1, qd.e2) if lam < LAMBDA_EXCEPTIONAL
               else 0.0)
-    return ModulusPoint(lam, e2v, _REGION_OF_OFFSET[offset], qd), qd
+    return ModulusPoint(lam, qd.e2, _REGION_OF_OFFSET[offset], qd), qd
 
 
-def _resolve_slice(lam, e2s) -> tuple[QuarticData, np.ndarray]:
-    """:func:`_resolve_timelike` at every height of one multiplier slice, or
+def _timelike_slice(lam, e2s) -> QuarticData:
+    """:func:`_timelike_quartic` at every height of one multiplier slice, or
     pointwise where ``lam`` is an array broadcast against the heights: the
-    quartic data as arrays, and the region of each point as its offset (1
-    on T-, 1/2 on E, 0 on T+)."""
+    quartic data as arrays."""
     e2 = np.atleast_1d(np.asarray(e2s, dtype=float))
     if np.ndim(lam):
         lam, e2 = np.broadcast_arrays(lam, e2)
@@ -227,8 +236,20 @@ def _resolve_slice(lam, e2s) -> tuple[QuarticData, np.ndarray]:
     if flat.any():
         bad = np.argmax(flat)
         raise _no_amplitude(lam[bad] if np.ndim(lam) else lam, e2[bad])
-    below = lam < LAMBDA_EXCEPTIONAL
-    return qd, np.where(below, _timelike_offset(qd.e1, e2), 0.0)
+    return qd
+
+
+def _slice_offsets(lam, e1, e2) -> np.ndarray:
+    """The region of each point of a slice as its period-map offset (1 on
+    T-, 1/2 on E, 0 on T+), from its e1."""
+    return np.where(lam < LAMBDA_EXCEPTIONAL, _timelike_offset(e1, e2), 0.0)
+
+
+def _resolve_slice(lam, e2s) -> tuple[QuarticData, np.ndarray]:
+    """:func:`_resolve_timelike` on a slice: :func:`_timelike_slice` and
+    the offset of each point."""
+    qd = _timelike_slice(lam, e2s)
+    return qd, _slice_offsets(lam, qd.e1, qd.e2)
 
 
 def _stable_small_factors(qd: QuarticData):
@@ -277,8 +298,8 @@ def _coefficients(lam, qd: QuarticData):
 def elliptic_coeffs(p) -> EllipticCoeffs:
     """Closed-form coefficients (g, m, n1, n2, A, B, C) of a time-like
     modulus; n1 and B are withheld where they are infinite, at float T = 0."""
-    point, qd = _resolve_timelike(p)
-    g, m, nu, n2, a_coeff, beta, c_coeff, sign = _coefficients(point.lam, qd)
+    lam, qd = _timelike_quartic(p)
+    g, m, nu, n2, a_coeff, beta, c_coeff, sign = _coefficients(lam, qd)
     n1, b_coeff = (-1.0 / nu, sign * beta / math.sqrt(nu)) if nu > 0.0 else (None, None)
     return EllipticCoeffs(g=g, m=m, n1=n1, n2=n2, A=a_coeff, B=b_coeff,
                           C=c_coeff, valid_n1B=n1 is not None)
@@ -308,8 +329,8 @@ def _b_plus_c(lam: float, qd: QuarticData) -> float:
 def b_plus_c_closed_form(p) -> float:
     """Closed form of B + C (finite even where B and C individually are
     large with opposite signs)."""
-    point, qd = _resolve_timelike(p)
-    return _b_plus_c(point.lam, qd)
+    lam, qd = _timelike_quartic(p)
+    return _b_plus_c(lam, qd)
 
 
 def coefficient_identity_residuals(p) -> tuple[float, float]:
@@ -332,8 +353,8 @@ def coefficient_identity_residuals(p) -> tuple[float, float]:
 
 def period_map(p) -> float:
     """Closed-form period map value of a time-like modulus."""
-    point, qd = _resolve_timelike(p)
-    return float(_closed_form(point.lam, qd)[0])
+    lam, qd = _timelike_quartic(p)
+    return float(_closed_form(lam, qd)[0])
 
 
 def period_map_slice(lam, e2s) -> np.ndarray:
@@ -344,7 +365,7 @@ def period_map_slice(lam, e2s) -> np.ndarray:
     any point (NaN and infinities included) is not time-like."""
     if np.ndim(lam):
         lam = np.asarray(lam, dtype=float)
-    qd, _ = _resolve_slice(lam, e2s)
+    qd = _timelike_slice(lam, e2s)
     with np.errstate(divide="ignore", invalid="ignore"):
         return _closed_form(lam, qd)[0]
 
@@ -354,11 +375,11 @@ def divergent_term(p) -> float:
     it tends to -1/2 and +1/2 as the modulus approaches the exceptional locus
     from below and above, and is 0 where the float T is 0.  RegionError
     naming the point where c rounds to >= 0, on L to float resolution."""
-    point, qd = _resolve_timelike(p)
+    lam, qd = _timelike_quartic(p)
     if not qd.c < 0.0:
-        raise RegionError(f"({point.lam}, {point.e2}) is light-like to float "
+        raise RegionError(f"({lam}, {qd.e2}) is light-like to float "
                           f"resolution: its causal constant c = {qd.c!r} >= 0")
-    return float(_closed_form(point.lam, qd)[1])
+    return float(_closed_form(lam, qd)[1])
 
 
 def period_map_oracle(p) -> float:
@@ -659,12 +680,14 @@ def trace_fiber(q, steps: int = 200) -> FiberTrace:
             f"[{float(lo[i])!r}, {float(hi[i])!r}] for q={qv!r} at "
             f"e2={float(heights[i])!r}"
         )
-    # the solve evaluated the period map at every row, so the rows resolve
-    qd, offsets = _resolve_slice(lams, heights)
+    # the solve evaluated the period map at every row, so the rows are
+    # time-like; their tags need only e1, by the expression of the slice
+    e1 = _e1_newton_polish(lams, heights, cardano_e1(lams, heights))
+    offsets = _slice_offsets(lams, e1, heights).tolist()
     points = [ModulusPoint(lam, e2, _REGION_OF_OFFSET[offset])
               for lam, e2, offset in zip(lams.tolist(), heights.tolist(),
-                                         offsets.tolist())]
-    residuals = exceptional_residual(qd.e1, heights).tolist()
+                                         offsets)]
+    residuals = exceptional_residual(e1, heights).tolist()
     sides = [None if pt.lam >= LAMBDA_EXCEPTIONAL else t
              for pt, t in zip(points, residuals)]
 

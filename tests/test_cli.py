@@ -7,9 +7,11 @@ import subprocess
 import sys
 import threading
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from halfelastica import cli, curvegen, periodmap
 from halfelastica import moduli as M
@@ -409,6 +411,133 @@ class TestWriteCsv:
                    np.array(floats), floats]
         assert (cli.write_csv(["i", "tag", "x", "y"], columns)
                 == _reference_csv(["i", "tag", "x", "y"], columns))
+
+
+def _assert_same_lines(text, reference):
+    # line lists, whose mismatch pytest reports without a slow text diff
+    assert text.endswith("\n") and reference.endswith("\n")
+    assert text.split("\n") == reference.split("\n")
+
+
+def _assert_percent_g(values):
+    """Every float of values, as a one-column table, is its '%.17g'."""
+    x = np.asarray(values, dtype=float)
+    _assert_same_lines(cli.write_csv(["x"], [x]), "x\n" + "".join(
+        "%.17g\n" % v for v in x.tolist()))
+
+
+class TestFloatCells:
+    """The exact '%.17g' kernel of write_csv, value by value."""
+
+    def test_exponent_ladder_and_range_edges(self):
+        rng = np.random.default_rng(7)
+        k = np.arange(cli._EXP_MIN - 2, cli._EXP_MAX + 3)
+        ladder = 10.0 ** k[:, None] * rng.uniform(1.0, 10.0, (len(k), 200))
+        edges = np.array([1e-10, 1e16])
+        edges = np.concatenate([edges, np.nextafter(edges, 0.0),
+                                np.nextafter(edges, np.inf)])
+        _assert_percent_g(np.concatenate([ladder.ravel(), edges]))
+        _assert_percent_g(-np.concatenate([ladder.ravel(), edges]))
+
+    def test_neighbours_of_powers_of_ten(self):
+        p = 10.0 ** np.arange(cli._EXP_MIN - 1, cli._EXP_MAX + 2)
+        values = np.concatenate([p, np.nextafter(p, np.inf),
+                                 np.nextafter(p, -np.inf),
+                                 np.nextafter(np.nextafter(p, 0.0), 0.0)])
+        _assert_percent_g(np.concatenate([values, -values]))
+
+    def test_digits_never_round_up_to_a_power_of_ten(self):
+        """The largest float below each power of ten in the kernel's range
+        keeps 17 digits below 10^17, so no carry case exists."""
+        for k in range(cli._EXP_MIN + 1, cli._EXP_MAX + 1):
+            below = math.nextafter(cli._at_least_pow10(k), 0.0)
+            scaled = Fraction(below) * Fraction(10) ** (17 - k)
+            assert scaled < 10**17 - Fraction(1, 2)
+
+    def test_exact_halfway_ties(self):
+        """Values halfway between two 17-digit decimals round to the even
+        one: j / 2^(18 - X) with j odd is a tie at decimal exponent X,
+        which the floats hold for X >= -7."""
+        rng = np.random.default_rng(11)
+        ties = [(1e15 + 0.25, 15), (1e15 + 0.75, 15)]
+        for exp in range(-7, 16):
+            k = 17 - exp
+            lo = math.ceil(Fraction(10) ** exp * 2**k)
+            hi = min(math.ceil(Fraction(10) ** (exp + 1) * 2**k), 2**53)
+            ties += [(math.ldexp(j, -k), exp)
+                     for j in (rng.integers(lo, hi, 40) | 1).tolist() if j < hi]
+        for v, exp in ties:
+            scaled = Fraction(v) * Fraction(10) ** (16 - exp)
+            assert scaled.denominator == 2 and 10**16 <= scaled < 10**17
+        assert len(ties) > 800
+        # 2e15 + 0.5 is a tie of the float grid, not of the 17 digits
+        values = [v for v, _ in ties] + [2e15 + 0.5, 2e15 + 1.5]
+        _assert_percent_g(values)
+        _assert_percent_g([-v for v in values])
+
+    def test_zeros_subnormals_and_non_finite_values(self):
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   math.nextafter(2.2250738585072014e-308, 0.0), 1e-300,
+                   9.9e-11, float("nan"), -float("nan"), float("inf"),
+                   -float("inf"), 1.7976931348623157e308, 1e16 + 2.0, 1e300]
+        _assert_percent_g(special)
+        _assert_percent_g([v for v in special for _ in range(3)][::-1])
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_tables_across_block_boundaries(self, extra):
+        rng = np.random.default_rng(3)
+        block = cli._CSV_BLOCK_ROWS
+        for rows in (1, block + extra, 2 * block + extra):
+            x = (rng.standard_normal((rows, 3))
+                 * 10.0 ** rng.integers(-12, 18, (rows, 3)))
+            x[::7, 1] = 0.0
+            x[::11, 2] = np.nan
+            columns = [x[:, 0], list(range(rows)), x[:, 1].tolist(),
+                       [f"r{i}%" for i in range(rows)], x[:, 2]]
+            header = ["a", "i", "b", "tag", "c"]
+            _assert_same_lines(cli.write_csv(header, columns),
+                               _reference_csv(header, columns))
+
+    def test_mixed_columns_with_percent_signs(self):
+        tags = ["%", "%s", "%%", "100%", "%.17g", "a%(x)sb", "é", ""]
+        n = len(tags) * 40
+        columns = [list(range(-n // 2, n - n // 2)), tags * 40,
+                   np.linspace(-1.0, 1.0, n), [True, False] * (n // 2)]
+        header = ["i", "tag", "x", "flag"]
+        _assert_same_lines(cli.write_csv(header, columns),
+                           _reference_csv(header, columns))
+
+    def test_empty_table_is_its_header(self):
+        assert cli.write_csv(["a", "b"], [np.empty(0), []]) == "a,b\n"
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40),
+           st.lists(st.floats(min_value=1e-10, max_value=1e16), max_size=40))
+    def test_any_floats_match_percent_g(self, anything, in_range):
+        _assert_percent_g(anything + in_range + [-v for v in in_range])
+
+    def test_scan_period_with_nan_rows(self, monkeypatch):
+        """A period-map scan whose values hold NaN and infinities prints
+        them as '%.17g' does."""
+        exact = periodmap.period_map_slice
+
+        def with_gaps(lam, e2s):
+            values = exact(lam, e2s).copy()
+            values[::5] = np.nan
+            values[2::10], values[7::10] = np.inf, -np.inf
+            return values
+
+        monkeypatch.setattr(periodmap, "period_map_slice", with_gaps)
+        code, out, _ = run_cli(["scan-period", "--lambda", "-1.3",
+                                "--samples", "300"])
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        assert code == 0 and len(rows) == 300
+        a, eta_p = periodmap._slice_bounds(-1.3)
+        e2 = a + (eta_p - a) * np.arange(1, 301) / 301.0
+        _assert_same_lines(out, _reference_csv(["e2", "P"],
+                                               [e2, with_gaps(-1.3, e2)]))
+        assert [r[1] for r in rows[:10]].count("nan") == 2
+        assert sum(r[1] in ("nan", "inf", "-inf") for r in rows) == 120
 
 
 _VALID_CALLS = [
