@@ -216,13 +216,11 @@ class _CurveFlow:
         self._theta_rhs = theta_rhs
 
         def rhs(_s, state):
-            # Python floats: the same IEEE operations as on numpy scalars,
-            # at a fraction of the cost per call
-            x, y, _ = state.tolist()
+            x, y, _ = state
             return (y, mu_acceleration(lam, x, y), theta_rhs(x))
 
         # s -> (mu, mu_dot, theta) rows
-        self.states = _periodic_flow(rhs, [self.qd.e2, 0.0, 0.0], self.omega,
+        self.states = _periodic_flow(rhs, (self.qd.e2, 0.0, 0.0), self.omega,
                                      _FLOW_RTOL)
 
     def radial_sign(self, s):

@@ -1,7 +1,7 @@
 """Curvature dynamics: the second-order equation for the Blaschke invariant,
-its conservation law, the phase-plane orbit taxonomy, wavelength evaluation
-(closed elliptic form cross-checked by quadrature), and the inverse of the
-rising half-period.
+its conservation law, the phase-plane orbit taxonomy, the DOP853 integrator
+of its flows, wavelength evaluation (closed elliptic form cross-checked by
+quadrature), and the inverse of the rising half-period.
 
 The Blaschke invariant mu (positive square root of the geodesic curvature)
 of a critical curve satisfies
@@ -18,9 +18,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
+# Not called in this module: bench/tracing.py wraps ``dynamics.solve_ivp`` and
+# ``curvegen.solve_ivp`` as its ode layer, so the name stays importable here.
+from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.optimize import brentq
 
 from . import ellint
@@ -197,6 +201,210 @@ def _interior(p) -> ModulusPoint:
     return point
 
 
+# ---------------------------------------------------------------------------
+# DOP853 on Python floats
+# ---------------------------------------------------------------------------
+#
+# The Dormand-Prince 8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs I,
+# sec. II.10) with scipy's step control, as written in its
+# select_initial_step, RungeKutta._step_impl and DOP853._estimate_error_norm,
+# and with scipy's dense output (Dop853DenseOutput, OdeSolution).  The
+# tableau is read from scipy's DOP853 class.  A state is a tuple of 2 or 3
+# Python floats, and the right-hand side rhs(s, state) returns one; the stage
+# sums are unpacked per state size and added left to right, so the same
+# floats come out on every interpreter and BLAS.  The sums differ from
+# scipy's np.dot in rounding only: the tests hold the accepted steps and the
+# right-hand-side count to scipy's.
+
+
+def _terms(row) -> tuple[tuple[float, int], ...]:
+    """(coefficient, stage) pairs of the nonzero entries of a tableau row."""
+    return tuple((float(a), j) for j, a in enumerate(row) if a != 0.0)
+
+
+_STAGES = tuple((float(c), _terms(a[:s])) for s, (a, c) in
+                enumerate(zip(DOP853.A[1:], DOP853.C[1:]), start=1))
+_EXTRA_STAGES = tuple((float(c), _terms(a[:s])) for s, (a, c) in
+                      enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA),
+                                start=DOP853.n_stages + 1))
+_B = _terms(DOP853.B)
+_E5 = _terms(DOP853.E5)
+_E3 = _terms(DOP853.E3)
+_D = tuple(_terms(row) for row in DOP853.D)
+_ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+
+
+def _combine2(y, h, k, terms):
+    """y + (sum of a k[j] over the (a, j) terms) h for a 2-state."""
+    s0 = s1 = 0.0
+    for a, j in terms:
+        k0, k1 = k[j]
+        s0 += a * k0
+        s1 += a * k1
+    y0, y1 = y
+    return (y0 + s0 * h, y1 + s1 * h)
+
+
+def _combine3(y, h, k, terms):
+    """y + (sum of a k[j] over the (a, j) terms) h for a 3-state."""
+    s0 = s1 = s2 = 0.0
+    for a, j in terms:
+        k0, k1, k2 = k[j]
+        s0 += a * k0
+        s1 += a * k1
+        s2 += a * k2
+    y0, y1, y2 = y
+    return (y0 + s0 * h, y1 + s1 * h, y2 + s2 * h)
+
+
+_COMBINE = {2: _combine2, 3: _combine3}
+
+
+def _rms(v, scale) -> float:
+    """RMS norm of v / scale."""
+    acc = 0.0
+    for x, w in zip(v, scale):
+        x /= w
+        acc += x * x
+    return math.sqrt(acc) / len(v) ** 0.5
+
+
+def _initial_step(rhs, y0, f0, t_end: float, rtol: float,
+                  max_step: float) -> float:
+    """scipy's select_initial_step for an integration forward from s = 0."""
+    scale = [_FLOW_ATOL + abs(v) * rtol for v in y0]
+    d0 = _rms(y0, scale)
+    d1 = _rms(f0, scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    f1 = rhs(h0, tuple(v + h0 * f for v, f in zip(y0, f0)))
+    d2 = _rms([b - a for a, b in zip(f0, f1)], scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        # max(d1, d2) is 0 only where d2 is NaN; numpy's quotient is inf there
+        d = max(d1, d2)
+        h1 = (0.01 / d) ** -_ERROR_EXPONENT if d else math.inf
+    return min(100.0 * h0, h1, t_end, max_step)
+
+
+class _Dop853Run(NamedTuple):
+    """One integration over [0, ts[-1]]: the step boundaries ``ts``, and per
+    step its start state ``y_old`` (n, steps) and the coefficients ``F``
+    (7, n, steps) of its dense-output polynomial; ``nfev`` right-hand-side
+    evaluations."""
+
+    ts: np.ndarray
+    y_old: np.ndarray
+    F: np.ndarray
+    nfev: int
+
+
+def _dop853(rhs, y0, t_end: float, rtol: float, max_step: float) -> _Dop853Run:
+    """Integrate the autonomous flow rhs(s, state) from y0 over [0, t_end]
+    (t_end > 0) at absolute tolerance _FLOW_ATOL; IntegrationError where
+    scipy's solver would report failure (the step falls below ten ulps of s,
+    as where the right-hand side turns NaN)."""
+    n = len(y0)
+    combine = _COMBINE[n]
+    zero = (0.0,) * n
+    atol = _FLOW_ATOL
+    y = tuple(map(float, y0))
+    f = rhs(0.0, y)
+    h_abs = _initial_step(rhs, y, f, t_end, rtol, max_step)
+    nfev = 2
+    t = 0.0
+    ts = [t]
+    starts = []
+    coefficients = []
+    while t < t_end:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            # a NaN step size fails here too, where scipy's loop would not end
+            if not h_abs >= min_step:
+                raise IntegrationError(
+                    f"curvature flow failed: step size {h_abs:.3e} under the "
+                    f"minimum {min_step:.3e} at s={t!r}"
+                )
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = h
+            k = [f]
+            for c, terms in _STAGES:
+                k.append(rhs(t + c * h, combine(y, h, k, terms)))
+            y_new = combine(y, h, k, _B)
+            f_new = rhs(t + h, y_new)
+            k.append(f_new)
+            nfev += len(_STAGES) + 1
+            e5 = e3 = 0.0
+            for a, b, d5, d3 in zip(y, y_new, combine(zero, 1.0, k, _E5),
+                                    combine(zero, 1.0, k, _E3)):
+                scale = atol + max(abs(a), abs(b)) * rtol
+                d5 /= scale
+                d3 /= scale
+                e5 += d5 * d5
+                e3 += d3 * d3
+            if e5 == 0.0 and e3 == 0.0:
+                error_norm = 0.0
+            else:
+                error_norm = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * n)
+            if error_norm < 1.0:
+                if error_norm == 0.0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+            rejected = True
+        # the dense output of the accepted step, as Dop853DenseOutput's F
+        for c, terms in _EXTRA_STAGES:
+            k.append(rhs(t + c * h, combine(y, h, k, terms)))
+        nfev += len(_EXTRA_STAGES)
+        delta = tuple(b - a for a, b in zip(y, y_new))
+        coefficients.append(delta)
+        coefficients.append(tuple(h * a - d for a, d in zip(f, delta)))
+        coefficients.append(tuple(2.0 * d - h * (b + a)
+                                  for d, a, b in zip(delta, f, f_new)))
+        coefficients.extend(combine(zero, h, k, terms) for terms in _D)
+        starts.append(y)
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+    F = np.array(coefficients).reshape(len(starts), 3 + len(_D), n)
+    return _Dop853Run(np.array(ts), np.array(starts).T.copy(),
+                      F.transpose(1, 2, 0).copy(), nfev)
+
+
+def _dense_values(run: _Dop853Run, t: np.ndarray) -> np.ndarray:
+    """States (one row per component) at the 1-D array t: OdeSolution's
+    segment choice and Dop853DenseOutput's Horner order, in one numpy pass
+    over all samples, so that scipy's own interpolant data give its values
+    bit for bit."""
+    ts = run.ts
+    seg = np.searchsorted(ts, t, side="left") - 1
+    np.clip(seg, 0, len(ts) - 2, out=seg)
+    t_old = ts[seg]
+    x = (t - t_old) / (ts[seg + 1] - t_old)
+    one_minus_x = 1 - x
+    F = run.F[:, :, seg]
+    y = np.zeros(F.shape[1:])
+    for i, f in enumerate(F[::-1]):
+        y += f
+        y *= x if i % 2 == 0 else one_minus_x
+    y += run.y_old[:, seg]
+    return y
+
+
 def _periodic_flow(rhs, y0, omega: float, rtol: float):
     """s -> states (one row per component) of a flow from the orbit minimum,
     integrated once over [0, omega]: (mu, mu') repeat and every further
@@ -204,17 +412,13 @@ def _periodic_flow(rhs, y0, omega: float, rtol: float):
     folds onto (0, omega], so a positive multiple of omega reads the end
     state; s <= 0 folds onto [0, omega).  The step cap keeps the dense-output
     error below the conservation and momentum budgets."""
-    sol = solve_ivp(rhs, (0.0, omega), y0, method="DOP853", rtol=rtol,
-                    atol=_FLOW_ATOL, dense_output=True, max_step=omega / 64.0)
-    if not sol.success:
-        raise IntegrationError(f"curvature flow failed: {sol.message}")
-    dense = sol.sol
-    advance = dense(omega)[2:, None]
+    run = _dop853(rhs, y0, omega, rtol, omega / 64.0)
+    advance = _dense_values(run, np.array([omega]))[2:]
 
     def states(s):
         s = np.atleast_1d(np.asarray(s, dtype=float))
         k = np.where(s > 0.0, np.ceil(s / omega) - 1.0, np.floor(s / omega))
-        out = dense(s - k * omega)
+        out = _dense_values(run, s - k * omega)
         out[2:] += k * advance
         return out
 
@@ -251,10 +455,10 @@ def solve_mu(p, n_periods: float = 1.0, samples_per_period: int = 2048,
     omega = wavelength(point)
 
     def rhs(_s, state):
-        x, y = state.tolist()
+        x, y = state
         return (y, mu_acceleration(lam, x, y))
 
-    flow = _periodic_flow(rhs, [e2, 0.0], omega, _MU_RTOL)
+    flow = _periodic_flow(rhs, (e2, 0.0), omega, _MU_RTOL)
     s = np.linspace(0.0, n_periods * omega, n_samples + 1)
     states = flow(s)
     out = MuSolution(point, s, states[0], states[1], omega, point.quartic,

@@ -245,13 +245,6 @@ def _slice_offsets(lam, e1, e2) -> np.ndarray:
     return np.where(lam < LAMBDA_EXCEPTIONAL, _timelike_offset(e1, e2), 0.0)
 
 
-def _resolve_slice(lam, e2s) -> tuple[QuarticData, np.ndarray]:
-    """:func:`_resolve_timelike` on a slice: :func:`_timelike_slice` and
-    the offset of each point."""
-    qd = _timelike_slice(lam, e2s)
-    return qd, _slice_offsets(lam, qd.e1, qd.e2)
-
-
 def _stable_small_factors(qd: QuarticData):
     """(sqrt|c|, kappa1, (1 + 4 lam sqrt|c|)/T, T) without catastrophic
     cancellation, on floats or on the arrays of one slice.

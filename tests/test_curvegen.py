@@ -10,6 +10,7 @@ import pytest
 from halfelastica import curvegen as C
 from halfelastica import dynamics as D
 from halfelastica import moduli as M
+from halfelastica import periodmap as P
 from halfelastica.errors import DomainError, RegionError
 from conftest import sample_lightlike, sample_spacelike, sample_timelike
 
@@ -216,6 +217,18 @@ class TestBTCurve:
         cv = C.bt_curve(pt, samples=256, periods=2.0)
         xi = C.momentum_samples(cv)
         assert np.max(np.abs(xi - C.expected_momentum(cv))) <= 1e-8
+
+    @pytest.mark.parametrize("d", [-1e-3, 1e-3])
+    def test_near_the_locus(self, d):
+        # 1e-3 off the exceptional locus the flow takes about 170 steps per
+        # period; its phase at omega is held to the closed-form period map
+        pt = M.classify_region(-1.3, M.exceptional_c(-1.3) + d)
+        cv = C.bt_curve(pt, samples=512, periods=2.0)
+        xi = C.momentum_samples(cv)
+        assert np.max(np.abs(xi - C.expected_momentum(cv))) <= 1e-8
+        theta = float(cv.theta_at(np.array([cv.wavelength]))[0])
+        rotation = -theta / (2.0 * math.pi) + P._OFFSET[pt.region]
+        assert abs(rotation - P.period_map(pt)) <= 1e-9
 
 
 class TestInvariantsAcrossFamilies:

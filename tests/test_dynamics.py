@@ -1,17 +1,20 @@
-"""Curvature dynamics: phase field, orbit taxonomy, integration,
-wavelength closed form vs quadrature, and the half-period inverse."""
+"""Curvature dynamics: phase field, orbit taxonomy, integration (the
+in-package DOP853 against scipy's), wavelength closed form vs quadrature,
+and the half-period inverse."""
 
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from halfelastica import curvegen as C
 from halfelastica import dynamics as D
 from halfelastica import moduli as M
-from halfelastica.errors import DomainError
+from halfelastica.errors import DomainError, IntegrationError
 from conftest import sample_moduli
 
 
@@ -155,6 +158,165 @@ class TestSolveMu:
                      for i in flips]
         gaps = np.diff(crossings)
         assert np.max(np.abs(2.0 * gaps - sol.wavelength)) <= 1e-7
+
+
+def _flow_integration(monkeypatch, build):
+    """The (rhs, y0, t_end, rtol, max_step) of the one in-package DOP853 run
+    that ``build()`` makes."""
+    calls = []
+    integrate = D._dop853
+
+    def recording(*args):
+        calls.append(args)
+        return integrate(*args)
+
+    monkeypatch.setattr(D, "_dop853", recording)
+    build()
+    monkeypatch.undo()
+    (call,) = calls
+    return call
+
+
+def _scipy_dop853(rhs, y0, t_end, rtol, max_step):
+    sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", rtol=rtol,
+                    atol=D._FLOW_ATOL, dense_output=True, max_step=max_step)
+    assert sol.success
+    return sol
+
+
+def _scipy_run(sol) -> D._Dop853Run:
+    """scipy's interpolant data in the in-package layout."""
+    pieces = sol.sol.interpolants
+    return D._Dop853Run(
+        np.asarray(sol.sol.ts),
+        np.array([p.y_old for p in pieces]).T.copy(),
+        np.array([p.F for p in pieces]).transpose(1, 2, 0).copy(),
+        sol.nfev,
+    )
+
+
+# the first curve item of each stratum of the curves bench at seed 1 (T-,
+# T+, S, L), and a solve_mu point
+_CURVE_POINTS = {
+    "T-": (-1.6503063246591951, 3.0554718649746277),
+    "T+": (-1.0545374999063213, 1.8845943159795882),
+    "S": (-1.4885853684397703, 1.8679685872503975),
+    "L": (-1.8438325120229508, 3.3929349400091913),
+}
+_FLOWS = {
+    **{name: (lambda p=p: C.make_curve(M.resolve(*p), samples=16))
+       for name, p in _CURVE_POINTS.items()},
+    "mu": lambda: D.solve_mu(M.resolve(-1.3, 1.2), samples_per_period=16),
+}
+
+
+# rhs(s, state), y0 and t_end of flows that reach the corners of the step
+# control: rejections down to the minimum factor at a jump of the forcing, an
+# interval shorter than the first step, a zero right-hand side (error 0,
+# growth by the maximum factor), and a 3-state flow
+_PROBLEMS = {
+    "jump": (lambda s, st: (st[1], -st[0] + (1e6 if s > 0.7 else 0.0)),
+             (1.0, 0.0), 2.0),
+    "short": (lambda s, st: (st[1], -st[0]), (1.0, 0.5), 1e-9),
+    "still": (lambda s, st: (0.0, 0.0), (1.0, 0.0), 2.0),
+    "3-state": (lambda s, st: (st[1], -st[0], st[0] * st[0]), (1.0, 0.0, 0.0),
+                7.0),
+}
+
+
+class TestDop853:
+    """The in-package DOP853 repeats scipy's solve_ivp(method="DOP853") step
+    for step; its stage sums round differently, so the values agree to a
+    few ulps of the column scale."""
+
+    @pytest.mark.parametrize("flow", list(_FLOWS))
+    def test_steps_and_values_match_scipy(self, monkeypatch, flow):
+        rhs, y0, t_end, rtol, max_step = _flow_integration(monkeypatch,
+                                                           _FLOWS[flow])
+        assert len(y0) == (2 if flow == "mu" else 3)
+        run = D._dop853(rhs, y0, t_end, rtol, max_step)
+        sol = _scipy_dop853(rhs, y0, t_end, rtol, max_step)
+        assert len(run.ts) == len(sol.t)
+        assert run.nfev == sol.nfev
+        assert run.ts[0] == 0.0 and run.ts[-1] == t_end
+        s = np.linspace(0.0, t_end, 4097)
+        ours, theirs = D._dense_values(run, s), sol.sol(s)
+        scale = np.max(np.abs(theirs), axis=1)
+        assert np.all(np.max(np.abs(ours - theirs), axis=1) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("problem", list(_PROBLEMS))
+    def test_step_control_matches_scipy(self, problem):
+        rhs, y0, t_end = _PROBLEMS[problem]
+        # a tolerance far above rounding, where the error estimates of both
+        # solvers are their truncation errors, not the noise of their sums
+        args = (rhs, y0, t_end, 1e-6, t_end / 64.0)
+        run, sol = D._dop853(*args), _scipy_dop853(*args)
+        assert len(run.ts) == len(sol.t)
+        assert run.nfev == sol.nfev
+        np.testing.assert_allclose(run.ts, sol.t, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("flow", ["T+", "mu"])
+    def test_dense_values_are_scipys_on_its_data(self, monkeypatch, flow):
+        rhs, y0, t_end, rtol, max_step = _flow_integration(monkeypatch,
+                                                           _FLOWS[flow])
+        sol = _scipy_dop853(rhs, y0, t_end, rtol, max_step)
+        run = _scipy_run(sol)
+        s = np.concatenate((np.linspace(-0.1, 1.1, 1001) * t_end, run.ts))
+        np.testing.assert_array_equal(D._dense_values(run, s), sol.sol(s))
+        np.testing.assert_array_equal(D._dense_values(run, s[::-1]),
+                                      sol.sol(s[::-1]))
+        for t in (0.0, t_end, 0.37 * t_end, *run.ts):
+            np.testing.assert_array_equal(D._dense_values(run, np.array([t]))[:, 0],
+                                          sol.sol(t))
+
+    def test_segment_choice_at_step_boundaries(self, monkeypatch, rng):
+        # random coefficients make the two steps that meet at a boundary
+        # disagree there, so only OdeSolution's choice of the earlier step
+        # gives scipy's values
+        rhs, y0, t_end, rtol, max_step = _flow_integration(monkeypatch,
+                                                           _FLOWS["T-"])
+        sol = _scipy_dop853(rhs, y0, t_end, rtol, max_step)
+        for piece in sol.sol.interpolants:
+            piece.F = rng.standard_normal(piece.F.shape)
+        run = _scipy_run(sol)
+        s = np.concatenate((run.ts, [-1.0, 2.0 * t_end]))
+        np.testing.assert_array_equal(D._dense_values(run, s), sol.sol(s))
+        inner = run.ts[1:-1]
+        assert not np.array_equal(D._dense_values(run, inner),
+                                  D._dense_values(run, np.nextafter(inner, 2.0 * t_end)))
+
+    @pytest.mark.parametrize("still_until", [0.0, 0.5])
+    def test_nan_right_hand_side_fails_where_scipy_does(self, still_until):
+        # NaN past s = 1/2 (past s = 0, from a zero initial derivative): every
+        # trial step is rejected until it falls below ten ulps of s, where
+        # scipy reports failure
+        def rhs(s, state):
+            x, y = state
+            if s > 0.5 or (s > 0.0 and not still_until):
+                return (math.nan, math.nan)
+            return (y, -x) if still_until else (0.0, 0.0)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            sol = solve_ivp(rhs, (0.0, 2.0), [1.0, 0.0], method="DOP853",
+                            rtol=1e-10, atol=D._FLOW_ATOL, max_step=2.0 / 64.0)
+        assert sol.status == -1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match="step size") as info:
+                D._dop853(rhs, (1.0, 0.0), 2.0, 1e-10, 2.0 / 64.0)
+        last = float(re.search(r"at s=(\S+)$", str(info.value)).group(1))
+        assert last == pytest.approx(sol.t[-1], rel=1e-9)
+        minimum = 10.0 * (math.nextafter(last, math.inf) - last)
+        assert f"minimum {minimum:.3e}" in str(info.value)
+
+    def test_nan_initial_derivative_fails(self):
+        # the initial step size is NaN, where scipy's step loop never ends
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match="step size"):
+                D._dop853(lambda s, state: (math.nan, math.nan), (1.0, 0.0),
+                          2.0, 1e-10, 2.0 / 64.0)
 
 
 class TestWavelength:

@@ -646,7 +646,8 @@ class TestPeriodMapSlice:
             band = ce + np.array([-3e-6, -1e-7, 0.0, 1e-7, 3e-6])
             grid = np.sort(np.concatenate([grid, band]))
         values = P.period_map_slice(lam, grid)
-        _, offsets = P._resolve_slice(lam, grid)
+        qd = P._timelike_slice(lam, grid)
+        offsets = P._slice_offsets(lam, qd.e1, qd.e2)
         ref = np.array([P.period_map((lam, e2)) for e2 in grid])
         regions = [P._resolve_timelike((lam, e2))[0].region for e2 in grid]
         assert [OFFSET_REGION[o] for o in offsets] == regions
@@ -684,7 +685,8 @@ class TestPeriodMapSlice:
         lam = np.array([pt.lam for pt in trace.points])
         e2 = np.array([pt.e2 for pt in trace.points])
         values = P.period_map_slice(lam, e2)
-        _, offsets = P._resolve_slice(lam, e2)
+        qd = P._timelike_slice(lam, e2)
+        offsets = P._slice_offsets(lam, qd.e1, qd.e2)
         ref = np.array([P.period_map(pt) for pt in trace.points])
         assert ([OFFSET_REGION[o] for o in offsets]
                 == [pt.region for pt in trace.points])
@@ -872,7 +874,8 @@ def test_slice_evaluation_shares_rf_and_t_bit_for_bit(lam, e2):
     """The slice's closed form, with one T per factor set and one R_F per
     evaluation, is bit for bit the expression that computes them apiece;
     so are the E/T-/T+ tags and the causal constant."""
-    qd, offset = P._resolve_slice(lam, e2)
+    qd = P._timelike_slice(lam, e2)
+    offset = P._slice_offsets(lam, qd.e1, qd.e2)
     t = M.exceptional_residual(qd.e1, e2)
     on_locus = M.radial_degeneracy(qd.e1, e2) <= M._REGION_TOL
     assert offset.tolist() == np.where(
@@ -884,9 +887,10 @@ def test_slice_evaluation_shares_rf_and_t_bit_for_bit(lam, e2):
 
 
 def test_slice_evaluation_covers_e_band_and_asymptotic_route():
-    _, offset = P._resolve_slice(-1.3, 2.477640202588786 + np.array([-1e-7, 0.0, 1e-7]))
+    qd = P._timelike_slice(-1.3, 2.477640202588786 + np.array([-1e-7, 0.0, 1e-7]))
+    offset = P._slice_offsets(-1.3, qd.e1, qd.e2)
     assert offset.tolist() == [0.5, 0.5, 0.5]
-    qd, _ = P._resolve_slice(-0.95, _band_heights(-0.95))
+    qd = P._timelike_slice(-0.95, _band_heights(-0.95))
     one_minus = 1.0 - D.elliptic_arguments(qd)[1]
     assert (one_minus[:2] < 1e-12).all() and (one_minus[2:] > 1e-12).all()
 
