@@ -16,14 +16,13 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import curvegen, dynamics, moduli, periodmap
 from .errors import CharacteristicIntervalError, HalfElasticaError
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 SCHEMA = "halfelastica/1"
 
@@ -32,19 +31,6 @@ EXIT_OUTSIDE = 2
 EXIT_Q_RANGE = 3
 EXIT_USAGE = 64
 EXIT_DOMAIN = 65
-
-
-@dataclass
-class RunConfig:
-    command: str
-    lam: float | None = None
-    e2: float | None = None
-    q: Fraction | None = None
-    samples: int = 2048
-    periods: float = 1.0
-    steps: int = 200
-    output: str | None = None
-    format: str = "json"
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +387,7 @@ def phase_portrait_svg(lam: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(cfg: argparse.Namespace, text: str) -> None:
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -409,7 +395,7 @@ def _emit(cfg: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def cmd_classify(cfg: RunConfig) -> int:
+def cmd_classify(cfg: argparse.Namespace) -> int:
     point = moduli.resolve(cfg.lam, cfg.e2)
     report: dict = {"schema": SCHEMA, "command": "classify",
                     "lambda": cfg.lam, "e2": cfg.e2,
@@ -429,7 +415,7 @@ def cmd_classify(cfg: RunConfig) -> int:
     return EXIT_OK if point.in_moduli_space else EXIT_OUTSIDE
 
 
-def cmd_curve(cfg: RunConfig) -> int:
+def cmd_curve(cfg: argparse.Namespace) -> int:
     curve = curvegen.make_curve(moduli.resolve(cfg.lam, cfg.e2),
                                 samples=cfg.samples, periods=cfg.periods)
     if cfg.format == "svg":
@@ -443,7 +429,7 @@ def cmd_curve(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_signature(cfg: RunConfig) -> int:
+def cmd_signature(cfg: argparse.Namespace) -> int:
     point = moduli.resolve(cfg.lam, cfg.e2)
     sig = dynamics.signature(point, cfg.samples)
     if cfg.format == "svg":
@@ -463,7 +449,7 @@ def cmd_signature(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_scan_period(cfg: RunConfig) -> int:
+def cmd_scan_period(cfg: argparse.Namespace) -> int:
     lam = cfg.lam
     a, eta_p = periodmap._slice_bounds(lam)
     n = cfg.samples
@@ -473,7 +459,7 @@ def cmd_scan_period(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_find_string(cfg: RunConfig) -> int:
+def cmd_find_string(cfg: argparse.Namespace) -> int:
     rec = periodmap.find_string(cfg.lam, cfg.q)
     if cfg.format == "svg":
         curve = curvegen.bt_curve(rec.modulus, samples=cfg.samples,
@@ -499,7 +485,7 @@ def cmd_find_string(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_fiber(cfg: RunConfig) -> int:
+def cmd_fiber(cfg: argparse.Namespace) -> int:
     trace = periodmap.trace_fiber(cfg.q, steps=cfg.steps)
     pts = trace.points
     _emit(cfg, write_csv(["lambda", "e2", "region"],
@@ -508,7 +494,7 @@ def cmd_fiber(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_phase_portrait(cfg: RunConfig) -> int:
+def cmd_phase_portrait(cfg: argparse.Namespace) -> int:
     if cfg.format == "svg":
         _emit(cfg, phase_portrait_svg(cfg.lam))
         return EXIT_OK
@@ -562,11 +548,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="halfelastica",
                      description="Constrained 1/2-elastica toolkit for the "
                                  "hyperbolic plane")
+    # each option's one default: the subcommands suppress theirs, so an
+    # option a subcommand does not take keeps it for main's usage checks
+    parser.set_defaults(samples=2048, steps=200, periods=1.0, output=None)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add(name, *, lam=False, e2=False, q=False, fmt=("json",), steps=False,
             samples=False, periods=False):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         if lam:
             p.add_argument("--lambda", dest="lam", type=_finite, required=True)
         if e2:
@@ -574,12 +563,12 @@ def build_parser() -> argparse.ArgumentParser:
         if q:
             p.add_argument("--q", dest="q", type=_parse_q, required=True)
         if steps:
-            p.add_argument("--steps", dest="steps", type=int, default=200)
+            p.add_argument("--steps", dest="steps", type=int)
         if samples:
-            p.add_argument("--samples", dest="samples", type=int, default=2048)
+            p.add_argument("--samples", dest="samples", type=int)
         if periods:
-            p.add_argument("--periods", dest="periods", type=float, default=1.0)
-        p.add_argument("--out", dest="output", default=None)
+            p.add_argument("--periods", dest="periods", type=float)
+        p.add_argument("--out", dest="output")
         p.add_argument("--format", dest="format", choices=fmt, default=fmt[0])
         return p
 
@@ -602,11 +591,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        ns = _parser().parse_args(argv)
+        cfg = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
-    # options a subcommand does not take keep their RunConfig defaults
-    cfg = RunConfig(**vars(ns))
     usage = ("--samples must be at least 16" if cfg.samples < 16
              else "--steps must not be negative" if cfg.steps < 0
              else "--periods must be finite and not negative"

@@ -704,12 +704,10 @@ def monodromy(p) -> Monodromy:
     return Monodromy(matrix=mat, kind=kind, parameter=parameter)
 
 
-def bending_energy(curve: CurveSamples, lam: float | None = None) -> float:
+def bending_energy(curve: CurveSamples) -> float:
     """Trapezoidal estimate of the constrained bending energy
     int (sqrt(kappa) + lam) ds over the sampled range."""
-    if lam is None:
-        lam = curve.modulus.lam
-    return bending_energy_arrays(curve.s, curve.mu, lam)
+    return bending_energy_arrays(curve.s, curve.mu, curve.modulus.lam)
 
 
 def bending_energy_arrays(s, mu, lam: float) -> float:

@@ -54,21 +54,20 @@ from .moduli import (
     _REGION_OF_OFFSET,
     _chi_of_center,
     _degeneracy_of_residual,
-    _e1_newton_polish,
+    _quartic_from_e1,
     _quartic_on_slice,
+    _solve_e1,
     _sqrt,
     _timelike_offset,
     _unpack_point,
     b0,
     boundary_quartic,
-    cardano_e1,
     classify_region,
     eta_pm,
     exceptional_residual,
     in_moduli_space,
     radial_degeneracy,
     resolve,
-    roots_from_modulus,
 )
 
 __all__ = [
@@ -93,9 +92,6 @@ __all__ = [
     "r_term",
 ]
 
-# period-map offset of each time-like region (1 on T-, 1/2 on E, 0 on T+)
-_OFFSET = {region: offset for offset, region in _REGION_OF_OFFSET.items()}
-
 # the oracle's quadrature error target, the size of the scan that brackets
 # a slice's crossings, and the monotonicity transition's bracket and width
 _ORACLE_TOL = 1e-12
@@ -106,8 +102,8 @@ _TRANSITION_BRACKET, _TRANSITION_TOL = (-0.9995, -0.945), 2e-4
 @dataclass(frozen=True)
 class EllipticCoeffs:
     """Arguments of the closed-form period integral.  n1 and B diverge like
-    1/T at the exceptional locus; ``valid_n1B`` is False, and n1 and B are
-    None, only where the float locus residual T is exactly 0."""
+    1/T at the exceptional locus; they are None only where the float locus
+    residual T is exactly 0."""
 
     g: float
     m: float
@@ -116,7 +112,6 @@ class EllipticCoeffs:
     A: float
     B: float | None
     C: float
-    valid_n1B: bool
 
 
 @dataclass(frozen=True)
@@ -177,6 +172,12 @@ def _no_amplitude(lam, e2) -> RegionError:
     )
 
 
+def _not_timelike(lam, e2) -> RegionError:
+    return RegionError(
+        f"period-map operations require a time-like modulus, got ({lam}, {e2})"
+    )
+
+
 def _timelike_quartic(p) -> tuple[float, QuarticData]:
     """Resolve an input to a time-like modulus by the strict sign tests:
     its multiplier and its quartic data, which are solved once on the way.
@@ -193,26 +194,11 @@ def _timelike_quartic(p) -> tuple[float, QuarticData]:
     lam, e2v = _unpack_point(p)
     t2 = e2v * e2v + 2.0 * lam * e2v + 1.0
     if not in_moduli_space(lam, e2v) or t2 <= 0.0:
-        raise RegionError(
-            f"period-map operations require a time-like modulus, got "
-            f"({lam}, {e2v})"
-        )
-    qd = roots_from_modulus((lam, e2v))
+        raise _not_timelike(lam, e2v)
+    qd = _quartic_from_e1(lam, _solve_e1(lam, e2v), e2v)
     if not qd.e1 > e2v:
         raise _no_amplitude(lam, e2v)
     return lam, qd
-
-
-def _resolve_timelike(p) -> tuple[ModulusPoint, QuarticData]:
-    """:func:`_timelike_quartic` as a point tagged E, T- or T+, with the
-    exceptional sub-tag within its tolerance (the oracle branches there)."""
-    if isinstance(p, ModulusPoint) and p.timelike:
-        point = resolve(p)
-        return point, point.quartic
-    lam, qd = _timelike_quartic(p)
-    offset = (_timelike_offset(qd.e1, qd.e2) if lam < LAMBDA_EXCEPTIONAL
-              else 0.0)
-    return ModulusPoint(lam, qd.e2, _REGION_OF_OFFSET[offset], qd), qd
 
 
 def _timelike_slice(lam, e2s) -> QuarticData:
@@ -227,10 +213,7 @@ def _timelike_slice(lam, e2s) -> QuarticData:
                     & (e2 * e2 + 2.0 * lam * e2 + 1.0 > 0.0))
     if not timelike.all():
         bad = np.argmin(timelike)
-        raise RegionError(
-            f"period-map operations require a time-like modulus, got "
-            f"({lam[bad] if np.ndim(lam) else lam}, {e2[bad]})"
-        )
+        raise _not_timelike(lam[bad] if np.ndim(lam) else lam, e2[bad])
     qd = _quartic_on_slice(lam, e2)
     flat = ~(qd.e1 > e2)
     if flat.any():
@@ -240,8 +223,8 @@ def _timelike_slice(lam, e2s) -> QuarticData:
 
 
 def _slice_offsets(lam, e1, e2) -> np.ndarray:
-    """The region of each point of a slice as its period-map offset (1 on
-    T-, 1/2 on E, 0 on T+), from its e1."""
+    """The region of a point, or of each point of a slice, as its period-map
+    offset (1 on T-, 1/2 on E, 0 on T+), from its e1."""
     return np.where(lam < LAMBDA_EXCEPTIONAL, _timelike_offset(e1, e2), 0.0)
 
 
@@ -291,11 +274,14 @@ def _coefficients(lam, qd: QuarticData):
 def elliptic_coeffs(p) -> EllipticCoeffs:
     """Closed-form coefficients (g, m, n1, n2, A, B, C) of a time-like
     modulus; n1 and B are withheld where they are infinite, at float T = 0."""
-    lam, qd = _timelike_quartic(p)
+    return _elliptic_coeffs(*_timelike_quartic(p))
+
+
+def _elliptic_coeffs(lam, qd: QuarticData) -> EllipticCoeffs:
     g, m, nu, n2, a_coeff, beta, c_coeff, sign = _coefficients(lam, qd)
     n1, b_coeff = (-1.0 / nu, sign * beta / math.sqrt(nu)) if nu > 0.0 else (None, None)
     return EllipticCoeffs(g=g, m=m, n1=n1, n2=n2, A=a_coeff, B=b_coeff,
-                          C=c_coeff, valid_n1B=n1 is not None)
+                          C=c_coeff)
 
 
 def _closed_form(lam, qd: QuarticData):
@@ -330,11 +316,11 @@ def coefficient_identity_residuals(p) -> tuple[float, float]:
     """Residuals of the two algebraic identities satisfied by the
     coefficients: the partial-fraction sum identity and the B + C closed
     form.  Both should vanish to rounding off the exceptional locus."""
-    point, qd = _resolve_timelike(p)
-    co = elliptic_coeffs(point)
-    if not co.valid_n1B:
+    lam, qd = _timelike_quartic(p)
+    co = _elliptic_coeffs(lam, qd)
+    if co.n1 is None:
         raise RegionError("coefficient identities need finite n1 and B")
-    lam, e2v = point.lam, qd.e2
+    e2v = qd.e2
     lhs = co.A + co.B / (1.0 - co.n1) + co.C / (1.0 - co.n2)
     rhs = -co.g * e2v * (e2v + 2.0 * lam) / (1.0 + 4.0 * qd.c * e2v * e2v)
     q_resid = (lhs - rhs) / max(1.0, abs(rhs))
@@ -380,21 +366,26 @@ def period_map_oracle(p) -> float:
     angular integral in the curvature variable.
 
     The near-locus denominator is rebuilt from the factored small quantities
-    and the exact node distance to e1 supplied by the tanh-sinh driver.
+    and the exact node distance db = e1 - x supplied by the tanh-sinh
+    driver, and so is the numerator's x + 2 lam = -(db + tau), as e1 + 2
+    lam = -tau with tau = T/(2 e1^2 e2^2) on the cubic of e1.  A point
+    tagged E (its offset 1/2) takes the first-order on-locus integrand.
     """
-    point, qd = _resolve_timelike(p)
-    lam = point.lam
+    lam, qd = _timelike_quartic(p)
     e1, e2v, e3, e4 = qd.roots
-    sc, kappa1, _, _ = _stable_small_factors(qd)
-    on_locus = point.region is Region.E
+    sc, kappa1, _, t = _stable_small_factors(qd)
+    offset = float(_slice_offsets(lam, e1, e2v))
+    on_locus = offset == 0.5
     if on_locus:
         def integrand(x, da, db):
             return x / ((x - 2.0 * lam) * np.sqrt((x - e3) * (x - e4)))
         scale = -16.0 * sc * lam * lam
     else:
+        tau = t / (2.0 * e1 * e1 * e2v * e2v)
+
         def integrand(x, da, db):
             denom = (kappa1 + 2.0 * sc * db) * (1.0 + 2.0 * sc * x)
-            return x * (x + 2.0 * lam) / (denom * np.sqrt((x - e3) * (x - e4)))
+            return -x * (db + tau) / (denom * np.sqrt((x - e3) * (x - e4)))
         scale = 4.0 * sc
     value, err, ok = _tanh_sinh(integrand, e2v, e1, _ORACLE_TOL,
                                 singular=(-0.5, -0.5))
@@ -402,7 +393,7 @@ def period_map_oracle(p) -> float:
         raise QuadratureError(
             "oracle quadrature failed" + (" on the locus" if on_locus else ""),
             value=value, achieved=err)
-    return float(-(scale * value) / (2.0 * math.pi) + _OFFSET[point.region])
+    return float(-(scale * value) / (2.0 * math.pi) + offset)
 
 
 def r_term(p) -> float:
@@ -410,7 +401,7 @@ def r_term(p) -> float:
     integral near the lower boundary (arctan combination of the two
     characteristics)."""
     co = elliptic_coeffs(p)
-    if not co.valid_n1B:
+    if co.n1 is None:
         raise RegionError("r_term needs the off-locus branch")
 
     def piece(n, coeff):
@@ -675,7 +666,7 @@ def trace_fiber(q, steps: int = 200) -> FiberTrace:
         )
     # the solve evaluated the period map at every row, so the rows are
     # time-like; their tags need only e1, by the expression of the slice
-    e1 = _e1_newton_polish(lams, heights, cardano_e1(lams, heights))
+    e1 = _quartic_on_slice(lams, heights).e1
     offsets = _slice_offsets(lams, e1, heights).tolist()
     points = [ModulusPoint(lam, e2, _REGION_OF_OFFSET[offset])
               for lam, e2, offset in zip(lams.tolist(), heights.tolist(),

@@ -8,7 +8,7 @@ unless it means to.
 import numpy as np
 import pytest
 
-from halfelastica import curvegen, dynamics, moduli
+from halfelastica import curvegen, dynamics, moduli, periodmap
 from halfelastica.moduli import (
     LAMBDA_CRITICAL,
     LAMBDA_EXCEPTIONAL,
@@ -82,7 +82,8 @@ def rng():
 @pytest.fixture
 def quartic_solves(monkeypatch):
     """Records every quartic solve: each goes through the scalar closed-form
-    e1 route (the batched slice path does not)."""
+    e1 route (the batched slice path does not), which moduli and the period
+    map's resolver both call."""
     calls = []
     solve = moduli._solve_e1
 
@@ -90,7 +91,8 @@ def quartic_solves(monkeypatch):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(moduli, "_solve_e1", counting)
+    for module in (moduli, periodmap):
+        monkeypatch.setattr(module, "_solve_e1", counting)
     return calls
 
 

@@ -227,7 +227,8 @@ class TestBTCurve:
         xi = C.momentum_samples(cv)
         assert np.max(np.abs(xi - C.expected_momentum(cv))) <= 1e-8
         theta = float(cv.theta_at(np.array([cv.wavelength]))[0])
-        rotation = -theta / (2.0 * math.pi) + P._OFFSET[pt.region]
+        offset = {M.Region.T_MINUS: 1.0, M.Region.T_PLUS: 0.0}[pt.region]
+        rotation = -theta / (2.0 * math.pi) + offset
         assert abs(rotation - P.period_map(pt)) <= 1e-9
 
 

@@ -74,6 +74,26 @@ class TestPeriodMapValues:
         pt = M.classify_region(lam, M.exceptional_c(lam))
         assert abs(P.period_map(pt) - P.period_map_oracle(pt)) <= 1e-9
 
+    def test_oracle_just_below_the_locus(self):
+        """T- points at d = e2 - exceptional_c(lam) = -10^-4.375 down to
+        -10^-5.25, next to the E tag: x (x + 2 lam) of the integrand is
+        formed as -x (db + tau), so it does not cancel near x = e1.  The
+        oracle converges at every point, within 1e-14 of the closed form
+        (measured 1.1e-15), and within 1e-13 of the 40-digit reference."""
+        worst = 0.0
+        for lam in np.linspace(-3.0, -1.0, 25).tolist():
+            ce = M.exceptional_c(lam)
+            for k in np.arange(4.375, 5.2501, 0.125).tolist():
+                pt = M.classify_region(lam, ce - 10.0**-k)
+                if pt.region is M.Region.T_MINUS:
+                    worst = max(worst, abs(P.period_map_oracle(pt)
+                                           - P.period_map(pt)))
+        assert worst <= 1e-14
+        for lam, k in ((-3.0, 4.75), (-1.8, 5.0), (-1.25, 4.875)):
+            e2 = M.exceptional_c(lam) - 10.0**-k
+            assert abs(P.period_map_oracle((lam, e2))
+                       - reference.period_map(lam, e2)) <= 1e-13
+
     def test_continuity_across_locus(self):
         lam = -1.2
         ce = M.exceptional_c(lam)
@@ -368,7 +388,7 @@ def test_exact_locus_float_point():
         assert type(value) is float
         assert abs(value - reference.period_map(*p)) <= 1e-13
         assert P.period_map_slice(p[0], [p[1]]).tolist() == [value]
-        assert P.elliptic_coeffs(p).valid_n1B is False
+        assert P.elliptic_coeffs(p).n1 is None
         assert P.divergent_term(p) == 0.0
         with pytest.raises(RegionError):
             P.coefficient_identity_residuals(p)
@@ -396,7 +416,7 @@ def test_period_map_across_the_exceptional_locus(lam):
     tagged = M.classify_region(lam, ce + 1e-12)
     assert tagged.region is M.Region.E
     co = P.elliptic_coeffs(tagged)
-    assert co.valid_n1B and math.isfinite(co.n1) and math.isfinite(co.B)
+    assert co.n1 is not None and math.isfinite(co.n1) and math.isfinite(co.B)
 
 
 def test_divergent_term_matches_pi_n1(rng):
@@ -649,7 +669,8 @@ class TestPeriodMapSlice:
         qd = P._timelike_slice(lam, grid)
         offsets = P._slice_offsets(lam, qd.e1, qd.e2)
         ref = np.array([P.period_map((lam, e2)) for e2 in grid])
-        regions = [P._resolve_timelike((lam, e2))[0].region for e2 in grid]
+        regions = [OFFSET_REGION[float(P._slice_offsets(
+            lam, P._timelike_quartic((lam, e2))[1].e1, e2))] for e2 in grid]
         assert [OFFSET_REGION[o] for o in offsets] == regions
         if lam < M.LAMBDA_EXCEPTIONAL:
             assert regions.count(M.Region.E) >= 3
