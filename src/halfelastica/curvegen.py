@@ -46,9 +46,11 @@ from .moduli import (
     QuarticData,
     Region,
     _TIMELIKE,
+    _degeneracy_of_residual,
+    _factored_w2,
+    _kappa1,
     b0,
     eta_pm,
-    radial_degeneracy,
     resolve,
     roots_from_modulus,
 )
@@ -157,22 +159,21 @@ def from_poincare(uv):
 # ---------------------------------------------------------------------------
 
 
-def _kappa1(qd: QuarticData) -> float | None:
-    """kappa1 = (1 + 4 c e1^2) / (1 + 2 sqrt|c| e1) of a time-like point from
-    the cancellation-free radial degeneracy, when that is below _NEAR_LOCUS;
-    None farther from the exceptional locus."""
-    degeneracy = radial_degeneracy(qd.e1, qd.e2)
-    if degeneracy >= _NEAR_LOCUS:
+def _near_locus_kappa1(qd: QuarticData) -> float | None:
+    """kappa1 (with sqrt(-c)) where 1 + 4 c e1^2 < _NEAR_LOCUS, which only
+    time-like quartics next to E reach (it is >= 1 where c >= 0); else None."""
+    if not _degeneracy_of_residual(qd.t, qd.e1, qd.e2) < _NEAR_LOCUS:
         return None
-    return degeneracy / (1.0 + 2.0 * math.sqrt(-qd.c) * qd.e1)
+    return _kappa1(qd, math.sqrt(-qd.c))
 
 
-def _theta_rhs_for(point: ModulusPoint, kind: CurveKind):
+def _theta_rhs_for(point: ModulusPoint, kind: CurveKind, kappa1: float | None):
     """Phase derivative as a function of the curvature value.
 
     Near the exceptional locus the non-exceptional denominator 1 + 4 c mu^2
-    nearly vanishes at mu = e1; it is then rebuilt from the factored form
-    (kappa1 + 2 sqrt|c| (e1 - mu)) (1 + 2 sqrt|c| mu) (see :func:`_kappa1`).
+    nearly vanishes at mu = e1; given ``kappa1`` (:func:`_near_locus_kappa1`)
+    it is rebuilt in the factored form (kappa1 + 2 sqrt|c| (e1 - mu)) (1 + 2
+    sqrt|c| mu).
     """
     qd = point.quartic
     lam, c = point.lam, qd.c
@@ -185,12 +186,11 @@ def _theta_rhs_for(point: ModulusPoint, kind: CurveKind):
         def theta_rhs(x):
             return -8.0 * sc * lam * lam * x * x / (x - 2.0 * lam)
         return theta_rhs
-    kappa1 = _kappa1(qd) if kind is CurveKind.BT else None
     if kappa1 is not None:
         e1 = qd.e1
 
         def theta_rhs(x):
-            den = (kappa1 + 2.0 * sc * (e1 - x)) * (1.0 + 2.0 * sc * x)
+            den = _factored_w2(kappa1, sc, e1 - x, x)
             return 2.0 * sc * x * x * (x + 2.0 * lam) / den
         return theta_rhs
 
@@ -206,14 +206,12 @@ class _CurveFlow:
     def __init__(self, point: ModulusPoint, kind: CurveKind):
         self.kind = kind
         self.qd = point.quartic
-        self.lam = point.lam
+        self.lam = lam = point.lam
         self.c = self.qd.c
         self.omega = wavelength(point)
         self.exceptional = point.region is Region.E
-        self._kappa1 = _kappa1(self.qd) if kind is CurveKind.BT else None
-        lam = self.lam
-        theta_rhs = _theta_rhs_for(point, kind)
-        self._theta_rhs = theta_rhs
+        self._kappa1 = _near_locus_kappa1(self.qd)
+        self._theta_rhs = theta_rhs = _theta_rhs_for(point, kind, self._kappa1)
 
         def rhs(_s, state):
             x, y, _ = state
@@ -236,9 +234,8 @@ class _CurveFlow:
         """sqrt(1 + 4 c mu^2) for the time-like family, factored through the
         locus residual when the direct form would cancel."""
         if self._kappa1 is not None:
-            sc = math.sqrt(-self.c)
             gap = np.maximum(self.qd.e1 - mu, 0.0)
-            return np.sqrt((self._kappa1 + 2.0 * sc * gap) * (1.0 + 2.0 * sc * mu))
+            return np.sqrt(_factored_w2(self._kappa1, math.sqrt(-self.c), gap, mu))
         return np.sqrt(np.maximum(1.0 + 4.0 * self.c * mu * mu, 0.0))
 
     def bt_rho(self, s, mu):
@@ -315,31 +312,21 @@ class _CurveFlow:
         return out
 
     def _bt_rho_dot(self, s, mu, mu_dot, sc, w, sign):
-        """d rho / ds for the time-like family.
-
-        The naive -sign mu' / (2 sc mu^2 w) degenerates to 0/0 where the
-        trajectory meets the disk center (w -> 0 together with mu').  Above
-        the curvature midpoint it is replaced by the algebraic form in which
-        mu'^2 = mu^2 (e1-mu)(mu-e2)(mu-e3)(mu-e4) cancels the vanishing
-        factor of w^2; below the midpoint (mu near e2, where that form would
-        inject sqrt-of-roundoff noise instead) the naive quotient is exact.
-        """
-        e1, e2, e3, e4 = self.qd.roots
+        """d rho / ds for the time-like family: the naive -sign mu' / (2 sc
+        mu^2 w), which is 0/0 only on E, where w and mu' vanish together at
+        mu = e1 (off E, w(e1) = sqrt(1 + 4 c e1^2) > 0).  On E, above the
+        curvature midpoint, it takes the algebraic form in which mu'^2 =
+        mu^2 (e1-mu)(mu-e2)(mu-e3)(mu-e4) cancels the vanishing factor of
+        w^2; below it (mu near e2, where that form would inject
+        sqrt-of-roundoff noise) the naive quotient is exact."""
         naive = -sign * mu_dot / (2.0 * sc * mu * mu * np.where(w > 0.0, w, 1.0))
-        if self._kappa1 is None:
+        if not self.exceptional:
             return naive
-        gap = np.maximum(e1 - mu, 0.0)
+        e1, e2, e3, e4 = self.qd.roots
+        # on the locus the (e1 - mu) factor cancels identically
         rise = np.maximum(mu - e2, 0.0)
-        if self.exceptional:
-            # on the locus the (e1 - mu) factor cancels identically
-            quot = rise * (mu - e3) * (mu - e4) / (2.0 * sc * (1.0 + 2.0 * sc * mu))
-            orient = -np.where(np.mod(np.floor(s / self.omega), 2.0) == 0.0,
-                               1.0, -1.0)
-        else:
-            quot = gap * rise * (mu - e3) * (mu - e4) / (
-                (self._kappa1 + 2.0 * sc * gap) * (1.0 + 2.0 * sc * mu)
-            )
-            orient = -np.sign(np.where(mu_dot != 0.0, mu_dot, 1.0))
+        quot = rise * (mu - e3) * (mu - e4) / (2.0 * sc * (1.0 + 2.0 * sc * mu))
+        orient = -np.where(np.mod(np.floor(s / self.omega), 2.0) == 0.0, 1.0, -1.0)
         product = orient * np.sqrt(quot) / (2.0 * sc * mu)
         return np.where(mu >= 0.5 * (e1 + e2), product, naive)
 
@@ -592,7 +579,7 @@ def frenet_oracle(p, n_periods: float = 1.0,
     qd = point.quartic
     omega = wavelength(point)
     lam = point.lam
-    theta_rhs = _theta_rhs_for(point, kind)
+    theta_rhs = _theta_rhs_for(point, kind, _near_locus_kappa1(qd))
 
     def rhs(_s, state):
         x, y, _th = state[0], state[1], state[2]
@@ -724,6 +711,7 @@ def bt_annulus_radii(p) -> tuple[float, float]:
     point = _require_region(p, _TIMELIKE, "bt_annulus_radii")
     qd = point.quartic
     sc = math.sqrt(-qd.c)
-    inner = math.sqrt(max(radial_degeneracy(qd.e1, qd.e2), 0.0)) / (1.0 + 2.0 * sc * qd.e1)
+    degeneracy = _degeneracy_of_residual(qd.t, qd.e1, qd.e2)  # >= 0
+    inner = math.sqrt(degeneracy) / (1.0 + 2.0 * sc * qd.e1)
     outer = math.sqrt(1.0 + 4.0 * qd.c * qd.e2**2) / (1.0 + 2.0 * sc * qd.e2)
     return inner, outer

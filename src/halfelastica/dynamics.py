@@ -36,6 +36,7 @@ from .moduli import (
     Region,
     _sqrt,
     eta_pm,
+    exceptional_residual,
     quartic_value,
     resolve,
 )
@@ -449,7 +450,7 @@ def solve_mu(p, n_periods: float = 1.0, samples_per_period: int = 2048,
         s_end = n_periods * (period if math.isfinite(period) else 1.0)
         s = np.linspace(0.0, s_end, n_samples + 1)
         c = conserved_level(lam, eta, 0.0)
-        qd = QuarticData(e1=eta, e2=eta, e3=eta, e4=eta, c=c)
+        qd = QuarticData(eta, eta, eta, eta, c, exceptional_residual(eta, eta))
         return MuSolution(point, s, np.full_like(s, eta), np.zeros_like(s),
                           period, qd)
     omega = wavelength(point)

@@ -115,15 +115,16 @@ class ModulusPoint:
 
 @dataclass(frozen=True)
 class QuarticData:
-    """Roots e1 > e2 > e3 > 0 > e4 of the conserved quartic and the causal
-    constant c (squared momentum norm); arrays over the heights of one
-    multiplier slice when built by :func:`_quartic_on_slice`."""
+    """Roots e1 > e2 > e3 > 0 > e4 of the conserved quartic, the causal
+    constant c (squared momentum norm) and the locus residual t; arrays over
+    the heights of one multiplier slice when built by :func:`_quartic_on_slice`."""
 
     e1: float
     e2: float
     e3: float
     e4: float
     c: float
+    t: float
 
     @property
     def roots(self) -> tuple[float, float, float, float]:
@@ -376,18 +377,19 @@ def roots_from_modulus(p) -> QuarticData:
 
 
 def _quartic_from_e1(lam: float, e1, e2) -> QuarticData:
-    # e3, e4 and c from the closed root relations; floats (DomainError where
-    # they leave the float range) or slice arrays
+    # e3, e4, c and T from the closed root relations; floats (DomainError
+    # where e3, e4 or c leave the float range) or slice arrays
     try:
         s = _sqrt(4.0 * e1**3 * e2**3 + (e1 + e2) ** 2)
         c = _causal_constant(e1, e2)
+        t = exceptional_residual(e1, e2)
     except OverflowError:
         raise _beyond_floats(lam, e2) from None
     e3 = (e1 + e2 + s) / (2.0 * e1 * e1 * e2 * e2)
     e4 = -2.0 * e1 * e2 / (e1 + e2 + s)
     if isinstance(c, float) and not all(map(math.isfinite, (e3, e4, c))):
         raise _beyond_floats(lam, e2)
-    return QuarticData(e1=e1, e2=e2, e3=e3, e4=e4, c=c)
+    return QuarticData(e1=e1, e2=e2, e3=e3, e4=e4, c=c, t=t)
 
 
 def reconstruct_lambda_c(e1: float, e2: float) -> tuple[float, float]:
@@ -429,14 +431,23 @@ def _degeneracy_of_residual(t, e1, e2):
     return t * t / (4.0 * e1 * e1 * e2**4)
 
 
-def _timelike_offset(e1, e2):
-    """E/T-/T+ sub-tag of time-like heights below LAMBDA_EXCEPTIONAL as the
+def _kappa1(qd: QuarticData, sc):
+    """kappa1 = (1 + 4 c e1^2)/(1 + 2 sc e1) = O(T^2) from the record's T."""
+    return _degeneracy_of_residual(qd.t, qd.e1, qd.e2) / (1.0 + 2.0 * sc * qd.e1)
+
+
+def _factored_w2(kappa1, sc, gap, x):
+    """1 + 4 c x^2 as (kappa1 + 2 sc gap)(1 + 2 sc x), gap = e1 - x, sc = sqrt|c|."""
+    return (kappa1 + 2.0 * sc * gap) * (1.0 + 2.0 * sc * x)
+
+
+def _timelike_offset(qd: QuarticData):
+    """E/T-/T+ sub-tag of time-like quartics below LAMBDA_EXCEPTIONAL as the
     period-map offset: 1/2 on E (radial degeneracy within _REGION_TOL), else
     1 on T- and 0 on T+ by the sign of the locus residual T.  Floats (a
     Python-float e1 keeps off slow numpy scalar arithmetic) or slice arrays."""
-    t = exceptional_residual(e1, e2)
-    on_locus = _degeneracy_of_residual(t, e1, e2) <= _REGION_TOL
-    below = t < 0.0
+    on_locus = _degeneracy_of_residual(qd.t, qd.e1, qd.e2) <= _REGION_TOL
+    below = qd.t < 0.0
     return 0.5 * on_locus + (1.0 - on_locus) * below
 
 
@@ -478,7 +489,7 @@ def classify_region(lam: float, e2: float) -> ModulusPoint:
             # the orbit has no amplitude: the center boundary to float
             # resolution, where the strict sign tests no longer separate
             return ModulusPoint(lam, e2, Region.BOUNDARY_PLUS)
-        offset = _timelike_offset(qd.e1, e2)
+        offset = _timelike_offset(qd)
         return ModulusPoint(lam, e2, _REGION_OF_OFFSET[offset], qd)
     return ModulusPoint(lam, e2, Region.T_PLUS)
 

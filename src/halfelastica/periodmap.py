@@ -14,15 +14,15 @@ m the hyperbolic turning number.
 
 Numerical posture near the exceptional locus: n1 and B of the closed form
 diverge like 1/T, T = e1^2 e2^3 - e1^3 e2^2 + e1 + e2 the signed locus
-residual, through kappa1 = 1 - 2 sqrt|c| e1 = O(T^2); kappa1 and 1 + 4
-lambda sqrt|c| = O(T) are evaluated from T, never by subtraction.  In nu =
--1/n1 and the smooth beta = sign(T) B sqrt(nu) the closed form is one
-expression on both sides of E and on it, P = (2 sqrt|c|/pi)(A K + sign(T)
-beta G(nu, m) + C Pi(n2)) + (1 - sign T)/2: G(nu, m) = sqrt(-n1) Pi(n1, m)
-tends to pi/2 as nu -> 0, so the jump of the divergent term cancels that of
-the offset.  The quadrature oracle uses the same factorization inside its
-integrand, with exact node distances from the tanh-sinh driver, and a
-first-order on-locus integrand at points tagged E.
+residual solved with the roots, through kappa1 = 1 - 2 sqrt|c| e1 = O(T^2);
+kappa1 and 1 + 4 lambda sqrt|c| = O(T) are evaluated from T, never by
+subtraction.  In nu = -1/n1 and the smooth beta = sign(T) B sqrt(nu) the
+closed form is one expression on both sides of E and on it, P = (2
+sqrt|c|/pi)(A K + sign(T) beta G(nu, m) + C Pi(n2)) + (1 - sign T)/2: G(nu,
+m) = sqrt(-n1) Pi(n1, m) tends to pi/2 as nu -> 0, so the jump of the
+divergent term cancels that of the offset.  The quadrature oracle takes the
+factored 1 + 4 c x^2, with exact node distances from the tanh-sinh driver,
+and a first-order on-locus integrand at points tagged E.
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ from .moduli import (
     _REGION_OF_OFFSET,
     _chi_of_center,
     _degeneracy_of_residual,
+    _factored_w2,
+    _kappa1,
     _quartic_from_e1,
     _quartic_on_slice,
     _solve_e1,
@@ -66,7 +68,6 @@ from .moduli import (
     eta_pm,
     exceptional_residual,
     in_moduli_space,
-    radial_degeneracy,
     resolve,
 )
 
@@ -222,33 +223,31 @@ def _timelike_slice(lam, e2s) -> QuarticData:
     return qd
 
 
-def _slice_offsets(lam, e1, e2) -> np.ndarray:
+def _slice_offsets(lam, qd: QuarticData) -> np.ndarray:
     """The region of a point, or of each point of a slice, as its period-map
-    offset (1 on T-, 1/2 on E, 0 on T+), from its e1."""
-    return np.where(lam < LAMBDA_EXCEPTIONAL, _timelike_offset(e1, e2), 0.0)
+    offset (1 on T-, 1/2 on E, 0 on T+), from its quartic."""
+    return np.where(lam < LAMBDA_EXCEPTIONAL, _timelike_offset(qd), 0.0)
 
 
 def _stable_small_factors(qd: QuarticData):
-    """(sqrt|c|, kappa1, (1 + 4 lam sqrt|c|)/T, T) without catastrophic
-    cancellation, on floats or on the arrays of one slice.
+    """(sqrt|c|, kappa1, (1 + 4 lam sqrt|c|)/T) from the record's T without
+    catastrophic cancellation, on floats or on the arrays of one slice.
 
     Uses 1 - p^2 = 4|c| e1^2 with p = T/(2 e1 e2^2) and the factored
     tangential zero 1 + 4 c e1^2 = T^2/(4 e1^2 e2^4); 1 + 4 lam sqrt|c|
     vanishes on E like T and is returned over T.
     """
-    e1, e2 = qd.e1, qd.e2
-    t = exceptional_residual(e1, e2)
+    e1, e2, t = qd.e1, qd.e2, qd.t
     p_hat = t / (2.0 * e1 * e2 * e2)
     # 1 - p^2 = 4 |c| e1^2, both factors far from zero in the interior; max
     # on floats keeps them Python floats
     clip = np.maximum if isinstance(t, np.ndarray) else max
     sc = _sqrt(clip((1.0 - p_hat) * (1.0 + p_hat), 0.0)) / (2.0 * e1)
-    kappa1 = _degeneracy_of_residual(t, e1, e2) / (1.0 + 2.0 * sc * e1)
     q_hat = (e1 + e2) * (1.0 + e1 * e1 * e2 * e2)
     u_over_t = ((q_hat * q_hat * t / (4.0 * e1 * e1 * e2**4)
                  - 2.0 * e1**3 * e2 * e2 - q_hat)
                 / (4.0 * e1**4 * e2 * e2 * (e1 * e1 * e2 * e2 + q_hat * sc)))
-    return sc, kappa1, u_over_t, t
+    return sc, _kappa1(qd, sc), u_over_t
 
 
 def _coefficients(lam, qd: QuarticData):
@@ -257,7 +256,7 @@ def _coefficients(lam, qd: QuarticData):
     finite across E, as sqrt(kappa1) = |T|/(2 e1 e2^2 sqrt(w1p))."""
     e1, e2v, _, e4 = qd.roots
     m, g = _parameter_and_scale(qd)
-    sc, kappa1, u_over_t, t = _stable_small_factors(qd)
+    sc, kappa1, u_over_t = _stable_small_factors(qd)
     w1p = 1.0 + 2.0 * sc * e1
     w4m = 1.0 - 2.0 * sc * e4
     w4p = 1.0 + 2.0 * sc * e4
@@ -267,6 +266,7 @@ def _coefficients(lam, qd: QuarticData):
     beta = (-g * u_over_t * (e1 - e4) * e1 * e2v * e2v * _sqrt(w1p * ratio)
             / (2.0 * sc * w4m))
     c_coeff = g * (1.0 - 4.0 * lam * sc) * (e1 - e4) / (4.0 * sc * w4p * w1p)
+    t = qd.t
     sign = np.sign(t) if isinstance(t, np.ndarray) else (t > 0.0) - (t < 0.0)
     return g, m, kappa1 * ratio, n2, a_coeff, beta, c_coeff, sign
 
@@ -301,7 +301,7 @@ def _b_plus_c(lam: float, qd: QuarticData) -> float:
     c = qd.c
     _, g = _parameter_and_scale(qd)
     num = g * (e1 - e4) * (e4 * (8.0 * c * lam * e1 - 1.0) - e1 - 2.0 * lam)
-    den = radial_degeneracy(e1, qd.e2) * (1.0 + 4.0 * c * e4 * e4)
+    den = _degeneracy_of_residual(qd.t, e1, qd.e2) * (1.0 + 4.0 * c * e4 * e4)
     return np.divide(num, den)  # inf where T is 0, not ZeroDivisionError
 
 
@@ -373,18 +373,18 @@ def period_map_oracle(p) -> float:
     """
     lam, qd = _timelike_quartic(p)
     e1, e2v, e3, e4 = qd.roots
-    sc, kappa1, _, t = _stable_small_factors(qd)
-    offset = float(_slice_offsets(lam, e1, e2v))
+    sc, kappa1, _ = _stable_small_factors(qd)
+    offset = float(_slice_offsets(lam, qd))
     on_locus = offset == 0.5
     if on_locus:
         def integrand(x, da, db):
             return x / ((x - 2.0 * lam) * np.sqrt((x - e3) * (x - e4)))
         scale = -16.0 * sc * lam * lam
     else:
-        tau = t / (2.0 * e1 * e1 * e2v * e2v)
+        tau = qd.t / (2.0 * e1 * e1 * e2v * e2v)
 
         def integrand(x, da, db):
-            denom = (kappa1 + 2.0 * sc * db) * (1.0 + 2.0 * sc * x)
+            denom = _factored_w2(kappa1, sc, db, x)
             return -x * (db + tau) / (denom * np.sqrt((x - e3) * (x - e4)))
         scale = 4.0 * sc
     value, err, ok = _tanh_sinh(integrand, e2v, e1, _ORACLE_TOL,
@@ -665,15 +665,14 @@ def trace_fiber(q, steps: int = 200) -> FiberTrace:
             f"e2={float(heights[i])!r}"
         )
     # the solve evaluated the period map at every row, so the rows are
-    # time-like; their tags need only e1, by the expression of the slice
-    e1 = _quartic_on_slice(lams, heights).e1
-    offsets = _slice_offsets(lams, e1, heights).tolist()
+    # time-like; their tags and sides come from one quartic of the slice
+    qd = _quartic_on_slice(lams, heights)
+    offsets = _slice_offsets(lams, qd).tolist()
     points = [ModulusPoint(lam, e2, _REGION_OF_OFFSET[offset])
               for lam, e2, offset in zip(lams.tolist(), heights.tolist(),
                                          offsets)]
-    residuals = exceptional_residual(e1, heights).tolist()
     sides = [None if pt.lam >= LAMBDA_EXCEPTIONAL else t
-             for pt, t in zip(points, residuals)]
+             for pt, t in zip(points, qd.t.tolist())]
 
     def lam_on_locus(e2: float) -> float:
         return brentq(lambda lam: exceptional_residual(-2.0 * lam, e2),

@@ -97,6 +97,23 @@ def quartic_solves(monkeypatch):
 
 
 @pytest.fixture
+def locus_residuals(monkeypatch):
+    """Records every evaluation of the locus residual T through
+    exceptional_residual, which moduli's quartic record and the period
+    map's fiber crossing call."""
+    calls = []
+    residual = moduli.exceptional_residual
+
+    def counting(*args):
+        calls.append(args)
+        return residual(*args)
+
+    for module in (moduli, periodmap):
+        monkeypatch.setattr(module, "exceptional_residual", counting)
+    return calls
+
+
+@pytest.fixture
 def ode_spans(monkeypatch):
     """Records the span of every integration of the package: each run of the
     in-package DOP853 (over [0, t_end]) and each solve_ivp call."""

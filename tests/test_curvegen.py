@@ -231,6 +231,19 @@ class TestBTCurve:
         rotation = -theta / (2.0 * math.pi) + offset
         assert abs(rotation - P.period_map(pt)) <= 1e-9
 
+    @pytest.mark.parametrize("lam, d, region", [
+        (-0.95, 3e-4, M.Region.T_PLUS), (-1.3, -2e-4, M.Region.T_MINUS)])
+    def test_near_locus_band(self, lam, d, region):
+        # off the E tag but below _NEAR_LOCUS (radial degeneracy 2.1e-7 and
+        # 2.7e-7), where w and the phase take the factored 1 + 4 c mu^2 and
+        # rho' the naive quotient; measured drifts 1.2e-12 and 3.7e-12
+        pt = M.classify_region(lam, M.exceptional_c(lam) + d)
+        assert pt.region is region
+        assert M.radial_degeneracy(pt.quartic.e1, pt.e2) < C._NEAR_LOCUS
+        cv = C.bt_curve(pt, samples=512, periods=2.0)
+        xi = C.momentum_samples(cv)
+        assert np.max(np.abs(xi - C.expected_momentum(cv))) <= 1e-8
+
 
 class TestInvariantsAcrossFamilies:
     def _curves(self, rng):

@@ -667,10 +667,10 @@ class TestPeriodMapSlice:
             grid = np.sort(np.concatenate([grid, band]))
         values = P.period_map_slice(lam, grid)
         qd = P._timelike_slice(lam, grid)
-        offsets = P._slice_offsets(lam, qd.e1, qd.e2)
+        offsets = P._slice_offsets(lam, qd)
         ref = np.array([P.period_map((lam, e2)) for e2 in grid])
         regions = [OFFSET_REGION[float(P._slice_offsets(
-            lam, P._timelike_quartic((lam, e2))[1].e1, e2))] for e2 in grid]
+            lam, P._timelike_quartic((lam, e2))[1]))] for e2 in grid]
         assert [OFFSET_REGION[o] for o in offsets] == regions
         if lam < M.LAMBDA_EXCEPTIONAL:
             assert regions.count(M.Region.E) >= 3
@@ -707,7 +707,7 @@ class TestPeriodMapSlice:
         e2 = np.array([pt.e2 for pt in trace.points])
         values = P.period_map_slice(lam, e2)
         qd = P._timelike_slice(lam, e2)
-        offsets = P._slice_offsets(lam, qd.e1, qd.e2)
+        offsets = P._slice_offsets(lam, qd)
         ref = np.array([P.period_map(pt) for pt in trace.points])
         assert ([OFFSET_REGION[o] for o in offsets]
                 == [pt.region for pt in trace.points])
@@ -754,6 +754,21 @@ def test_quartic_solved_once_per_evaluation(fn, point, quartic_solves):
         point = M.classify_region(point.lam, point.e2)
     fn(point)
     assert len(quartic_solves) == 1
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda: P.period_map_oracle((-1.3, 2.3)),
+    lambda: P.period_map(M.classify_region(-1.3, 2.3)),
+    # T+ at d = 3e-4 above E, below the curves' near-locus threshold
+    lambda: C.bt_curve((-0.95, 1.4665804384720835), samples=64),
+], ids=["oracle", "classified-point", "band-curve"])
+def test_locus_residual_solved_with_the_quartic(evaluate, quartic_solves,
+                                                locus_residuals):
+    """T is evaluated once per quartic solve, with the roots, and every
+    offset, factor, tag and curve reads it from the record."""
+    evaluate()
+    assert len(quartic_solves) == 1
+    assert len(locus_residuals) == 1
 
 
 @pytest.mark.parametrize("lam, e2", [
@@ -867,7 +882,7 @@ def _closed_form_unshared(lam, qd):
     G(nu, m) and Pi(n2) evaluated one by one, each with its own R_F(0,
     1 - m, 1)."""
     _, m, nu, n2, a_coeff, beta, c_coeff, _ = P._coefficients(lam, qd)
-    sc, kappa1, _, _ = P._stable_small_factors(qd)
+    sc, kappa1, _ = P._stable_small_factors(qd)
     w1p = 1.0 + 2.0 * sc * qd.e1
     assert np.asarray(kappa1).tobytes() == np.asarray(
         M.radial_degeneracy(qd.e1, qd.e2) / w1p).tobytes()
@@ -896,7 +911,7 @@ def test_slice_evaluation_shares_rf_and_t_bit_for_bit(lam, e2):
     evaluation, is bit for bit the expression that computes them apiece;
     so are the E/T-/T+ tags and the causal constant."""
     qd = P._timelike_slice(lam, e2)
-    offset = P._slice_offsets(lam, qd.e1, qd.e2)
+    offset = P._slice_offsets(lam, qd)
     t = M.exceptional_residual(qd.e1, e2)
     on_locus = M.radial_degeneracy(qd.e1, e2) <= M._REGION_TOL
     assert offset.tolist() == np.where(
@@ -909,7 +924,7 @@ def test_slice_evaluation_shares_rf_and_t_bit_for_bit(lam, e2):
 
 def test_slice_evaluation_covers_e_band_and_asymptotic_route():
     qd = P._timelike_slice(-1.3, 2.477640202588786 + np.array([-1e-7, 0.0, 1e-7]))
-    offset = P._slice_offsets(-1.3, qd.e1, qd.e2)
+    offset = P._slice_offsets(-1.3, qd)
     assert offset.tolist() == [0.5, 0.5, 0.5]
     qd = P._timelike_slice(-0.95, _band_heights(-0.95))
     one_minus = 1.0 - D.elliptic_arguments(qd)[1]
