@@ -301,9 +301,8 @@ def _osculating_circles(curve) -> list[str]:
             out.append(_svg_circle(cx, cy, 500.0 * 0.5 * (1.0 - v), "red",
                                    1.5, dashed=True))
     elif curve.kind is curvegen.CurveKind.BS:
-        c = qd.c
         for mu in (qd.e2, qd.e1):
-            v = 1.0 / (2.0 * math.sqrt(c) * mu + math.sqrt(1.0 + 4.0 * c * mu * mu))
+            v = curvegen._disk_height(qd.c, mu)
             k = (v * v - 1.0) / (2.0 * v)
             cx, cy = _disk_xy(0.0, k)
             out.append(_svg_circle(cx, cy, 500.0 * math.hypot(k, 1.0), "red",
@@ -526,17 +525,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _parse_q(text: str) -> Fraction:
-    num, sep, den = text.partition("/")
-    try:
-        frac = Fraction(int(num), int(den)) if sep else Fraction(int(num), 1)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}")
-    if frac <= 0:
-        raise argparse.ArgumentTypeError("q must be a positive rational m/n")
-    return frac
-
-
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -561,7 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
         if e2:
             p.add_argument("--e2", dest="e2", type=_finite, required=True)
         if q:
-            p.add_argument("--q", dest="q", type=_parse_q, required=True)
+            p.add_argument("--q", dest="q", type=periodmap._as_fraction,
+                           required=True)
         if steps:
             p.add_argument("--steps", dest="steps", type=int)
         if samples:

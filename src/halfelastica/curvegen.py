@@ -206,7 +206,7 @@ class _CurveFlow:
     def __init__(self, point: ModulusPoint, kind: CurveKind):
         self.kind = kind
         self.qd = point.quartic
-        self.lam = lam = point.lam
+        lam = point.lam
         self.c = self.qd.c
         self.omega = wavelength(point)
         self.exceptional = point.region is Region.E
@@ -244,72 +244,53 @@ class _CurveFlow:
 
     # -- closed-form embeddings -------------------------------------------
 
-    def gamma(self, s):
+    def frame(self, s):
+        """(gamma, tangent, mu, mu', Theta) at arclengths s: the family's
+        closed form and its derivative from one set of shared quantities."""
         mu, mu_dot, th = self.states(s)
-        return self._gamma(s, mu, mu_dot, th)
-
-    def gamma_and_tangent(self, s):
-        mu, mu_dot, th = self.states(s)
-        return (self._gamma(s, mu, mu_dot, th),
-                self._tangent(s, mu, mu_dot, th), mu, mu_dot, th)
-
-    def _gamma(self, s, mu, mu_dot, th):
-        lam, c = self.lam, self.c
-        out = np.empty(mu.shape + (3,), dtype=float)
-        if self.kind is CurveKind.BL:
-            f = 1.0 / (2.0 * math.sqrt(2.0) * mu)
-            out[..., 0] = f * (2.0 * th * th + 2.0 * mu * mu + 1.0)
-            out[..., 1] = f * (2.0 * math.sqrt(2.0) * th)
-            out[..., 2] = f * (2.0 * th * th + 2.0 * mu * mu - 1.0)
-        elif self.kind is CurveKind.BS:
-            sc = math.sqrt(c)
-            w = np.sqrt(1.0 + 4.0 * c * mu * mu)
-            f = 1.0 / (2.0 * sc * mu)
-            out[..., 0] = f * w * np.cosh(th)
-            out[..., 1] = f * w * np.sinh(th)
-            out[..., 2] = f
-        else:
-            rho = self.bt_rho(s, mu)
-            out[..., 0] = 1.0 / (2.0 * math.sqrt(-c) * mu)
-            out[..., 1] = -rho * np.cos(th)
-            out[..., 2] = rho * np.sin(th)
-        return out
-
-    def _tangent(self, s, mu, mu_dot, th):
-        lam, c = self.lam, self.c
         th_dot = self._theta_rhs(mu)
-        out = np.empty(mu.shape + (3,), dtype=float)
+        gam = np.empty(mu.shape + (3,), dtype=float)
+        tan = np.empty_like(gam)
         if self.kind is CurveKind.BL:
             r2 = math.sqrt(2.0)
+            f = 1.0 / (2.0 * r2 * mu)
             v0 = 2.0 * th * th + 2.0 * mu * mu + 1.0
             v1 = 2.0 * r2 * th
-            v2 = v0 - 2.0
+            gam[..., 0] = f * v0
+            gam[..., 1] = f * v1
+            gam[..., 2] = f * (2.0 * th * th + 2.0 * mu * mu - 1.0)
             d0 = 4.0 * th * th_dot + 4.0 * mu * mu_dot
-            d1 = 2.0 * r2 * th_dot
-            d2 = d0
             den = 2.0 * r2 * mu * mu
-            out[..., 0] = (d0 * mu - v0 * mu_dot) / den
-            out[..., 1] = (d1 * mu - v1 * mu_dot) / den
-            out[..., 2] = (d2 * mu - v2 * mu_dot) / den
+            tan[..., 0] = (d0 * mu - v0 * mu_dot) / den
+            tan[..., 1] = (2.0 * r2 * th_dot * mu - v1 * mu_dot) / den
+            tan[..., 2] = (d0 * mu - (v0 - 2.0) * mu_dot) / den
         elif self.kind is CurveKind.BS:
-            sc = math.sqrt(c)
-            w = np.sqrt(1.0 + 4.0 * c * mu * mu)
-            w_dot = 4.0 * c * mu * mu_dot / w
+            sc = math.sqrt(self.c)
+            w = np.sqrt(1.0 + 4.0 * self.c * mu * mu)
             ch, sh = np.cosh(th), np.sinh(th)
+            f = 1.0 / (2.0 * sc * mu)
+            gam[..., 0] = f * w * ch
+            gam[..., 1] = f * w * sh
+            gam[..., 2] = f
+            w_dot = 4.0 * self.c * mu * mu_dot / w
             den = 2.0 * sc * mu * mu
-            out[..., 0] = ((w_dot * ch + w * sh * th_dot) * mu - w * ch * mu_dot) / den
-            out[..., 1] = ((w_dot * sh + w * ch * th_dot) * mu - w * sh * mu_dot) / den
-            out[..., 2] = -mu_dot / den
+            tan[..., 0] = ((w_dot * ch + w * sh * th_dot) * mu - w * ch * mu_dot) / den
+            tan[..., 1] = ((w_dot * sh + w * ch * th_dot) * mu - w * sh * mu_dot) / den
+            tan[..., 2] = -mu_dot / den
         else:
-            sc = math.sqrt(-c)
+            sc = math.sqrt(-self.c)
             w = self._bt_w(mu)
             sign = self.radial_sign(s)
             rho = sign * w / (2.0 * sc * mu)
             rho_dot = self._bt_rho_dot(s, mu, mu_dot, sc, w, sign)
-            out[..., 0] = -mu_dot / (2.0 * sc * mu * mu)
-            out[..., 1] = -rho_dot * np.cos(th) + rho * np.sin(th) * th_dot
-            out[..., 2] = rho_dot * np.sin(th) + rho * np.cos(th) * th_dot
-        return out
+            cos, sin = np.cos(th), np.sin(th)
+            gam[..., 0] = 1.0 / (2.0 * sc * mu)
+            gam[..., 1] = -rho * cos
+            gam[..., 2] = rho * sin
+            tan[..., 0] = -mu_dot / (2.0 * sc * mu * mu)
+            tan[..., 1] = -rho_dot * cos + rho * sin * th_dot
+            tan[..., 2] = rho_dot * sin + rho * cos * th_dot
+        return gam, tan, mu, mu_dot, th
 
     def _bt_rho_dot(self, s, mu, mu_dot, sc, w, sign):
         """d rho / ds for the time-like family: the naive -sign mu' / (2 sc
@@ -359,10 +340,10 @@ class CurveSamples:
         return self._flow
 
     def gamma_at(self, s):
-        return self._require_flow().gamma(s)
+        return self._require_flow().frame(s)[0]
 
     def tangent_at(self, s):
-        return self._require_flow().gamma_and_tangent(s)[1]
+        return self._require_flow().frame(s)[1]
 
     def state_at(self, s):
         return self._require_flow().states(s)
@@ -379,7 +360,7 @@ def _build_curve(point: ModulusPoint, kind: CurveKind, s_grid, samples: int,
                              int(round(samples * periods)) + 1)
     else:
         s_grid = np.asarray(s_grid, dtype=float)
-    gam, tan, mu, mu_dot, th = flow.gamma_and_tangent(s_grid)
+    gam, tan, mu, mu_dot, th = flow.frame(s_grid)
     return CurveSamples(
         modulus=point,
         kind=kind,
@@ -497,15 +478,20 @@ def bl_boost_closed_form(lam: float) -> float:
     return pref * (ellint.complete_E(m) - ellint.complete_K(m))
 
 
+def _disk_height(c: float, mu: float) -> float:
+    """Disk height 1 / (2 sqrt(c) mu + sqrt(1 + 4 c mu^2)) of the osculating
+    arc of a space-like curve at curvature mu."""
+    return 1.0 / (2.0 * math.sqrt(c) * mu + math.sqrt(1.0 + 4.0 * c * mu * mu))
+
+
 def upsilon_plus(lam: float, e2: float) -> float:
-    """Disk height of the starting osculating arc of a space-like curve:
-    1 / (2 sqrt(c) e2 + sqrt(1 + 4 c e2^2))."""
+    """Disk height of the starting osculating arc of a space-like curve."""
     qd = roots_from_modulus((lam, e2))
     if qd.c <= 0.0:
         raise DomainError(
             f"upsilon defined for space-like moduli (c > 0), got c={qd.c!r}"
         )
-    return 1.0 / (2.0 * math.sqrt(qd.c) * e2 + math.sqrt(1.0 + 4.0 * qd.c * e2 * e2))
+    return _disk_height(qd.c, e2)
 
 
 def upsilon_star(lam: float) -> float:
@@ -515,7 +501,7 @@ def upsilon_star(lam: float) -> float:
     c = saddle_level(lam)
     if c <= 0.0:
         raise DomainError(f"saddle level not space-like at lambda={lam!r}")
-    return 1.0 / (2.0 * math.sqrt(c) * eta_m + math.sqrt(1.0 + 4.0 * c * eta_m**2))
+    return _disk_height(c, eta_m)
 
 
 def bs_contraction_height(lam: float) -> float:
@@ -618,10 +604,8 @@ def frenet_oracle(p, n_periods: float = 1.0,
 
 def initial_frame(curve: CurveSamples) -> np.ndarray:
     """Frame (gamma, tangent, gamma X tangent) of the closed form at s = 0."""
-    g0 = curve.gamma_at(np.array([0.0]))[0]
-    _, t, *_ = curve._flow.gamma_and_tangent(np.array([0.0]))
-    t0 = t[0]
-    return np.column_stack([g0, t0, minkowski_cross(g0, t0)])
+    gam, tan, *_ = curve._require_flow().frame(np.array([0.0]))
+    return np.column_stack([gam[0], tan[0], minkowski_cross(gam[0], tan[0])])
 
 
 def lorentz_inverse(mat: np.ndarray) -> np.ndarray:

@@ -439,8 +439,8 @@ def _slice_ends(lam: float) -> tuple[tuple[float, float], float, float]:
 def _as_fraction(q) -> Fraction:
     try:
         if isinstance(q, str):
-            num, _, den = q.partition("/")
-            frac = Fraction(int(num), int(den)) if den else Fraction(int(num), 1)
+            num, sep, den = q.partition("/")
+            frac = Fraction(int(num), int(den)) if sep else Fraction(int(num), 1)
         elif isinstance(q, tuple):
             frac = Fraction(int(q[0]), int(q[1]))
         else:

@@ -203,6 +203,13 @@ class TestFindStringAndFiber:
                              "--q", "22/20"])
         assert json.loads(out)["q"] == "11/10"
 
+    # the one parser of q: a separator with no denominator is malformed
+    @pytest.mark.parametrize("q", ["1/", "11/10/", "0/3", "1/0", "x"])
+    def test_malformed_q_is_a_usage_error(self, q):
+        code, out, err = run_cli(["fiber", "--q", q])
+        assert code == 64
+        assert out == "" and repr(q) in err
+
     def test_q_out_of_range_exit(self):
         code, _, err = run_cli(["find-string", "--lambda", "-1.2",
                                 "--q", "6/5"])

@@ -305,6 +305,23 @@ class TestOnePeriodFlow:
         cv = make()
         assert ode_spans == [(0.0, cv.wavelength)]
 
+    # one point of each tag, and a T+ point 3e-4 above E in the near-locus band
+    @pytest.mark.parametrize("lam, e2, region", [
+        (-2.0, 3.732050807568877, "L"), (-1.1, 1.0, "S"), (-1.3, 2.3, "T-"),
+        (-1.3, M.exceptional_c(-1.3), "E"), (-0.95, 1.6, "T+"),
+        (-0.95, 1.4665804384720835, "T+"),
+    ], ids=["L", "S", "T-", "E", "T+", "band"])
+    def test_accessors_read_the_curves_own_frame(self, lam, e2, region):
+        point = M.resolve(lam, e2)
+        assert point.region.value == region
+        cv = C.make_curve(point, samples=256, periods=2.0)
+        assert np.array_equal(cv.gamma_at(cv.s), cv.gamma)
+        assert np.array_equal(cv.tangent_at(cv.s), cv.tangent)
+        g0, t0 = cv.gamma[0], cv.tangent[0]
+        assert cv.s[0] == 0.0
+        assert np.array_equal(C.initial_frame(cv), np.column_stack(
+            [g0, t0, C.minkowski_cross(g0, t0)]))
+
     @pytest.mark.parametrize("k", [-2, 1, 3])
     def test_extension_by_periodicity(self, rng, k):
         pts = (sample_lightlike(rng, 1) + sample_spacelike(rng, 1)

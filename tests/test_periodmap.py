@@ -463,7 +463,8 @@ class TestFiberEndpoint:
             P.fiber_endpoint(Fraction(9, 10))
 
 
-@pytest.mark.parametrize("q", ["1/0", (1, 0), "x/2", math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("q", ["1/0", (1, 0), "x/2", "1/", "11/10/", math.nan,
+                               math.inf, -math.inf])
 def test_unreadable_characteristic_is_a_domain_error(q):
     """A q that is no finite rational raises DomainError naming it, from
     every entry point that reads one, not ZeroDivisionError, ValueError or
