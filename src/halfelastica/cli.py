@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import curvegen, dynamics, moduli, periodmap
-from .errors import CharacteristicIntervalError, HalfElasticaError
+from .errors import CharacteristicIntervalError, DomainError, HalfElasticaError
 __all__ = ["main"]
 
 SCHEMA = "halfelastica/1"
@@ -525,11 +525,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# the option types raise ArgumentTypeError: on a ValueError (DomainError is
+# one) argparse's message names the type's __name__
 def _finite(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
+
+
+def _fraction(text: str):
+    try:
+        return periodmap._as_fraction(text)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -549,8 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
         if e2:
             p.add_argument("--e2", dest="e2", type=_finite, required=True)
         if q:
-            p.add_argument("--q", dest="q", type=periodmap._as_fraction,
-                           required=True)
+            p.add_argument("--q", dest="q", type=_fraction, required=True)
         if steps:
             p.add_argument("--steps", dest="steps", type=int)
         if samples:

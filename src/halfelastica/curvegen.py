@@ -1,13 +1,14 @@
 """Curve generation on the hyperboloid model of the hyperbolic plane.
 
 The three families of curves with periodic non-constant curvature are
-parameterized in closed form from the curvature flow (mu, mu', Theta), where
-Theta is the accumulated angular/boost phase.  The phase is co-integrated
-with the curvature (augmented ODE state), never recovered by post-hoc
-quadrature, so the two stay phase-locked to integrator precision.  One
-curvature period [0, omega] is integrated per curve; every other arclength
-follows by periodicity, (mu, mu')(s + k omega) = (mu, mu')(s) and
-Theta(s + k omega) = Theta(s) + k Theta(omega).
+parameterized in closed form from (mu, mu', Theta), where Theta is the
+accumulated angular/boost phase.  All three are closed elliptic forms: mu(s)
+inverts the arclength from the orbit minimum (:mod:`dynamics`), and Theta is
+the integral of the family's theta'(mu) ds = theta'(mu) dmu/mu', reduced to
+incomplete integrals of the first, second and third kind in the period
+map's amplitude.  The rising half period is evaluated once; every other
+arclength follows by symmetry and periodicity, (mu, mu')(s + k omega) =
+(mu, mu')(s) and Theta(s + k omega) = Theta(s) + k Theta(omega).
 
 Conventions for the Minkowski 3-space R^{1,2}:
 
@@ -34,9 +35,10 @@ from scipy.optimize import brentq
 from . import ellint
 from .errors import DomainError, IntegrationError, RegionError
 from .dynamics import (
-    _FLOW_ATOL,
+    _RisingBranch,
     _interior,
-    _periodic_flow,
+    _parameter_and_scale,
+    _periodic_states,
     mu_acceleration,
     saddle_level,
     wavelength,
@@ -54,6 +56,7 @@ from .moduli import (
     resolve,
     roots_from_modulus,
 )
+from .periodmap import _coefficients
 
 __all__ = [
     "CurveKind",
@@ -88,8 +91,9 @@ _METRIC = np.diag([-1.0, 1.0, 1.0])
 # 1 + 4 c mu^2 from its factored form
 _NEAR_LOCUS = 1e-6
 
-# DOP853 relative tolerance of the curve flow and of the Frenet oracle, and
-# the error target of the light-like boost quadrature
+# DOP853 tolerances of the Frenet oracle, and the error target of the
+# light-like boost quadrature
+_FLOW_ATOL = 1e-14
 _FLOW_RTOL = 1e-13
 _BOOST_TOL = 1e-13
 
@@ -199,27 +203,91 @@ def _theta_rhs_for(point: ModulusPoint, kind: CurveKind, kappa1: float | None):
     return theta_rhs
 
 
+def _pole_terms(qd: QuarticData, pole):
+    """(b, n): the integral of g/(x - p) dx/sqrt(-Q(x)) from mu to e1 is
+    F(phi)/(e4 - p) + b Pi(n, phi) in the period map's amplitude phi; p may
+    be complex."""
+    e1, e2, _, e4 = qd.roots
+    n = (e2 - e1) / (e2 - e4) * (e4 - pole) / (e1 - pole)
+    return (e4 - e1) / ((e1 - pole) * (e4 - pole)), n
+
+
+def _phase_for(point: ModulusPoint, kind: CurveKind):
+    """(S, C) -> the integral of theta'(x) dx/(x sqrt(-Q(x))) from mu to e1,
+    the phase from the top of the curvature range, in incomplete elliptic
+    integrals of the period map's amplitude phi, (S, C) = (sin^2 phi, cos^2
+    phi).  At (1, 0) it is the phase over the half period."""
+    qd = point.quartic
+    lam, c = point.lam, qd.c
+    m, g = _parameter_and_scale(qd)
+    e1, e2, _, e4 = qd.roots
+    if kind is CurveKind.BL:
+        # theta'/x = -(x^2 + 2 lam x) with x = e4 + D/(1 - a sin^2): F, Pi(a)
+        # and the square of 1/(1 - a sin^2), Pi + a dPi/dn (DLMF 19.4.4)
+        a = (e2 - e1) / (e2 - e4)
+        d = e1 - e4
+
+        def phase(S, C):
+            f, pi_a = ellint.incomplete_F_Pi(S, C, m, a)
+            e = ellint.incomplete_E(S, C, m, f)
+            square = (a * e + (m - a) * f
+                      + (2.0 * a * m + 2.0 * a - a * a - 3.0 * m) * pi_a
+                      - a * a * np.sqrt(S * C * (1.0 - m * S)) / (1.0 - a * S)
+                      ) / (2.0 * (a - 1.0) * (m - a))
+            return -g * ((e4 + 2.0 * lam) * e4 * f + 2.0 * d * (e4 + lam) * pi_a
+                         + d * d * square)
+        return phase
+    if kind is CurveKind.BT and point.region is Region.E:
+        # the on-locus theta'/x = -8 sc lam^2 (1 + 2 lam/(x - 2 lam)), its
+        # constant term taken as its value at x = e4
+        scale = -8.0 * math.sqrt(-c) * lam * lam * g
+        pi_coeff, n = _pole_terms(qd, 2.0 * lam)
+        f_coeff = e4 / (e4 - 2.0 * lam)
+
+        def phase(S, C):
+            f, pi_n = ellint.incomplete_F_Pi(S, C, m, n)
+            return scale * (f_coeff * f + 2.0 * lam * pi_coeff * pi_n)
+        return phase
+    if kind is CurveKind.BT:
+        # the period map's closed form with incomplete integrals
+        _, _, nu, n2, a_coeff, beta, c_coeff, sign = _coefficients(lam, qd)
+        scale = -2.0 * math.sqrt(-c)
+
+        def phase(S, C):
+            f, pi_n2 = ellint.incomplete_F_Pi(S, C, m, n2)
+            return scale * (a_coeff * f + c_coeff * pi_n2 + sign * beta
+                            * ellint._scaled_incomplete_Pi(nu, S, C, m))
+        return phase
+    # space-like: theta'/x = (sc/(2c)) x (x + 2 lam)/(x^2 - p^2) with the
+    # poles +-p = +-i/(2 sc), partial fractions with conjugate residues lam
+    # +- p/2, and the constant term taken as its value at x = e4
+    sc = math.sqrt(c)
+    pole = 0.5j / sc
+    pi_coeff, n = _pole_terms(qd, pole)
+    a_coeff = g * 2.0 * sc * e4 * (e4 + 2.0 * lam) / (1.0 + 4.0 * c * e4 * e4)
+    b_coeff = g * (sc / (2.0 * c)) * (lam + 0.5 * pole) * pi_coeff
+
+    def phase(S, C):
+        f, pi_n = ellint.incomplete_F_Pi(S, C, m, n)
+        return a_coeff * f + 2.0 * (b_coeff * pi_n).real
+    return phase
+
+
 class _CurveFlow:
-    """(mu, mu', Theta) flow for one modulus point and curve kind: one
-    period integrated with dense output, extended by periodicity."""
+    """(mu, mu', Theta) of one modulus point and curve kind in closed form:
+    the rising half period evaluated, extended by symmetry and periodicity."""
 
     def __init__(self, point: ModulusPoint, kind: CurveKind):
         self.kind = kind
         self.qd = point.quartic
-        lam = point.lam
         self.c = self.qd.c
         self.omega = wavelength(point)
         self.exceptional = point.region is Region.E
         self._kappa1 = _near_locus_kappa1(self.qd)
-        self._theta_rhs = theta_rhs = _theta_rhs_for(point, kind, self._kappa1)
-
-        def rhs(_s, state):
-            x, y, _ = state
-            return (y, mu_acceleration(lam, x, y), theta_rhs(x))
-
+        self._theta_rhs = _theta_rhs_for(point, kind, self._kappa1)
         # s -> (mu, mu_dot, theta) rows
-        self.states = _periodic_flow(rhs, (self.qd.e2, 0.0, 0.0), self.omega,
-                                     _FLOW_RTOL)
+        self.states = _periodic_states(_RisingBranch(self.qd, self.omega),
+                                     _phase_for(point, kind))
 
     def radial_sign(self, s):
         """Sign branch of the radial function; flips every half period past
@@ -336,7 +404,7 @@ class CurveSamples:
 
     def _require_flow(self):
         if self._flow is None:
-            raise IntegrationError("this curve carries no dense closed-form flow")
+            raise IntegrationError("this curve carries no closed-form flow")
         return self._flow
 
     def gamma_at(self, s):
@@ -447,7 +515,7 @@ def bl_boost_quadrature(lam: float) -> float:
 
     It is strictly negative for every admissible multiplier, which is why no
     curve of the light-like family closes (its monodromy is a non-trivial
-    parabolic transform).  The phase integrated along the curve flow is the
+    parabolic transform).  The phase of the generated curve is the
     negative of this quantity.
     """
     qd = roots_from_modulus((lam, b0(lam)))

@@ -1,7 +1,7 @@
 """Curvature dynamics: the second-order equation for the Blaschke invariant,
-its conservation law, the phase-plane orbit taxonomy, the DOP853 integrator
-of its flows, wavelength evaluation (closed elliptic form cross-checked by
-quadrature), and the inverse of the rising half-period.
+its conservation law, the phase-plane orbit taxonomy, its solution in closed
+elliptic form (the arclength from the orbit minimum and its inverse), and
+wavelength evaluation (closed elliptic form cross-checked by quadrature).
 
 The Blaschke invariant mu (positive square root of the geodesic curvature)
 of a critical curve satisfies
@@ -18,14 +18,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import DOP853
 # Not called in this module: bench/tracing.py wraps ``dynamics.solve_ivp`` and
 # ``curvegen.solve_ivp`` as its ode layer, so the name stays importable here.
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.optimize import brentq
+from scipy.special import ellipj, elliprf, elliprj
 
 from . import ellint
 from .errors import DomainError, IntegrationError
@@ -63,11 +62,8 @@ __all__ = [
 
 _DEGENERATE_GAP = 1e-12
 
-# DOP853 tolerances: absolute for every flow, relative for solve_mu's; the
-# band on the conserved level within which classify_orbit tags equilibria and
-# separatrices; the error target of the wavelength quadrature
-_FLOW_ATOL = 1e-14
-_MU_RTOL = 3e-14
+# the band on the conserved level within which classify_orbit tags
+# equilibria and separatrices; the error target of the wavelength quadrature
 _LEVEL_TOL = 1e-10
 _QUAD_TOL = 1e-12
 
@@ -102,10 +98,10 @@ class MuSolution:
             arr.flags.writeable = False
 
     def at(self, s):
-        """(mu, mu_dot) at arbitrary arclength: the dense output of the one
-        integrated period, extended by periodicity (:func:`_periodic_flow`)."""
+        """(mu, mu_dot) at arbitrary arclength, in closed form
+        (:func:`_periodic_states`)."""
         if self._flow is None:
-            raise IntegrationError("constant solution has no dense output")
+            raise IntegrationError("the constant solution carries no curvature flow")
         out = self._flow(s)
         return out[0], out[1]
 
@@ -203,225 +199,127 @@ def _interior(p) -> ModulusPoint:
 
 
 # ---------------------------------------------------------------------------
-# DOP853 on Python floats
+# the curvature in closed form
 # ---------------------------------------------------------------------------
 #
-# The Dormand-Prince 8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs I,
-# sec. II.10) with scipy's step control, as written in its
-# select_initial_step, RungeKutta._step_impl and DOP853._estimate_error_norm,
-# and with scipy's dense output (Dop853DenseOutput, OdeSolution).  The
-# tableau is read from scipy's DOP853 class.  A state is a tuple of 2 or 3
-# Python floats, and the right-hand side rhs(s, state) returns one; the stage
-# sums are unpacked per state size and added left to right, so the same
-# floats come out on every interpreter and BLAS.  The sums differ from
-# scipy's np.dot in rounding only: the tests hold the accepted steps and the
-# right-hand-side count to scipy's.
+# On the rising half period mu runs from e2 to e1 and u = F(amplitude) from
+# 0 to K.  Two substitutions write mu = (r - p q S)/(1 - p S) in S = sin^2 of
+# an amplitude, and the arclength to mu as (g/r) sqrt(S) (R_F(C, D, 1) +
+# kappa S R_J(C, D, 1, 1 - n S)), C = cos^2, D = 1 - m S (m and g of the
+# wavelength form): from the minimum (Byrd & Friedman 256.00) r = e2, p =
+# alpha^2 = (e1 - e2)/(e1 - e3), q = e3, n = alpha^2 e3/e2 and kappa =
+# -alpha^2 (e2 - e3)/(3 e2); from the top (257.00, the period map's
+# amplitude) r = e1, p = a = (e2 - e1)/(e2 - e4), q = e4, n = a e4/e1 and
+# kappa = (n - a)/3.  Each side takes its half of u, where D >= sqrt(1 - m),
+# so neither loses digits as m -> 1 next to the separatrix.  A height on the
+# lower side has the top amplitude sin^2 = C/D, cos^2 = (1 - m) S/D.
+
+_TABLE_NODES = 33
+_NEWTON_STEPS = 2
+# heights on the half period are keyed to this binary fraction of omega
+_FOLD_SCALE = 2.0**48
 
 
-def _terms(row) -> tuple[tuple[float, int], ...]:
-    """(coefficient, stage) pairs of the nonzero entries of a tableau row."""
-    return tuple((float(a), j) for j, a in enumerate(row) if a != 0.0)
+class _RisingBranch:
+    """mu, |mu'| and the top amplitude on the rising half period [0, omega/2]
+    of one curvature orbit.  Each side solves its arclength for the
+    amplitude: a cubic Hermite seed from _TABLE_NODES amplitudes at equal
+    steps of u on [0, K/2], then _NEWTON_STEPS Newton steps."""
+
+    def __init__(self, qd: QuarticData, omega: float):
+        e1, e2, e3, e4 = qd.roots
+        self.m, self.g = _parameter_and_scale(qd)
+        alpha2, a = (e1 - e2) / (e1 - e3), (e2 - e1) / (e2 - e4)
+        n_top = a * e4 / e1
+        # per side, lower then upper
+        self.r, self.p, self.one_minus_p, self.q, self.n, self.kappa = np.array([
+            [e2, e1], [alpha2, a], [(e2 - e3) / (e1 - e3), (e1 - e4) / (e2 - e4)],
+            [e3, e4], [alpha2 * e3 / e2, n_top],
+            [-alpha2 * (e2 - e3) / (3.0 * e2), (n_top - a) / 3.0]])
+        self.omega = omega
+        u = np.linspace(0.0, 0.5 * ellint.complete_K(self.m), _TABLE_NODES)
+        sn, cn, _, self.phi = ellipj(u, self.m)
+        S, C = sn * sn, cn * cn
+        self.table = np.array([self.sigma(side, S, C) for side in (0, 1)])
+        self.slope = np.array([self._dphi(side, S, C) for side in (0, 1)])
+
+    def sigma(self, side, S, C):
+        """Arclength from the side's end of the range (0 the minimum, 1 the
+        top; or an array of sides) to the amplitude (S, C) = (sin^2, cos^2)."""
+        d2 = 1.0 - self.m * S
+        return (self.g / self.r[side]) * np.sqrt(S) * (
+            elliprf(C, d2, 1.0)
+            + self.kappa[side] * S * elliprj(C, d2, 1.0, 1.0 - self.n[side] * S))
+
+    def _mu(self, side, S, C):
+        p = self.p[side]
+        den = self.one_minus_p[side] + p * C
+        return (self.r[side] - p * self.q[side] * S) / den, den
+
+    def _dphi(self, side, S, C):
+        # d amplitude / d sigma = mu Delta / g
+        return self._mu(side, S, C)[0] * np.sqrt(1.0 - self.m * S) / self.g
+
+    def _amplitude(self, side, target):
+        # (S, C) on one side where its arclength is the target
+        table, slope = self.table, self.slope
+        i = np.where(side, np.searchsorted(table[1], target),
+                     np.searchsorted(table[0], target)) - 1
+        np.clip(i, 0, _TABLE_NODES - 2, out=i)
+        lo, width = table[side, i], table[side, i + 1] - table[side, i]
+        t = (target - lo) / width
+        t2 = t * t
+        phi = (self.phi[i] * ((2.0 * t - 3.0) * t2 + 1.0)
+               + self.phi[i + 1] * ((3.0 - 2.0 * t) * t2)
+               + width * slope[side, i] * (((t - 2.0) * t + 1.0) * t)
+               + width * slope[side, i + 1] * ((t - 1.0) * t2))
+        for _ in range(_NEWTON_STEPS):
+            S, C = np.sin(phi) ** 2, np.cos(phi) ** 2
+            phi = phi - (self.sigma(side, S, C) - target) * self._dphi(side, S, C)
+            np.clip(phi, 0.0, 0.5 * math.pi, out=phi)
+        return np.sin(phi) ** 2, np.cos(phi) ** 2
+
+    def at(self, h):
+        """(mu, |mu'|, sin^2 phi, cos^2 phi) at the heights h in [0, omega/2],
+        phi the top amplitude; mu' = (d mu/d amplitude)/(d sigma/d
+        amplitude) vanishes exactly at both turning points."""
+        side = (h > self.table[0][-1]).astype(np.intp)
+        S, C = self._amplitude(side, np.where(side, 0.5 * self.omega - h, h))
+        mu, den = self._mu(side, S, C)
+        d2 = 1.0 - self.m * S
+        rise = 2.0 * np.abs(self.p[side]) * (self.r[side] - self.q[side])
+        mu_dot = rise * np.sqrt(S * C) * mu * np.sqrt(d2) / (self.g * den * den)
+        return (mu, mu_dot, np.where(side, S, C / d2),
+                np.where(side, C, (1.0 - self.m) * S / d2))
 
 
-_STAGES = tuple((float(c), _terms(a[:s])) for s, (a, c) in
-                enumerate(zip(DOP853.A[1:], DOP853.C[1:]), start=1))
-_EXTRA_STAGES = tuple((float(c), _terms(a[:s])) for s, (a, c) in
-                      enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA),
-                                start=DOP853.n_stages + 1))
-_B = _terms(DOP853.B)
-_E5 = _terms(DOP853.E5)
-_E3 = _terms(DOP853.E3)
-_D = tuple(_terms(row) for row in DOP853.D)
-_ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 10.0
-
-
-def _combine2(y, h, k, terms):
-    """y + (sum of a k[j] over the (a, j) terms) h for a 2-state."""
-    s0 = s1 = 0.0
-    for a, j in terms:
-        k0, k1 = k[j]
-        s0 += a * k0
-        s1 += a * k1
-    y0, y1 = y
-    return (y0 + s0 * h, y1 + s1 * h)
-
-
-def _combine3(y, h, k, terms):
-    """y + (sum of a k[j] over the (a, j) terms) h for a 3-state."""
-    s0 = s1 = s2 = 0.0
-    for a, j in terms:
-        k0, k1, k2 = k[j]
-        s0 += a * k0
-        s1 += a * k1
-        s2 += a * k2
-    y0, y1, y2 = y
-    return (y0 + s0 * h, y1 + s1 * h, y2 + s2 * h)
-
-
-_COMBINE = {2: _combine2, 3: _combine3}
-
-
-def _rms(v, scale) -> float:
-    """RMS norm of v / scale."""
-    acc = 0.0
-    for x, w in zip(v, scale):
-        x /= w
-        acc += x * x
-    return math.sqrt(acc) / len(v) ** 0.5
-
-
-def _initial_step(rhs, y0, f0, t_end: float, rtol: float,
-                  max_step: float) -> float:
-    """scipy's select_initial_step for an integration forward from s = 0."""
-    scale = [_FLOW_ATOL + abs(v) * rtol for v in y0]
-    d0 = _rms(y0, scale)
-    d1 = _rms(f0, scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, t_end)
-    f1 = rhs(h0, tuple(v + h0 * f for v, f in zip(y0, f0)))
-    d2 = _rms([b - a for a, b in zip(f0, f1)], scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        # max(d1, d2) is 0 only where d2 is NaN; numpy's quotient is inf there
-        d = max(d1, d2)
-        h1 = (0.01 / d) ** -_ERROR_EXPONENT if d else math.inf
-    return min(100.0 * h0, h1, t_end, max_step)
-
-
-class _Dop853Run(NamedTuple):
-    """One integration over [0, ts[-1]]: the step boundaries ``ts``, and per
-    step its start state ``y_old`` (n, steps) and the coefficients ``F``
-    (7, n, steps) of its dense-output polynomial; ``nfev`` right-hand-side
-    evaluations."""
-
-    ts: np.ndarray
-    y_old: np.ndarray
-    F: np.ndarray
-    nfev: int
-
-
-def _dop853(rhs, y0, t_end: float, rtol: float, max_step: float) -> _Dop853Run:
-    """Integrate the autonomous flow rhs(s, state) from y0 over [0, t_end]
-    (t_end > 0) at absolute tolerance _FLOW_ATOL; IntegrationError where
-    scipy's solver would report failure (the step falls below ten ulps of s,
-    as where the right-hand side turns NaN)."""
-    n = len(y0)
-    combine = _COMBINE[n]
-    zero = (0.0,) * n
-    atol = _FLOW_ATOL
-    y = tuple(map(float, y0))
-    f = rhs(0.0, y)
-    h_abs = _initial_step(rhs, y, f, t_end, rtol, max_step)
-    nfev = 2
-    t = 0.0
-    ts = [t]
-    starts = []
-    coefficients = []
-    while t < t_end:
-        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
-            h_abs = min_step
-        rejected = False
-        while True:
-            # a NaN step size fails here too, where scipy's loop would not end
-            if not h_abs >= min_step:
-                raise IntegrationError(
-                    f"curvature flow failed: step size {h_abs:.3e} under the "
-                    f"minimum {min_step:.3e} at s={t!r}"
-                )
-            t_new = min(t + h_abs, t_end)
-            h = t_new - t
-            h_abs = h
-            k = [f]
-            for c, terms in _STAGES:
-                k.append(rhs(t + c * h, combine(y, h, k, terms)))
-            y_new = combine(y, h, k, _B)
-            f_new = rhs(t + h, y_new)
-            k.append(f_new)
-            nfev += len(_STAGES) + 1
-            e5 = e3 = 0.0
-            for a, b, d5, d3 in zip(y, y_new, combine(zero, 1.0, k, _E5),
-                                    combine(zero, 1.0, k, _E3)):
-                scale = atol + max(abs(a), abs(b)) * rtol
-                d5 /= scale
-                d3 /= scale
-                e5 += d5 * d5
-                e3 += d3 * d3
-            if e5 == 0.0 and e3 == 0.0:
-                error_norm = 0.0
-            else:
-                error_norm = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * n)
-            if error_norm < 1.0:
-                if error_norm == 0.0:
-                    factor = _MAX_FACTOR
-                else:
-                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
-                if rejected:
-                    factor = min(1.0, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
-            rejected = True
-        # the dense output of the accepted step, as Dop853DenseOutput's F
-        for c, terms in _EXTRA_STAGES:
-            k.append(rhs(t + c * h, combine(y, h, k, terms)))
-        nfev += len(_EXTRA_STAGES)
-        delta = tuple(b - a for a, b in zip(y, y_new))
-        coefficients.append(delta)
-        coefficients.append(tuple(h * a - d for a, d in zip(f, delta)))
-        coefficients.append(tuple(2.0 * d - h * (b + a)
-                                  for d, a, b in zip(delta, f, f_new)))
-        coefficients.extend(combine(zero, h, k, terms) for terms in _D)
-        starts.append(y)
-        t, y, f = t_new, y_new, f_new
-        ts.append(t)
-    F = np.array(coefficients).reshape(len(starts), 3 + len(_D), n)
-    return _Dop853Run(np.array(ts), np.array(starts).T.copy(),
-                      F.transpose(1, 2, 0).copy(), nfev)
-
-
-def _dense_values(run: _Dop853Run, t: np.ndarray) -> np.ndarray:
-    """States (one row per component) at the 1-D array t: OdeSolution's
-    segment choice and Dop853DenseOutput's Horner order, in one numpy pass
-    over all samples, so that scipy's own interpolant data give its values
-    bit for bit."""
-    ts = run.ts
-    seg = np.searchsorted(ts, t, side="left") - 1
-    np.clip(seg, 0, len(ts) - 2, out=seg)
-    t_old = ts[seg]
-    x = (t - t_old) / (ts[seg + 1] - t_old)
-    one_minus_x = 1 - x
-    F = run.F[:, :, seg]
-    y = np.zeros(F.shape[1:])
-    for i, f in enumerate(F[::-1]):
-        y += f
-        y *= x if i % 2 == 0 else one_minus_x
-    y += run.y_old[:, seg]
-    return y
-
-
-def _periodic_flow(rhs, y0, omega: float, rtol: float):
-    """s -> states (one row per component) of a flow from the orbit minimum,
-    integrated once over [0, omega]: (mu, mu') repeat and every further
-    component (the phase) advances by its value at omega per period.  s > 0
-    folds onto (0, omega], so a positive multiple of omega reads the end
-    state; s <= 0 folds onto [0, omega).  The step cap keeps the dense-output
-    error below the conservation and momentum budgets."""
-    run = _dop853(rhs, y0, omega, rtol, omega / 64.0)
-    advance = _dense_values(run, np.array([omega]))[2:]
+def _periodic_states(branch: _RisingBranch, phase=None):
+    """s -> rows (mu, mu'[, Theta]) of an orbit from its minimum.  s > 0 folds
+    onto (0, omega] and s <= 0 onto [0, omega), so a positive multiple of
+    omega reads the end state; the height left is keyed to a multiple of
+    omega/_FOLD_SCALE (moving mu by at most max|mu'| omega/2^49), the falling
+    half period onto the rising one, and the branch evaluated once per key.
+    ``phase(S, C)`` is the phase from the top of the range to the top
+    amplitude (S, C); from the minimum it is phase(1, 0) less that, and it
+    advances by 2 phase(1, 0) per period."""
+    omega = branch.omega
+    half = None if phase is None else phase(np.ones(1), np.zeros(1))[0]
 
     def states(s):
         s = np.atleast_1d(np.asarray(s, dtype=float))
         k = np.where(s > 0.0, np.ceil(s / omega) - 1.0, np.floor(s / omega))
-        out = _dense_values(run, s - k * omega)
-        out[2:] += k * advance
-        return out
+        key = np.rint((s - k * omega) / omega * _FOLD_SCALE)
+        fall = key > 0.5 * _FOLD_SCALE
+        key = np.where(fall, _FOLD_SCALE - key, key)
+        keys, where = np.unique(key, return_inverse=True)
+        mu, mu_dot, S, C = branch.at(keys * (omega / _FOLD_SCALE))
+        mu_dot = mu_dot[where]
+        rows = [mu[where], np.where(fall, 0.0 - mu_dot, mu_dot)]
+        if phase is not None:
+            theta = (half - phase(S, C))[where]
+            rows.append(np.where(fall, 2.0 * half - theta, theta)
+                        + k * (2.0 * half))
+        return np.array(rows)
 
     return states
 
@@ -429,11 +327,11 @@ def _periodic_flow(rhs, y0, omega: float, rtol: float):
 def solve_mu(p, n_periods: float = 1.0, samples_per_period: int = 2048,
              residual_tol: float = 1e-8) -> MuSolution:
     """The curvature dynamics from the orbit minimum over ``n_periods``
-    wavelengths: one period integrated, extended by periodicity.
+    wavelengths, in closed form.
 
     Inputs within 1e-12 of an equilibrium height return the constant
     solution explicitly: at the center the amplitude vanishes, at the saddle
-    the period diverges, and integration would be meaningless either way.
+    the period diverges.
     """
     point = resolve(p)
     if point.region is Region.OUTSIDE:
@@ -454,12 +352,7 @@ def solve_mu(p, n_periods: float = 1.0, samples_per_period: int = 2048,
         return MuSolution(point, s, np.full_like(s, eta), np.zeros_like(s),
                           period, qd)
     omega = wavelength(point)
-
-    def rhs(_s, state):
-        x, y = state
-        return (y, mu_acceleration(lam, x, y))
-
-    flow = _periodic_flow(rhs, (e2, 0.0), omega, _MU_RTOL)
+    flow = _periodic_states(_RisingBranch(point.quartic, omega))
     s = np.linspace(0.0, n_periods * omega, n_samples + 1)
     states = flow(s)
     out = MuSolution(point, s, states[0], states[1], omega, point.quartic,
@@ -545,22 +438,19 @@ def wavelength_quadrature(p) -> float:
 
 def h_inverse(p, mu) -> float:
     """Arclength h(mu) in [0, omega/2] at which the rising curvature branch
-    reaches the value mu; h(e2) = 0 and h(e1) = omega/2."""
+    reaches the value mu; h(e2) = 0 and h(e1) = omega/2.  It is the
+    arclength from the minimum that :func:`solve_mu` inverts."""
     point = _interior(p)
     qd = point.quartic
-    e1, e2v, _, e4 = qd.roots
+    e1, e2v, e3, _ = qd.roots
     if not e2v - 1e-12 <= mu <= e1 + 1e-12:
         raise DomainError(f"mu={mu!r} outside the curvature range [{e2v}, {e1}]")
     mu = min(max(mu, e2v), e1)
-    a, m, n, g = elliptic_arguments(qd)
-    omega = wavelength(point)
-    ratio = ((e2v - e4) * (e1 - mu)) / ((e1 - e2v) * (mu - e4))
-    # sn(u, m) = sqrt(ratio), and am(F(phi, m), m) = phi
-    phi = math.asin(math.sqrt(min(max(ratio, 0.0), 1.0)))
-    u = ellint.incomplete_F(phi, m)
-    return 0.5 * omega - (g / e1) * (
-        (a / n) * u - ((a - n) / n) * ellint.incomplete_Pi(n, phi, m)
-    )
+    # the amplitude from the minimum, both ends without cancellation
+    den = (e1 - e2v) * (mu - e3)
+    S = (e1 - e3) * (mu - e2v) / den
+    C = (e2v - e3) * (e1 - mu) / den
+    return float(_RisingBranch(qd, wavelength(point)).sigma(0, S, C))
 
 
 def signature(p, n: int = 512) -> np.ndarray:
@@ -573,7 +463,7 @@ def signature(p, n: int = 512) -> np.ndarray:
 
 
 def invert_by_bisection(sol: MuSolution, mu: float) -> float:
-    """Oracle inversion of the rising branch by bisection on the dense output."""
+    """Oracle inversion of the rising branch by bisection on the closed form."""
     omega = sol.wavelength
 
     def f(s):

@@ -2,11 +2,11 @@
 first, second and third kind, and a tanh-sinh quadrature oracle.
 
 The Legendre-form integrals are evaluated through Carlson's symmetric forms
-R_F, R_D and R_J, taken from scipy's ufuncs ``scipy.special.elliprf``,
-``elliprd`` and ``elliprj`` (B. C. Carlson, "Numerical computation of real
-or complex elliptic integrals", Numer. Algorithms 10, 1995).  The complete
-integrals K and Pi accept arrays as well as floats, so a whole slice of the
-period map is one call.  The parameter convention throughout is
+R_F, R_C, R_D and R_J, scipy's ufuncs ``scipy.special.elliprf`` and so on
+(B. C. Carlson, "Numerical computation of real or complex elliptic
+integrals", Numer. Algorithms 10, 1995).  K and Pi, and F, E and Pi at
+whole arrays of amplitudes, accept arrays as well as floats, so a slice of
+the period map or a sampled curve is one call.  The convention throughout is
 
     K(m)        = int_0^{pi/2} dt / sqrt(1 - m sin^2 t),          0 <= m < 1,
     E(m)        = int_0^{pi/2} sqrt(1 - m sin^2 t) dt,            0 <= m <= 1,
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import elliprd, elliprf, elliprj
+from scipy.special import elliprc, elliprd, elliprf, elliprj
 
 from .errors import DomainError, QuadratureError
 
@@ -40,6 +40,8 @@ __all__ = [
     "complete_K_Pi",
     "incomplete_F",
     "incomplete_Pi",
+    "incomplete_F_Pi",
+    "incomplete_E",
     "quad_oracle",
 ]
 
@@ -111,30 +113,56 @@ def _scaled_Pi(nu, m, k):
     return np.where(nu == 0.0, math.pi / 2.0, g) if array else float(g)
 
 
-def incomplete_F(phi: float, m: float) -> float:
-    """Incomplete elliptic integral of the first kind with amplitude phi."""
+def _amplitude(phi: float, m: float) -> tuple[float, float]:
+    # (sin^2 phi, cos^2 phi) of a checked amplitude and parameter
     _check_m(m)
     if not 0.0 <= phi <= math.pi / 2.0:
         raise DomainError(f"amplitude phi={phi!r} outside [0, pi/2]")
-    if phi == 0.0:
-        return 0.0
-    s = math.sin(phi)
-    c = 1.0 / (s * s)
-    return float(elliprf(c - 1.0, c - m, c))
+    return math.sin(phi) ** 2, math.cos(phi) ** 2
+
+
+def incomplete_F(phi: float, m: float) -> float:
+    """Incomplete elliptic integral of the first kind with amplitude phi."""
+    return float(incomplete_F_Pi(*_amplitude(phi, m), m)[0])
 
 
 def incomplete_Pi(n: float, phi: float, m: float) -> float:
     """Incomplete elliptic integral of the third kind up to amplitude phi."""
     _check_n(n)
-    _check_m(m)
-    if not 0.0 <= phi <= math.pi / 2.0:
-        raise DomainError(f"amplitude phi={phi!r} outside [0, pi/2]")
-    if phi == 0.0:
-        return 0.0
-    s = math.sin(phi)
-    c = 1.0 / (s * s)
-    return float(elliprf(c - 1.0, c - m, c)
-                 + (n / 3.0) * elliprj(c - 1.0, c - m, c, c - n))
+    return float(incomplete_F_Pi(*_amplitude(phi, m), m, n)[1])
+
+
+def incomplete_F_Pi(s2, c2, m, *ns):
+    """[F(phi, m), Pi(n, phi, m) for each n of ``ns``] at sin^2 phi = s2 and
+    cos^2 phi = c2, both given so that neither end of the range cancels
+    (DLMF 19.25.5, 19.25.14), with one R_F shared.  Floats or arrays; a
+    complex n takes scipy's complex R_J."""
+    d2 = 1.0 - m * s2
+    f = np.sqrt(s2) * elliprf(c2, d2, 1.0)
+    return [f] + [f + (n / 3.0) * s2 * np.sqrt(s2) * elliprj(c2, d2, 1.0, 1.0 - n * s2)
+                  for n in ns]
+
+
+def incomplete_E(s2, c2, m, f):
+    """E(phi, m) at the amplitude of :func:`incomplete_F_Pi`, from its F
+    (DLMF 19.25.9): F - (m/3) sin^3 phi R_D(c2, 1 - m s2, 1)."""
+    return f - (m / 3.0) * s2 * np.sqrt(s2) * elliprd(c2, 1.0 - m * s2, 1.0)
+
+
+def _scaled_incomplete_Pi(nu, s2, c2, m):
+    """G(nu; phi) = sqrt(-n) Pi(n, phi, m) at n = -1/nu < 0, the incomplete
+    :func:`_scaled_Pi`: Carlson's change of the fourth argument (DLMF
+    19.21.12) from 1 + s2/nu to q = c2 + nu s2 (1 - m)/(1 + nu) gives s/(1 +
+    nu) (sqrt(nu) (R_F + s2 (1 - m) R_J(c2, d2, 1, q)/(3 (1 + nu))) + sqrt(c2)
+    R_C(nu d2, (nu + s2) q)), positive terms where R_F + (n/3) s2 R_J cancels
+    at large -n; the R_C term tends to pi/2 as nu -> 0 at c2 > 0."""
+    d2 = 1.0 - m * s2
+    one = 1.0 + nu
+    q = c2 + nu * (s2 * (1.0 - m)) / one
+    return np.sqrt(s2) / one * (
+        np.sqrt(nu) * (elliprf(c2, d2, 1.0)
+                       + s2 * (1.0 - m) * elliprj(c2, d2, 1.0, q) / (3.0 * one))
+        + np.sqrt(c2) * elliprc(nu * d2, (nu + s2) * q))
 
 
 # ---------------------------------------------------------------------------

@@ -449,7 +449,8 @@ def _as_fraction(q) -> Fraction:
         raise DomainError(
             f"characteristic number q={q!r} is not a finite rational") from None
     if frac <= 0:
-        raise DomainError(f"characteristic number must be positive, got {frac}")
+        raise DomainError(
+            f"characteristic number q={q!r} must be positive, got {frac}")
     return frac
 
 

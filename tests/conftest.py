@@ -115,16 +115,9 @@ def locus_residuals(monkeypatch):
 
 @pytest.fixture
 def ode_spans(monkeypatch):
-    """Records the span of every integration of the package: each run of the
-    in-package DOP853 (over [0, t_end]) and each solve_ivp call."""
+    """Records the span of every integration of the package: each solve_ivp
+    call through the names that dynamics and curvegen bind."""
     spans = []
-    integrate = dynamics._dop853
-
-    def recording_dop853(rhs, y0, t_end, *args):
-        spans.append((0.0, t_end))
-        return integrate(rhs, y0, t_end, *args)
-
-    monkeypatch.setattr(dynamics, "_dop853", recording_dop853)
     for module in (dynamics, curvegen):
         def recording(fun, t_span, *args, _solve=module.solve_ivp, **kwargs):
             spans.append(tuple(t_span))

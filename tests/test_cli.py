@@ -3,6 +3,7 @@ rendering contract."""
 
 import json
 import math
+import re
 import subprocess
 import sys
 import threading
@@ -209,6 +210,15 @@ class TestFindStringAndFiber:
         code, out, err = run_cli(["fiber", "--q", q])
         assert code == 64
         assert out == "" and repr(q) in err
+        # the message names the fault, not a private function
+        assert "characteristic number" in err
+        assert not re.search(r"\b_\w+", err)
+
+    def test_malformed_lambda_is_a_usage_error(self):
+        code, out, err = run_cli(["curve", "--lambda", "x", "--e2", "1"])
+        assert code == 64
+        assert out == "" and "must be a finite number, got 'x'" in err
+        assert not re.search(r"\b_\w+", err)
 
     def test_q_out_of_range_exit(self):
         code, _, err = run_cli(["find-string", "--lambda", "-1.2",

@@ -218,11 +218,20 @@ class TestBTCurve:
         xi = C.momentum_samples(cv)
         assert np.max(np.abs(xi - C.expected_momentum(cv))) <= 1e-8
 
-    @pytest.mark.parametrize("d", [-1e-3, 1e-3])
-    def test_near_the_locus(self, d):
-        # 1e-3 off the exceptional locus the flow takes about 170 steps per
-        # period; its phase at omega is held to the closed-form period map
-        pt = M.classify_region(-1.3, M.exceptional_c(-1.3) + d)
+    @pytest.mark.parametrize("lam, d", [
+        pytest.param(-1.3, -1e-3, id="-0.001"),
+        pytest.param(-1.3, 1e-3, id="0.001"),
+        *((lam, d) for lam in (-1.8, -1.3, -1.1, -0.95)
+          for d in (-3e-4, -1e-4, 1e-4, 3e-4, 3e-5)
+          if not (lam == -1.8 and abs(d) == 3e-4))])
+    def test_near_the_locus(self, lam, d):
+        # off the E tag, 1e-3 from the locus and in the near-locus band (the
+        # 18 points with radial degeneracy below _NEAR_LOCUS): the phase at
+        # omega is held to the closed-form period map; measured at most
+        # 4.4e-16 in the band
+        pt = M.classify_region(lam, M.exceptional_c(lam) + d)
+        if abs(d) < 1e-3:
+            assert M.radial_degeneracy(pt.quartic.e1, pt.e2) < C._NEAR_LOCUS
         cv = C.bt_curve(pt, samples=512, periods=2.0)
         xi = C.momentum_samples(cv)
         assert np.max(np.abs(xi - C.expected_momentum(cv))) <= 1e-8
@@ -235,8 +244,8 @@ class TestBTCurve:
         (-0.95, 3e-4, M.Region.T_PLUS), (-1.3, -2e-4, M.Region.T_MINUS)])
     def test_near_locus_band(self, lam, d, region):
         # off the E tag but below _NEAR_LOCUS (radial degeneracy 2.1e-7 and
-        # 2.7e-7), where w and the phase take the factored 1 + 4 c mu^2 and
-        # rho' the naive quotient; measured drifts 1.2e-12 and 3.7e-12
+        # 2.7e-7), where w and theta' take the factored 1 + 4 c mu^2 and
+        # rho' the naive quotient; measured drifts 1.8e-14 and 1.3e-13
         pt = M.classify_region(lam, M.exceptional_c(lam) + d)
         assert pt.region is region
         assert M.radial_degeneracy(pt.quartic.e1, pt.e2) < C._NEAR_LOCUS
@@ -250,6 +259,24 @@ class TestInvariantsAcrossFamilies:
         pts = (sample_lightlike(rng, 2) + sample_spacelike(rng, 2)
                + sample_timelike(rng, 2))
         return [C.make_curve(pt, samples=256, periods=1.0) for pt in pts]
+
+    # S and T- points 1e-8 off the light-like curve on its polynomial t2 =
+    # e2^2 + 2 lam e2 + 1, ten times its tag's width, where the phase's
+    # coefficients grow like 1/sqrt|c| and cancel
+    @pytest.mark.parametrize("lam", [-1.05, -1.3, -2.0])
+    @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["S", "T"])
+    def test_next_to_the_light_like_curve(self, lam, side):
+        b = M.b0(lam)
+        pt = M.classify_region(lam, b + side * 1e-8 / (2.0 * (b + lam)))
+        assert pt.region is (M.Region.T_MINUS if side > 0.0 else M.Region.S)
+        cv = C.make_curve(pt, samples=256, periods=2.0)
+        # measured at most 2.4e-9
+        xi = C.momentum_samples(cv)
+        assert np.max(np.abs(xi - C.expected_momentum(cv))) <= 1e-8
+        orc = C.frenet_oracle(pt, n_periods=1.0, samples=256)
+        cf = C.make_curve(pt, s_grid=orc.s)
+        aligned = orc.gamma @ C.initial_frame(cf).T
+        assert np.max(np.abs(aligned - cf.gamma)) <= 1e-6
 
     def test_unit_speed_and_hyperboloid(self, rng):
         for cv in self._curves(rng):
@@ -291,8 +318,8 @@ class TestInvariantsAcrossFamilies:
 
 
 class TestOnePeriodFlow:
-    """A curve integrates its curvature period [0, omega] once and takes
-    every other arclength from it by periodicity."""
+    """A curve evaluates its rising half period in closed form and takes
+    every other arclength from it by symmetry and periodicity."""
 
     @pytest.mark.parametrize("make", [
         lambda: C.bt_curve(M.classify_region(-1.3, 2.3), samples=64,
@@ -302,8 +329,14 @@ class TestOnePeriodFlow:
         lambda: C.make_curve(light_point(-1.5), samples=64, periods=2.0),
     ], ids=["T", "S", "L"])
     def test_one_integration_over_one_period(self, make, ode_spans):
+        # the closed forms integrate nothing: not the curve, its accessors,
+        # nor the radial and angular functions
         cv = make()
-        assert ode_spans == [(0.0, cv.wavelength)]
+        cv.state_at(np.linspace(-3.0, 3.0, 7) * cv.wavelength)
+        if cv.kind is C.CurveKind.BT:
+            C.radial_function(cv.modulus, cv.s)
+            C.angular_function(cv.modulus, cv.s)
+        assert ode_spans == []
 
     # one point of each tag, and a T+ point 3e-4 above E in the near-locus band
     @pytest.mark.parametrize("lam, e2, region", [

@@ -1,5 +1,5 @@
-"""Curvature dynamics: phase field, orbit taxonomy, integration (the
-in-package DOP853 against scipy's), wavelength closed form vs quadrature,
+"""Curvature dynamics: phase field, orbit taxonomy, the closed-form
+solution (against scipy's DOP853), wavelength closed form vs quadrature,
 and the half-period inverse."""
 
 import math
@@ -137,8 +137,11 @@ class TestSolveMu:
         assert np.max(np.abs(fwd.sol(s)[0] - bwd.sol(-s)[0])) <= 1e-9
 
     def test_one_integration_over_one_period(self, ode_spans):
+        # the closed form integrates nothing, over any number of periods
         sol = D.solve_mu(M.classify_region(-1.3, 1.2), n_periods=3.0)
-        assert ode_spans == [(0.0, sol.wavelength)]
+        sol.at(np.linspace(0.0, 3.0 * sol.wavelength, 7))
+        D.signature(M.classify_region(-1.3, 1.2), 64)
+        assert ode_spans == []
 
     def test_periodicity(self):
         pt = M.classify_region(-1.2, 1.5)
@@ -154,45 +157,12 @@ class TestSolveMu:
         y = sol.mu_dot[1:]
         s = sol.s[1:]
         flips = np.nonzero(y[:-1] * y[1:] < 0.0)[0]
-        crossings = [s[i] - y[i] * (s[i + 1] - s[i]) / (y[i + 1] - y[i])
-                     for i in flips]
+        # mu' is exactly 0 at the minima, and changes sign between samples
+        # at the maxima
+        crossings = sorted([s[i] - y[i] * (s[i + 1] - s[i]) / (y[i + 1] - y[i])
+                            for i in flips] + s[y == 0.0].tolist())
         gaps = np.diff(crossings)
         assert np.max(np.abs(2.0 * gaps - sol.wavelength)) <= 1e-7
-
-
-def _flow_integration(monkeypatch, build):
-    """The (rhs, y0, t_end, rtol, max_step) of the one in-package DOP853 run
-    that ``build()`` makes."""
-    calls = []
-    integrate = D._dop853
-
-    def recording(*args):
-        calls.append(args)
-        return integrate(*args)
-
-    monkeypatch.setattr(D, "_dop853", recording)
-    build()
-    monkeypatch.undo()
-    (call,) = calls
-    return call
-
-
-def _scipy_dop853(rhs, y0, t_end, rtol, max_step):
-    sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", rtol=rtol,
-                    atol=D._FLOW_ATOL, dense_output=True, max_step=max_step)
-    assert sol.success
-    return sol
-
-
-def _scipy_run(sol) -> D._Dop853Run:
-    """scipy's interpolant data in the in-package layout."""
-    pieces = sol.sol.interpolants
-    return D._Dop853Run(
-        np.asarray(sol.sol.ts),
-        np.array([p.y_old for p in pieces]).T.copy(),
-        np.array([p.F for p in pieces]).transpose(1, 2, 0).copy(),
-        sol.nfev,
-    )
 
 
 # the first curve item of each stratum of the curves bench at seed 1 (T-,
@@ -203,120 +173,40 @@ _CURVE_POINTS = {
     "S": (-1.4885853684397703, 1.8679685872503975),
     "L": (-1.8438325120229508, 3.3929349400091913),
 }
-_FLOWS = {
-    **{name: (lambda p=p: C.make_curve(M.resolve(*p), samples=16))
-       for name, p in _CURVE_POINTS.items()},
-    "mu": lambda: D.solve_mu(M.resolve(-1.3, 1.2), samples_per_period=16),
-}
+_MU_POINT = (-1.3, 1.2)
 
 
-# rhs(s, state), y0 and t_end of flows that reach the corners of the step
-# control: rejections down to the minimum factor at a jump of the forcing, an
-# interval shorter than the first step, a zero right-hand side (error 0,
-# growth by the maximum factor), and a 3-state flow
-_PROBLEMS = {
-    "jump": (lambda s, st: (st[1], -st[0] + (1e6 if s > 0.7 else 0.0)),
-             (1.0, 0.0), 2.0),
-    "short": (lambda s, st: (st[1], -st[0]), (1.0, 0.5), 1e-9),
-    "still": (lambda s, st: (0.0, 0.0), (1.0, 0.0), 2.0),
-    "3-state": (lambda s, st: (st[1], -st[0], st[0] * st[0]), (1.0, 0.0, 0.0),
-                7.0),
-}
+class TestClosedFormFlow:
+    """The closed-form (mu, mu'[, Theta]) against scipy's DOP853 on the
+    curvature equation and the family's theta'(mu), over one period."""
 
+    @pytest.mark.parametrize("flow", [*_CURVE_POINTS, "mu"])
+    def test_matches_scipy_flow(self, flow):
+        if flow == "mu":
+            point = M.resolve(*_MU_POINT)
+            states = D.solve_mu(point, samples_per_period=16)._flow
+            theta_rhs = None
+        else:
+            point = M.resolve(*_CURVE_POINTS[flow])
+            curve = C._CurveFlow(point, C._KIND_OF_REGION[point.region])
+            states, theta_rhs = curve.states, curve._theta_rhs
+        lam, omega = point.lam, D.wavelength(point)
 
-class TestDop853:
-    """The in-package DOP853 repeats scipy's solve_ivp(method="DOP853") step
-    for step; its stage sums round differently, so the values agree to a
-    few ulps of the column scale."""
+        def rhs(_s, state):
+            x, y = state[0], state[1]
+            out = [y, D.mu_acceleration(lam, x, y)]
+            return out if theta_rhs is None else out + [theta_rhs(x)]
 
-    @pytest.mark.parametrize("flow", list(_FLOWS))
-    def test_steps_and_values_match_scipy(self, monkeypatch, flow):
-        rhs, y0, t_end, rtol, max_step = _flow_integration(monkeypatch,
-                                                           _FLOWS[flow])
-        assert len(y0) == (2 if flow == "mu" else 3)
-        run = D._dop853(rhs, y0, t_end, rtol, max_step)
-        sol = _scipy_dop853(rhs, y0, t_end, rtol, max_step)
-        assert len(run.ts) == len(sol.t)
-        assert run.nfev == sol.nfev
-        assert run.ts[0] == 0.0 and run.ts[-1] == t_end
-        s = np.linspace(0.0, t_end, 4097)
-        ours, theirs = D._dense_values(run, s), sol.sol(s)
+        y0 = [point.quartic.e2, 0.0] + ([] if theta_rhs is None else [0.0])
+        sol = solve_ivp(rhs, (0.0, omega), y0, method="DOP853", rtol=3e-14,
+                        atol=1e-14, dense_output=True, max_step=omega / 64.0)
+        assert sol.success
+        s = np.linspace(0.0, omega, 4097)
+        ours, theirs = states(s), sol.sol(s)
+        assert ours.shape == theirs.shape
         scale = np.max(np.abs(theirs), axis=1)
+        # measured at most 3.8e-13 of the column scale (mu' on S)
         assert np.all(np.max(np.abs(ours - theirs), axis=1) <= 1e-12 * scale)
-
-    @pytest.mark.parametrize("problem", list(_PROBLEMS))
-    def test_step_control_matches_scipy(self, problem):
-        rhs, y0, t_end = _PROBLEMS[problem]
-        # a tolerance far above rounding, where the error estimates of both
-        # solvers are their truncation errors, not the noise of their sums
-        args = (rhs, y0, t_end, 1e-6, t_end / 64.0)
-        run, sol = D._dop853(*args), _scipy_dop853(*args)
-        assert len(run.ts) == len(sol.t)
-        assert run.nfev == sol.nfev
-        np.testing.assert_allclose(run.ts, sol.t, rtol=1e-9, atol=0.0)
-
-    @pytest.mark.parametrize("flow", ["T+", "mu"])
-    def test_dense_values_are_scipys_on_its_data(self, monkeypatch, flow):
-        rhs, y0, t_end, rtol, max_step = _flow_integration(monkeypatch,
-                                                           _FLOWS[flow])
-        sol = _scipy_dop853(rhs, y0, t_end, rtol, max_step)
-        run = _scipy_run(sol)
-        s = np.concatenate((np.linspace(-0.1, 1.1, 1001) * t_end, run.ts))
-        np.testing.assert_array_equal(D._dense_values(run, s), sol.sol(s))
-        np.testing.assert_array_equal(D._dense_values(run, s[::-1]),
-                                      sol.sol(s[::-1]))
-        for t in (0.0, t_end, 0.37 * t_end, *run.ts):
-            np.testing.assert_array_equal(D._dense_values(run, np.array([t]))[:, 0],
-                                          sol.sol(t))
-
-    def test_segment_choice_at_step_boundaries(self, monkeypatch, rng):
-        # random coefficients make the two steps that meet at a boundary
-        # disagree there, so only OdeSolution's choice of the earlier step
-        # gives scipy's values
-        rhs, y0, t_end, rtol, max_step = _flow_integration(monkeypatch,
-                                                           _FLOWS["T-"])
-        sol = _scipy_dop853(rhs, y0, t_end, rtol, max_step)
-        for piece in sol.sol.interpolants:
-            piece.F = rng.standard_normal(piece.F.shape)
-        run = _scipy_run(sol)
-        s = np.concatenate((run.ts, [-1.0, 2.0 * t_end]))
-        np.testing.assert_array_equal(D._dense_values(run, s), sol.sol(s))
-        inner = run.ts[1:-1]
-        assert not np.array_equal(D._dense_values(run, inner),
-                                  D._dense_values(run, np.nextafter(inner, 2.0 * t_end)))
-
-    @pytest.mark.parametrize("still_until", [0.0, 0.5])
-    def test_nan_right_hand_side_fails_where_scipy_does(self, still_until):
-        # NaN past s = 1/2 (past s = 0, from a zero initial derivative): every
-        # trial step is rejected until it falls below ten ulps of s, where
-        # scipy reports failure
-        def rhs(s, state):
-            x, y = state
-            if s > 0.5 or (s > 0.0 and not still_until):
-                return (math.nan, math.nan)
-            return (y, -x) if still_until else (0.0, 0.0)
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            sol = solve_ivp(rhs, (0.0, 2.0), [1.0, 0.0], method="DOP853",
-                            rtol=1e-10, atol=D._FLOW_ATOL, max_step=2.0 / 64.0)
-        assert sol.status == -1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(IntegrationError, match="step size") as info:
-                D._dop853(rhs, (1.0, 0.0), 2.0, 1e-10, 2.0 / 64.0)
-        last = float(re.search(r"at s=(\S+)$", str(info.value)).group(1))
-        assert last == pytest.approx(sol.t[-1], rel=1e-9)
-        minimum = 10.0 * (math.nextafter(last, math.inf) - last)
-        assert f"minimum {minimum:.3e}" in str(info.value)
-
-    def test_nan_initial_derivative_fails(self):
-        # the initial step size is NaN, where scipy's step loop never ends
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(IntegrationError, match="step size"):
-                D._dop853(lambda s, state: (math.nan, math.nan), (1.0, 0.0),
-                          2.0, 1e-10, 2.0 / 64.0)
 
 
 class TestWavelength:
@@ -402,10 +292,10 @@ class TestHInverse:
                     worst_near_e2 = max(worst_near_e2, err)
                 else:
                     worst = max(worst, err)
-        # measured at most 1.2e-15, and 3.3e-12 below t = 1e-3 (at 1e-12),
-        # where h = omega/2 - (the integral from mu to e1) cancels
+        # measured at most 1.8e-16, and 8.5e-20 below t = 1e-3: h is the
+        # arclength from the minimum, which does not cancel there
         assert worst <= 1.2e-14
-        assert worst_near_e2 <= 3e-11
+        assert worst_near_e2 <= 1e-18
 
 
 class TestSignature:

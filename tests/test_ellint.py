@@ -186,6 +186,32 @@ class TestAgainstMpmath:
         assert worst_e <= 1e-14
         assert worst_pi <= 1e-11
 
+    def test_incomplete_kernels_of_the_curves(self):
+        """E(phi, m), G(nu; phi) = sqrt(-n) Pi(n, phi, m) at n = -1/nu down
+        to n = -1e14, and Pi at complex n, from sin^2 and cos^2 of phi."""
+        worst_e = worst_g = worst_c = 0.0
+        for m in self.PARAMETERS:
+            mm = mpmath.mpf(m)
+            for phi in self.AMPLITUDES:
+                s2, c2 = math.sin(phi) ** 2, math.cos(phi) ** 2
+                exact = mpmath.asin(mpmath.sqrt(mpmath.mpf(s2)))
+                f = ellint.incomplete_F_Pi(s2, c2, m)[0]
+                worst_e = max(worst_e, self.rel(ellint.incomplete_E(s2, c2, m, f),
+                                                mpmath.ellipe(exact, mm)))
+                for nu in (1e-14, 1e-9, 1e-4, 0.3, 3.0):
+                    n = -1 / mpmath.mpf(nu)
+                    worst_g = max(worst_g, self.rel(
+                        ellint._scaled_incomplete_Pi(nu, s2, c2, m),
+                        mpmath.sqrt(-n) * mpmath.ellippi(n, exact, mm)))
+                for n in (0.3 + 0.5j, -2.0 + 40j, -0.1 - 1e-3j):
+                    ref = mpmath.ellippi(mpmath.mpc(n), exact, mm)
+                    value = ellint.incomplete_F_Pi(s2, c2, m, n)[1]
+                    worst_c = max(worst_c, float(abs(mpmath.mpc(value) - ref) / abs(ref)))
+        # measured 8.8e-16, 1.4e-15 and 1.1e-14
+        assert worst_e <= 1e-14
+        assert worst_g <= 1e-14
+        assert worst_c <= 1e-13
+
     def test_complete_integrals_on_arrays(self):
         m = 1.0 - np.array(self.GAPS)
         n = np.resize(self.CHARACTERISTICS, len(self.GAPS))
