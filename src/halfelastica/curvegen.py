@@ -20,6 +20,11 @@ F = (g, g', g X g') solves F' = F K with K = [[0,1,0],[1,0,-k],[0,k,0]] and
 k = mu^2 the geodesic curvature; :func:`frenet_oracle` integrates exactly
 this linear system from the canonical frame at the apex and serves as the
 independent reference trajectory for all three closed forms.
+
+The closed forms need scipy.special only.  The Frenet oracle integrates
+through ``dynamics.solve_ivp`` and :func:`bs_contraction_height` solves
+through ``moduli.brentq``, each of which imports its scipy subpackage on
+its first call.
 """
 
 from __future__ import annotations
@@ -29,8 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from . import ellint
 from .errors import DomainError, IntegrationError, RegionError
@@ -41,6 +44,7 @@ from .dynamics import (
     _periodic_states,
     mu_acceleration,
     saddle_level,
+    solve_ivp,
     wavelength,
 )
 from .moduli import (
@@ -52,6 +56,7 @@ from .moduli import (
     _factored_w2,
     _kappa1,
     b0,
+    brentq,
     eta_pm,
     resolve,
     roots_from_modulus,
@@ -171,34 +176,45 @@ def _near_locus_kappa1(qd: QuarticData) -> float | None:
     return _kappa1(qd, math.sqrt(-qd.c))
 
 
+def _on_locus(point: ModulusPoint) -> bool:
+    """Whether the time-like curve takes the on-locus closed form: its
+    locus residual T is exactly 0.  An E-tagged point with T != 0 takes the
+    T route, whose factored 1 + 4 c mu^2 and scaled Pi hold at any T != 0;
+    the on-locus form drops terms of order T."""
+    return point.region is Region.E and point.quartic.t == 0.0
+
+
 def _theta_rhs_for(point: ModulusPoint, kind: CurveKind, kappa1: float | None):
-    """Phase derivative as a function of the curvature value.
+    """Phase derivative as a function of the curvature value x and, where it
+    is at hand, the gap e1 - x (by default taken from x).
 
     Near the exceptional locus the non-exceptional denominator 1 + 4 c mu^2
     nearly vanishes at mu = e1; given ``kappa1`` (:func:`_near_locus_kappa1`)
     it is rebuilt in the factored form (kappa1 + 2 sqrt|c| (e1 - mu)) (1 + 2
-    sqrt|c| mu).
+    sqrt|c| mu), and the numerator's x + 2 lam as -(e1 - x + T/(2 e1^2
+    e2^2)) from the same T, so that rho theta' stays unit at mu = e1 however
+    small T is.
     """
     qd = point.quartic
     lam, c = point.lam, qd.c
     sc = math.sqrt(abs(c))
     if kind is CurveKind.BL:
-        def theta_rhs(x):
+        def theta_rhs(x, gap=None):
             return -x * x * (x + 2.0 * lam)
         return theta_rhs
-    if kind is CurveKind.BT and point.region is Region.E:
-        def theta_rhs(x):
+    if kind is CurveKind.BT and _on_locus(point):
+        def theta_rhs(x, gap=None):
             return -8.0 * sc * lam * lam * x * x / (x - 2.0 * lam)
         return theta_rhs
     if kappa1 is not None:
-        e1 = qd.e1
+        e1, shift = qd.e1, qd.t / (2.0 * qd.e1 * qd.e1 * qd.e2 * qd.e2)
 
-        def theta_rhs(x):
-            den = _factored_w2(kappa1, sc, e1 - x, x)
-            return 2.0 * sc * x * x * (x + 2.0 * lam) / den
+        def theta_rhs(x, gap=None):
+            gap = e1 - x if gap is None else gap
+            return -2.0 * sc * x * x * (gap + shift) / _factored_w2(kappa1, sc, gap, x)
         return theta_rhs
 
-    def theta_rhs(x):
+    def theta_rhs(x, gap=None):
         return 2.0 * sc * x * x * (x + 2.0 * lam) / (1.0 + 4.0 * c * x * x)
     return theta_rhs
 
@@ -237,7 +253,7 @@ def _phase_for(point: ModulusPoint, kind: CurveKind):
             return -g * ((e4 + 2.0 * lam) * e4 * f + 2.0 * d * (e4 + lam) * pi_a
                          + d * d * square)
         return phase
-    if kind is CurveKind.BT and point.region is Region.E:
+    if kind is CurveKind.BT and _on_locus(point):
         # the on-locus theta'/x = -8 sc lam^2 (1 + 2 lam/(x - 2 lam)), its
         # constant term taken as its value at x = e4
         scale = -8.0 * math.sqrt(-c) * lam * lam * g
@@ -282,7 +298,7 @@ class _CurveFlow:
         self.qd = point.quartic
         self.c = self.qd.c
         self.omega = wavelength(point)
-        self.exceptional = point.region is Region.E
+        self.on_locus = _on_locus(point)
         self._kappa1 = _near_locus_kappa1(self.qd)
         self._theta_rhs = _theta_rhs_for(point, kind, self._kappa1)
         # s -> (mu, mu_dot, theta) rows
@@ -291,32 +307,33 @@ class _CurveFlow:
 
     def radial_sign(self, s):
         """Sign branch of the radial function; flips every half period past
-        omega/2 on the exceptional locus, constant +1 elsewhere."""
+        omega/2 where T = 0 (:func:`_on_locus`), constant +1 elsewhere."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        if not (self.kind is CurveKind.BT and self.exceptional):
+        if not (self.kind is CurveKind.BT and self.on_locus):
             return np.ones_like(s)
         k = np.floor((s + 0.5 * self.omega) / self.omega)
         return np.where(np.mod(k, 2.0) == 0.0, 1.0, -1.0)
 
-    def _bt_w(self, mu):
+    def _bt_w(self, mu, gap):
         """sqrt(1 + 4 c mu^2) for the time-like family, factored through the
-        locus residual when the direct form would cancel."""
+        locus residual and the gap e1 - mu when the direct form would
+        cancel."""
         if self._kappa1 is not None:
-            gap = np.maximum(self.qd.e1 - mu, 0.0)
             return np.sqrt(_factored_w2(self._kappa1, math.sqrt(-self.c), gap, mu))
         return np.sqrt(np.maximum(1.0 + 4.0 * self.c * mu * mu, 0.0))
 
-    def bt_rho(self, s, mu):
-        """Signed disk radius of the time-like family at curvature mu."""
-        return self.radial_sign(s) * self._bt_w(mu) / (2.0 * math.sqrt(-self.c) * mu)
+    def bt_rho(self, s):
+        """Signed disk radius of the time-like family at arclengths s."""
+        mu, _, _, gap = self.states(s, gap=True)
+        return self.radial_sign(s) * self._bt_w(mu, gap) / (2.0 * math.sqrt(-self.c) * mu)
 
     # -- closed-form embeddings -------------------------------------------
 
     def frame(self, s):
         """(gamma, tangent, mu, mu', Theta) at arclengths s: the family's
         closed form and its derivative from one set of shared quantities."""
-        mu, mu_dot, th = self.states(s)
-        th_dot = self._theta_rhs(mu)
+        mu, mu_dot, th, gap = self.states(s, gap=True)
+        th_dot = self._theta_rhs(mu, gap)
         gam = np.empty(mu.shape + (3,), dtype=float)
         tan = np.empty_like(gam)
         if self.kind is CurveKind.BL:
@@ -347,7 +364,7 @@ class _CurveFlow:
             tan[..., 2] = -mu_dot / den
         else:
             sc = math.sqrt(-self.c)
-            w = self._bt_w(mu)
+            w = self._bt_w(mu, gap)
             sign = self.radial_sign(s)
             rho = sign * w / (2.0 * sc * mu)
             rho_dot = self._bt_rho_dot(s, mu, mu_dot, sc, w, sign)
@@ -362,14 +379,15 @@ class _CurveFlow:
 
     def _bt_rho_dot(self, s, mu, mu_dot, sc, w, sign):
         """d rho / ds for the time-like family: the naive -sign mu' / (2 sc
-        mu^2 w), which is 0/0 only on E, where w and mu' vanish together at
-        mu = e1 (off E, w(e1) = sqrt(1 + 4 c e1^2) > 0).  On E, above the
-        curvature midpoint, it takes the algebraic form in which mu'^2 =
-        mu^2 (e1-mu)(mu-e2)(mu-e3)(mu-e4) cancels the vanishing factor of
-        w^2; below it (mu near e2, where that form would inject
+        mu^2 w), which is 0/0 only at T = 0, where w and mu' vanish together
+        at mu = e1 (elsewhere w(e1) = sqrt(1 + 4 c e1^2) > 0, and next to E
+        w takes the gap e1 - mu from the amplitude, as mu' does).  At T = 0,
+        above the curvature midpoint, it takes the algebraic form in which
+        mu'^2 = mu^2 (e1-mu)(mu-e2)(mu-e3)(mu-e4) cancels the vanishing
+        factor of w^2; below it (mu near e2, where that form would inject
         sqrt-of-roundoff noise) the naive quotient is exact."""
         naive = -sign * mu_dot / (2.0 * sc * mu * mu * np.where(w > 0.0, w, 1.0))
-        if not self.exceptional:
+        if not self.on_locus:
             return naive
         e1, e2, e3, e4 = self.qd.roots
         # on the locus the (e1 - mu) factor cancels identically
@@ -497,7 +515,7 @@ def radial_function(p, s_grid) -> np.ndarray:
     s_grid = np.asarray(s_grid, dtype=float)
     point = _require_region(p, _TIMELIKE, "radial_function")
     flow = _CurveFlow(point, CurveKind.BT)
-    return flow.bt_rho(s_grid, flow.states(s_grid)[0])
+    return flow.bt_rho(s_grid)
 
 
 def angular_function(p, s_grid) -> np.ndarray:

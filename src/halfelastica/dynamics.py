@@ -11,6 +11,12 @@ of a critical curve satisfies
 
 so the phase curves are strata of the singular elliptic curve
 y^2 + x^2 Q(x) = 0 in the half-plane x > 0.
+
+scipy.special is imported with the module; scipy.integrate and
+scipy.optimize are not.  :func:`solve_ivp` imports scipy.integrate on the
+first integration, and ``brentq`` (from :mod:`moduli`) imports
+scipy.optimize on the first root solve, so a closed-form curve loads
+neither.
 """
 
 from __future__ import annotations
@@ -20,10 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-# Not called in this module: bench/tracing.py wraps ``dynamics.solve_ivp`` and
-# ``curvegen.solve_ivp`` as its ode layer, so the name stays importable here.
-from scipy.integrate import solve_ivp  # noqa: F401
-from scipy.optimize import brentq
 from scipy.special import ellipj, elliprf, elliprj
 
 from . import ellint
@@ -34,6 +36,7 @@ from .moduli import (
     QuarticData,
     Region,
     _sqrt,
+    brentq,
     eta_pm,
     exceptional_residual,
     quartic_value,
@@ -66,6 +69,15 @@ _DEGENERATE_GAP = 1e-12
 # equilibria and separatrices; the error target of the wavelength quadrature
 _LEVEL_TOL = 1e-10
 _QUAD_TOL = 1e-12
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy's ``solve_ivp``, with every argument forwarded.  scipy.integrate
+    is imported on the first integration: only the Frenet oracle integrates,
+    through curvegen's module-global binding of this name."""
+    from scipy.integrate import solve_ivp as solve
+
+    return solve(*args, **kwargs)
 
 
 class OrbitKind(enum.Enum):
@@ -279,6 +291,13 @@ class _RisingBranch:
             np.clip(phi, 0.0, 0.5 * math.pi, out=phi)
         return np.sin(phi) ** 2, np.cos(phi) ** 2
 
+    def gap(self, S):
+        """e1 - mu at the top amplitude sin^2 phi = S, to full relative
+        accuracy where the rounding of mu next to e1 is not: mu = (e1 - a e4
+        S)/(1 - a S) on the top side."""
+        a = self.p[1]
+        return -a * (self.r[1] - self.q[1]) * S / (1.0 - a * S)
+
     def at(self, h):
         """(mu, |mu'|, sin^2 phi, cos^2 phi) at the heights h in [0, omega/2],
         phi the top amplitude; mu' = (d mu/d amplitude)/(d sigma/d
@@ -301,11 +320,12 @@ def _periodic_states(branch: _RisingBranch, phase=None):
     half period onto the rising one, and the branch evaluated once per key.
     ``phase(S, C)`` is the phase from the top of the range to the top
     amplitude (S, C); from the minimum it is phase(1, 0) less that, and it
-    advances by 2 phase(1, 0) per period."""
+    advances by 2 phase(1, 0) per period.  ``states(s, gap=True)`` appends
+    the row e1 - mu (:meth:`_RisingBranch.gap`)."""
     omega = branch.omega
     half = None if phase is None else phase(np.ones(1), np.zeros(1))[0]
 
-    def states(s):
+    def states(s, gap=False):
         s = np.atleast_1d(np.asarray(s, dtype=float))
         k = np.where(s > 0.0, np.ceil(s / omega) - 1.0, np.floor(s / omega))
         key = np.rint((s - k * omega) / omega * _FOLD_SCALE)
@@ -319,6 +339,8 @@ def _periodic_states(branch: _RisingBranch, phase=None):
             theta = (half - phase(S, C))[where]
             rows.append(np.where(fall, 2.0 * half - theta, theta)
                         + k * (2.0 * half))
+        if gap:
+            rows.append(branch.gap(S)[where])
         return np.array(rows)
 
     return states

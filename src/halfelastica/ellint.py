@@ -78,8 +78,15 @@ def complete_E(m: float) -> float:
 
 def complete_Pi(n, m):
     """Complete elliptic integral of the third kind with characteristic
-    n < 1; n and m may be arrays."""
-    return complete_K_Pi(m, n)[1]
+    n < 1; n and m may be arrays.  At n < 0 it is G(-1/n, m)/sqrt(-n)
+    (:func:`_scaled_Pi`): R_F + (n/3) R_J loses accuracy in proportion to
+    |n| there."""
+    k, pi = complete_K_Pi(m, n)
+    if not isinstance(pi, np.ndarray):
+        return _scaled_Pi(-1.0 / n, m, k) / math.sqrt(-n) if n < 0.0 else pi
+    negative = n < 0.0
+    n = np.where(negative, n, -1.0)
+    return np.where(negative, _scaled_Pi(-1.0 / n, m, k) / np.sqrt(-n), pi)
 
 
 def complete_K_Pi(m, *ns):

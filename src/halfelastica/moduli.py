@@ -31,7 +31,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, OutsideModuliSpaceError
 
@@ -161,6 +160,16 @@ def in_moduli_space(lam: float, e2: float) -> bool:
     is negative."""
     return (e2 > 0.0 and math.isfinite(lam) and math.isfinite(e2)
             and _boundary_value(lam, e2) < 0.0)
+
+
+def brentq(f, a, b, **options):
+    """scipy's ``brentq``, with every argument forwarded.  scipy.optimize is
+    imported on the first root solve, not with the package: a curve solves
+    none.  Every caller, here and in the modules that import this name,
+    looks it up as a module global, which a tracer or a test may rebind."""
+    from scipy.optimize import brentq as solve
+
+    return solve(f, a, b, **options)
 
 
 def eta_pm(lam: float) -> tuple[float, float]:

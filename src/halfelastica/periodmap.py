@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import ellint
 from .dynamics import _parameter_and_scale, wavelength
@@ -64,6 +63,7 @@ from .moduli import (
     _unpack_point,
     b0,
     boundary_quartic,
+    brentq,
     classify_region,
     eta_pm,
     exceptional_residual,

@@ -632,3 +632,45 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["region"] == "L"
+
+
+_COLD_START = """
+import contextlib, io, json, sys
+from halfelastica import cli, curvegen, dynamics, moduli, periodmap
+
+def loaded():
+    return [m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules]
+
+# a T-, an S, an L and an E point, each as CSV and as SVG
+for lam, e2 in (("-1.3", "2.3"), ("-1.1", "1.0"), ("-2.0", "3.732050807568877"),
+                ("-1.3", "2.477640202588786")):
+    for fmt in ("csv", "svg"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["curve", "--lambda", lam, "--e2", e2,
+                             "--samples", "64", "--format", fmt])
+        assert code == 0, (lam, e2, fmt, code)
+after_curves = loaded()
+bindings = {f"{m.__name__}.{n}": callable(getattr(m, n, None))
+            for m, n in ((moduli, "brentq"), (dynamics, "brentq"),
+                         (curvegen, "brentq"), (periodmap, "brentq"),
+                         (dynamics, "solve_ivp"), (curvegen, "solve_ivp"))}
+moduli.eta_pm(-1.3)
+after_root = loaded()
+curvegen.frenet_oracle(moduli.resolve(-1.3, 2.3), samples=16)
+print(json.dumps([after_curves, bindings, after_root, loaded()]))
+"""
+
+
+def test_curve_command_loads_no_solver():
+    """A fresh interpreter that imports the CLI and draws a T-, S, L and E
+    curve loads neither scipy.optimize nor scipy.integrate; the first root
+    solve and the first ODE integration load them, through the module-global
+    names that a tracer or a test may rebind."""
+    proc = subprocess.run([sys.executable, "-c", _COLD_START],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    after_curves, bindings, after_root, after_ode = json.loads(proc.stdout)
+    assert after_curves == []
+    assert bindings == dict.fromkeys(bindings, True) and len(bindings) == 6
+    assert after_root == ["scipy.optimize"]
+    assert after_ode == ["scipy.optimize", "scipy.integrate"]

@@ -21,6 +21,12 @@ def light_point(lam=-1.25):
     return M.classify_region(lam, M.b0(lam))
 
 
+# a pair on E whose float locus residual T is exactly 0, the only kind of
+# point that takes the on-locus closed form; the float heights at and next
+# to exceptional_c(lam) leave T a rounding error away from 0
+EXACT_LOCUS = (-1.17398550521972, 2.1744797279556325)
+
+
 class TestMinkowski:
     def test_cross_orientation(self):
         apex = np.array([1.0, 0.0, 0.0])
@@ -172,8 +178,8 @@ class TestRadialAngular:
         assert abs(rho[0]) <= 1e-7
 
     def test_exceptional_double_period_sign(self):
-        lam = -1.1
-        pt = M.classify_region(lam, M.exceptional_c(lam))
+        pt = M.classify_region(*EXACT_LOCUS)
+        assert pt.quartic.t == 0.0
         omega = D.wavelength(pt)
         s = np.linspace(0.0, 2.0 * omega, 513)
         rho = C.radial_function(pt, s)
@@ -239,6 +245,43 @@ class TestBTCurve:
         offset = {M.Region.T_MINUS: 1.0, M.Region.T_PLUS: 0.0}[pt.region]
         rotation = -theta / (2.0 * math.pi) + offset
         assert abs(rotation - P.period_map(pt)) <= 1e-9
+
+    @pytest.mark.parametrize("lam", [-1.3, -1.1, -0.95])
+    def test_e_tag_off_the_locus(self, lam):
+        # E-tagged points with T != 0 take the T route: the phase at omega is
+        # the period map's, and the tangent stays unit where a sample lands
+        # on mu = e1, the gap e1 - mu taken from the amplitude; measured at
+        # most 5.7e-16, 2.2e-16 and 5.6e-15
+        for d in (-1e-5, -1e-7, -1e-9, -1e-11, -1e-13, 0.0,
+                  1e-13, 1e-11, 1e-9, 1e-7, 1e-5):
+            pt = M.classify_region(lam, M.exceptional_c(lam) + d)
+            assert pt.region is M.Region.E and pt.quartic.t != 0.0
+            cv = C.bt_curve(pt, samples=512, periods=2.0)
+            xi = C.momentum_samples(cv)
+            assert np.max(np.abs(xi - C.expected_momentum(cv))) <= 1e-8
+            theta = float(cv.theta_at(np.array([cv.wavelength]))[0])
+            rotation = -theta / (2.0 * math.pi) + (pt.quartic.t < 0.0)
+            assert abs(rotation - P.period_map(pt)) <= 1e-9
+            unit = C.minkowski_dot(cv.tangent, cv.tangent)
+            assert np.max(np.abs(unit - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("e2", [
+        EXACT_LOCUS[1] - 1e-13, np.nextafter(EXACT_LOCUS[1], 0.0),
+        np.nextafter(EXACT_LOCUS[1], 3.0), EXACT_LOCUS[1] + 1e-13,
+    ], ids=["-1e-13", "-ulp", "+ulp", "+1e-13"])
+    def test_routes_agree_on_the_locus(self, e2):
+        # the on-locus route at a pair with T = 0 and the T route one ulp or
+        # 1e-13 away trace one curve: the one through the origin with a
+        # signed radius, the other past it, its phase turning by pi;
+        # measured at most 2.5e-13 and 2.3e-13
+        pt = M.classify_region(EXACT_LOCUS[0], e2)
+        assert pt.region is M.Region.E and pt.quartic.t != 0.0
+        on_locus = C.bt_curve(M.classify_region(*EXACT_LOCUS), samples=512,
+                              periods=2.0)
+        t_route = C.bt_curve(pt, samples=512, periods=2.0)
+        assert np.max(np.abs(t_route.gamma - on_locus.gamma)) <= 1e-12
+        assert np.max(np.abs(t_route.tangent - on_locus.tangent)) <= 1e-12
+        assert np.all(C.radial_function(pt, t_route.s) > 0.0)
 
     @pytest.mark.parametrize("lam, d, region", [
         (-0.95, 3e-4, M.Region.T_PLUS), (-1.3, -2e-4, M.Region.T_MINUS)])

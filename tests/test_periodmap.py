@@ -881,7 +881,8 @@ def test_solver_edge_rows_match_find_root():
 def _closed_form_unshared(lam, qd):
     """_closed_form's P with T evaluated in each factor that uses it and K,
     G(nu, m) and Pi(n2) evaluated one by one, each with its own R_F(0,
-    1 - m, 1)."""
+    1 - m, 1); Pi(n2) as R_F + (n2/3) R_J, the period map's form, which
+    complete_Pi leaves at n2 < 0."""
     _, m, nu, n2, a_coeff, beta, c_coeff, _ = P._coefficients(lam, qd)
     sc, kappa1, _ = P._stable_small_factors(qd)
     w1p = 1.0 + 2.0 * sc * qd.e1
@@ -891,7 +892,7 @@ def _closed_form_unshared(lam, qd):
     scale = 2.0 * np.sqrt(-qd.c) / math.pi
     divergent = scale * sign * beta * ellint._scaled_Pi(nu, m, ellint.complete_K(m))
     return (scale * (a_coeff * ellint.complete_K(m)
-                     + c_coeff * ellint.complete_Pi(n2, m))
+                     + c_coeff * ellint.complete_K_Pi(m, n2)[1])
             + divergent + 0.5 * (1.0 - sign))
 
 
