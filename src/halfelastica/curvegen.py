@@ -22,9 +22,9 @@ this linear system from the canonical frame at the apex and serves as the
 independent reference trajectory for all three closed forms.
 
 The closed forms need scipy.special only.  The Frenet oracle integrates
-through ``dynamics.solve_ivp`` and :func:`bs_contraction_height` solves
-through ``moduli.brentq``, each of which imports its scipy subpackage on
-its first call.
+through ``dynamics.solve_ivp``, which imports scipy.integrate on its first
+call; :func:`bs_contraction_height` solves through ``moduli.brentq``, which
+imports nothing.
 """
 
 from __future__ import annotations

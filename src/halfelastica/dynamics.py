@@ -12,11 +12,10 @@ of a critical curve satisfies
 so the phase curves are strata of the singular elliptic curve
 y^2 + x^2 Q(x) = 0 in the half-plane x > 0.
 
-scipy.special is imported with the module; scipy.integrate and
-scipy.optimize are not.  :func:`solve_ivp` imports scipy.integrate on the
-first integration, and ``brentq`` (from :mod:`moduli`) imports
-scipy.optimize on the first root solve, so a closed-form curve loads
-neither.
+scipy.special is imported with the module; scipy.integrate is not.
+:func:`solve_ivp` imports it on the first integration, which only the
+Frenet oracle makes.  Root solves run on ``brentq`` from :mod:`moduli`,
+which needs no scipy subpackage.
 """
 
 from __future__ import annotations
@@ -70,6 +69,8 @@ _DEGENERATE_GAP = 1e-12
 _LEVEL_TOL = 1e-10
 _QUAD_TOL = 1e-12
 
+_NO_FLOW = "the constant solution carries no curvature flow"
+
 
 def solve_ivp(*args, **kwargs):
     """scipy's ``solve_ivp``, with every argument forwarded.  scipy.integrate
@@ -113,7 +114,7 @@ class MuSolution:
         """(mu, mu_dot) at arbitrary arclength, in closed form
         (:func:`_periodic_states`)."""
         if self._flow is None:
-            raise IntegrationError("the constant solution carries no curvature flow")
+            raise IntegrationError(_NO_FLOW)
         out = self._flow(s)
         return out[0], out[1]
 
@@ -479,6 +480,9 @@ def signature(p, n: int = 512) -> np.ndarray:
     """n samples of the modified invariant signature (mu, mu') over one
     period: a closed loop on the singular elliptic curve y^2 + x^2 Q(x) = 0."""
     sol = solve_mu(p, n_periods=1.0, samples_per_period=max(int(n), 16))
+    if sol._flow is None:
+        # before sampling: at the saddle the wavelength is infinite
+        raise IntegrationError(_NO_FLOW)
     s = np.linspace(0.0, sol.wavelength, int(n), endpoint=False)
     mu, mu_dot = sol.at(s)
     return np.column_stack([mu, mu_dot])

@@ -75,6 +75,10 @@ _REGION_TOL = 1e-9
 # Newton steps that polish every closed-form or companion e1
 _POLISH_STEPS = 3
 
+# brentq's least relative tolerance and its iteration budget, scipy's
+_BRENT_RTOL = 4 * math.ulp(1.0)
+_BRENT_MAXITER = 100
+
 
 class Region(enum.Enum):
     """Region tag of a point of the (lambda, e2) plane."""
@@ -162,14 +166,90 @@ def in_moduli_space(lam: float, e2: float) -> bool:
             and _boundary_value(lam, e2) < 0.0)
 
 
-def brentq(f, a, b, **options):
-    """scipy's ``brentq``, with every argument forwarded.  scipy.optimize is
-    imported on the first root solve, not with the package: a curve solves
-    none.  Every caller, here and in the modules that import this name,
-    looks it up as a module global, which a tracer or a test may rebind."""
-    from scipy.optimize import brentq as solve
+@dataclass(frozen=True)
+class RootInfo:
+    """The count of calls of f in a converged :func:`brentq` solve, as
+    scipy's ``RootResults`` gives it."""
 
-    return solve(f, a, b, **options)
+    function_calls: int
+
+
+def _brent_value(f, x: float) -> float:
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise ValueError(f"The function value at x={x} is NaN; "
+                         "solver cannot continue.")
+    return fx
+
+
+def brentq(f, a, b, xtol=2e-12, rtol=_BRENT_RTOL, full_output=False):
+    """A root of f in the bracket [a, b] by Brent's method (Brent 1973,
+    Algorithms for Minimization Without Derivatives, ch. 4), written on
+    Python floats as scipy's ``brentq`` (its ``brentq.c`` and the Python
+    wrapper) writes it, so the iterates, the root and the count of calls of
+    f are the same bit for bit; scipy.optimize is never imported.
+
+    It stops on an exact zero of f or when half the bracket is below
+    (xtol + rtol |x|) / 2.  Raises ValueError for xtol <= 0, for rtol below
+    4 eps, for a NaN value of f and for ends whose values share a sign
+    (after both are evaluated); RuntimeError after ``_BRENT_MAXITER``
+    iterations.  ``full_output=True`` returns (root, :class:`RootInfo`).
+    Every caller, here and in the modules that import this name, looks it
+    up as a module global, which a tracer or a test may rebind.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENT_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL:g})")
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = _brent_value(f, xpre), _brent_value(f, xcur)
+    calls = 2
+    if fpre == 0 or fcur == 0:
+        root = xpre if fpre == 0 else xcur
+        return (root, RootInfo(calls)) if full_output else root
+    # neither value is zero or NaN, so its sign bit is its sign
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return (xcur, RootInfo(calls)) if full_output else xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            # min(b, a) is C's MIN(a, b), a < b ? a : b, NaN included
+            if 2 * abs(stry) < min(3 * abs(sbis) - delta, abs(spre)):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                # bisect
+                spre = scur = sbis
+        else:
+            # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _brent_value(f, xcur)
+        calls += 1
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
 
 
 def eta_pm(lam: float) -> tuple[float, float]:

@@ -634,6 +634,21 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["region"] == "L"
 
 
+# saddle heights eta-, and a point on the saddle boundary 2e-12 above it
+@pytest.mark.parametrize("lam, e2", [
+    ("-1.0", "1.0"), ("-1.2", "0.8673285543308487"),
+    ("-0.9124405017295047", "1.127838485563682"),
+    ("-50.0", "0.21559852289818898")])
+def test_signature_at_saddle_writes_one_error_line(lam, e2):
+    # a fresh interpreter, whose warnings print to stderr as a user sees
+    proc = subprocess.run(
+        [sys.executable, "-m", "halfelastica.cli", "signature",
+         f"--lambda={lam}", "--e2", e2],
+        capture_output=True, text=True)
+    assert proc.returncode == 65 and proc.stdout == ""
+    assert proc.stderr == "error: the constant solution carries no curvature flow\n"
+
+
 _COLD_START = """
 import contextlib, io, json, sys
 from halfelastica import cli, curvegen, dynamics, moduli, periodmap
@@ -641,15 +656,28 @@ from halfelastica import cli, curvegen, dynamics, moduli, periodmap
 def loaded():
     return [m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules]
 
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(list(argv))
+    assert code == 0, (argv, code)
+
 # a T-, an S, an L and an E point, each as CSV and as SVG
 for lam, e2 in (("-1.3", "2.3"), ("-1.1", "1.0"), ("-2.0", "3.732050807568877"),
                 ("-1.3", "2.477640202588786")):
     for fmt in ("csv", "svg"):
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["curve", "--lambda", lam, "--e2", e2,
-                             "--samples", "64", "--format", fmt])
-        assert code == 0, (lam, e2, fmt, code)
+        run("curve", "--lambda", lam, "--e2", e2, "--samples", "64",
+            "--format", fmt)
 after_curves = loaded()
+# every other subcommand, each of which solves roots
+run("classify", "--lambda", "-1.25", "--e2", "2.0")
+for fmt in ("csv", "svg"):
+    run("signature", "--lambda", "-1.3", "--e2", "1.2", "--format", fmt)
+    run("phase-portrait", "--lambda", "-1.3", "--format", fmt)
+run("scan-period", "--lambda", "-1.3", "--samples", "16")
+for fmt in ("json", "svg"):
+    run("find-string", "--lambda", "-1.01", "--q", "11/10", "--format", fmt)
+run("fiber", "--q", "19/16", "--steps", "20")
+after_commands = loaded()
 bindings = {f"{m.__name__}.{n}": callable(getattr(m, n, None))
             for m, n in ((moduli, "brentq"), (dynamics, "brentq"),
                          (curvegen, "brentq"), (periodmap, "brentq"),
@@ -657,20 +685,23 @@ bindings = {f"{m.__name__}.{n}": callable(getattr(m, n, None))
 moduli.eta_pm(-1.3)
 after_root = loaded()
 curvegen.frenet_oracle(moduli.resolve(-1.3, 2.3), samples=16)
-print(json.dumps([after_curves, bindings, after_root, loaded()]))
+print(json.dumps([after_curves, after_commands, bindings, after_root, loaded()]))
 """
 
 
 def test_curve_command_loads_no_solver():
-    """A fresh interpreter that imports the CLI and draws a T-, S, L and E
-    curve loads neither scipy.optimize nor scipy.integrate; the first root
-    solve and the first ODE integration load them, through the module-global
-    names that a tracer or a test may rebind."""
+    """A fresh interpreter that imports the CLI and runs every subcommand
+    (curve on a T-, S, L and E point) loads neither scipy.optimize nor
+    scipy.integrate: root solves run on the package's own brentq.  The
+    first ODE integration loads scipy.integrate (which imports
+    scipy.optimize itself), through the module-global names that a tracer
+    or a test may rebind."""
     proc = subprocess.run([sys.executable, "-c", _COLD_START],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    after_curves, bindings, after_root, after_ode = json.loads(proc.stdout)
-    assert after_curves == []
+    after_curves, after_commands, bindings, after_root, after_ode = \
+        json.loads(proc.stdout)
+    assert after_curves == after_commands == []
     assert bindings == dict.fromkeys(bindings, True) and len(bindings) == 6
-    assert after_root == ["scipy.optimize"]
+    assert after_root == []
     assert after_ode == ["scipy.optimize", "scipy.integrate"]

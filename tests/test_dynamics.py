@@ -298,6 +298,12 @@ class TestHInverse:
         assert worst_near_e2 <= 1e-18
 
 
+# saddle heights eta-, and a point on the saddle boundary 2e-12 above it
+SADDLE_POINTS = [(-1.0, 1.0), (-1.2, 0.8673285543308487),
+                 (-0.9124405017295047, 1.127838485563682),
+                 (-50.0, 0.21559852289818898)]
+
+
 class TestSignature:
     def test_on_singular_curve(self):
         pt = M.classify_region(-1.3, 1.2)
@@ -321,6 +327,19 @@ class TestSignature:
                 for gap in (1e-2, 1e-4, 1e-6)]
         assert diam[0] > diam[1] > diam[2]
         assert diam[2] < 1e-4
+
+    @pytest.mark.parametrize("lam,eta", SADDLE_POINTS)
+    def test_saddle_height_raises_before_sampling(self, lam, eta):
+        # the constant solution's wavelength is infinite at the saddle; no
+        # numpy warning from laying samples over it precedes the error
+        below, above = math.nextafter(eta, 0.0), math.nextafter(eta, math.inf)
+        heights = (math.nextafter(below, 0.0), below, eta, above,
+                   math.nextafter(above, math.inf), eta + 1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for e2 in heights:
+                with pytest.raises(IntegrationError, match="no curvature flow"):
+                    D.signature((lam, e2), 64)
 
 
 def test_energy_level_constant_along_orbit():
