@@ -1,7 +1,7 @@
 """Curvature dynamics: the second-order equation for the Blaschke invariant,
-its conservation law, the phase-plane orbit taxonomy, its solution in closed
-elliptic form (the arclength from the orbit minimum and its inverse), and
-wavelength evaluation (closed elliptic form cross-checked by quadrature).
+its conservation law, the phase-plane orbit taxonomy, and its solution in
+closed elliptic form: the arclength from either end of the curvature range,
+its inverse, and the wavelength, twice the half period's arclength.
 
 The Blaschke invariant mu (positive square root of the geodesic curvature)
 of a critical curve satisfies
@@ -21,6 +21,7 @@ which needs no scipy subpackage.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -218,14 +219,14 @@ def _interior(p) -> ModulusPoint:
 # On the rising half period mu runs from e2 to e1 and u = F(amplitude) from
 # 0 to K.  Two substitutions write mu = (r - p q S)/(1 - p S) in S = sin^2 of
 # an amplitude, and the arclength to mu as (g/r) sqrt(S) (R_F(C, D, 1) +
-# kappa S R_J(C, D, 1, 1 - n S)), C = cos^2, D = 1 - m S (m and g of the
-# wavelength form): from the minimum (Byrd & Friedman 256.00) r = e2, p =
-# alpha^2 = (e1 - e2)/(e1 - e3), q = e3, n = alpha^2 e3/e2 and kappa =
-# -alpha^2 (e2 - e3)/(3 e2); from the top (257.00, the period map's
-# amplitude) r = e1, p = a = (e2 - e1)/(e2 - e4), q = e4, n = a e4/e1 and
-# kappa = (n - a)/3.  Each side takes its half of u, where D >= sqrt(1 - m),
-# so neither loses digits as m -> 1 next to the separatrix.  A height on the
-# lower side has the top amplitude sin^2 = C/D, cos^2 = (1 - m) S/D.
+# kappa S R_J(C, D, 1, 1 - n S)), C = cos^2, D = 1 - m S (m and g of
+# :func:`elliptic_arguments`): from the minimum (Byrd & Friedman 256.00) r =
+# e2, p = alpha^2 = (e1 - e2)/(e1 - e3), q = e3, n = alpha^2 e3/e2, kappa =
+# -alpha^2 (e2 - e3)/(3 e2); from the top (257.00, the period map's and at
+# (1, 0) the wavelength's) r = e1, p = a = (e2 - e1)/(e2 - e4), q = e4, n = a
+# e4/e1, kappa = (n - a)/3.  Each side takes its half of u, where D >= sqrt(1
+# - m), so neither loses digits as m -> 1 next to the separatrix.  A height
+# on the lower side has the top amplitude sin^2 = C/D, cos^2 = (1 - m) S/D.
 
 _TABLE_NODES = 33
 _NEWTON_STEPS = 2
@@ -233,36 +234,43 @@ _NEWTON_STEPS = 2
 _FOLD_SCALE = 2.0**48
 
 
+def _arclength(scale, m, kappa, n, S, C):
+    """scale sqrt(S) (R_F(C, D, 1) + kappa S R_J(C, D, 1, 1 - n S)), D = 1 - m S."""
+    d2 = 1.0 - m * S
+    return scale * np.sqrt(S) * (
+        elliprf(C, d2, 1.0) + kappa * S * elliprj(C, d2, 1.0, 1.0 - n * S))
+
+
 class _RisingBranch:
     """mu, |mu'| and the top amplitude on the rising half period [0, omega/2]
     of one curvature orbit.  Each side solves its arclength for the
     amplitude: a cubic Hermite seed from _TABLE_NODES amplitudes at equal
-    steps of u on [0, K/2], then _NEWTON_STEPS Newton steps."""
+    steps of u on [0, K/2] (tabulated on first use), then Newton steps."""
 
     def __init__(self, qd: QuarticData, omega: float):
         e1, e2, e3, e4 = qd.roots
-        self.m, self.g = _parameter_and_scale(qd)
-        alpha2, a = (e1 - e2) / (e1 - e3), (e2 - e1) / (e2 - e4)
-        n_top = a * e4 / e1
+        a, self.m, n_top, self.g = elliptic_arguments(qd)
+        alpha2 = (e1 - e2) / (e1 - e3)
         # per side, lower then upper
         self.r, self.p, self.one_minus_p, self.q, self.n, self.kappa = np.array([
             [e2, e1], [alpha2, a], [(e2 - e3) / (e1 - e3), (e1 - e4) / (e2 - e4)],
             [e3, e4], [alpha2 * e3 / e2, n_top],
             [-alpha2 * (e2 - e3) / (3.0 * e2), (n_top - a) / 3.0]])
         self.omega = omega
+
+    @functools.cached_property
+    def _seed(self):
         u = np.linspace(0.0, 0.5 * ellint.complete_K(self.m), _TABLE_NODES)
-        sn, cn, _, self.phi = ellipj(u, self.m)
+        sn, cn, _, phi = ellipj(u, self.m)
         S, C = sn * sn, cn * cn
-        self.table = np.array([self.sigma(side, S, C) for side in (0, 1)])
-        self.slope = np.array([self._dphi(side, S, C) for side in (0, 1)])
+        return (phi, np.array([self.sigma(side, S, C) for side in (0, 1)]),
+                np.array([self._dphi(side, S, C) for side in (0, 1)]))
 
     def sigma(self, side, S, C):
         """Arclength from the side's end of the range (0 the minimum, 1 the
         top; or an array of sides) to the amplitude (S, C) = (sin^2, cos^2)."""
-        d2 = 1.0 - self.m * S
-        return (self.g / self.r[side]) * np.sqrt(S) * (
-            elliprf(C, d2, 1.0)
-            + self.kappa[side] * S * elliprj(C, d2, 1.0, 1.0 - self.n[side] * S))
+        return _arclength(self.g / self.r[side], self.m, self.kappa[side],
+                          self.n[side], S, C)
 
     def _mu(self, side, S, C):
         p = self.p[side]
@@ -275,15 +283,15 @@ class _RisingBranch:
 
     def _amplitude(self, side, target):
         # (S, C) on one side where its arclength is the target
-        table, slope = self.table, self.slope
+        nodes, table, slope = self._seed
         i = np.where(side, np.searchsorted(table[1], target),
                      np.searchsorted(table[0], target)) - 1
         np.clip(i, 0, _TABLE_NODES - 2, out=i)
         lo, width = table[side, i], table[side, i + 1] - table[side, i]
         t = (target - lo) / width
         t2 = t * t
-        phi = (self.phi[i] * ((2.0 * t - 3.0) * t2 + 1.0)
-               + self.phi[i + 1] * ((3.0 - 2.0 * t) * t2)
+        phi = (nodes[i] * ((2.0 * t - 3.0) * t2 + 1.0)
+               + nodes[i + 1] * ((3.0 - 2.0 * t) * t2)
                + width * slope[side, i] * (((t - 2.0) * t + 1.0) * t)
                + width * slope[side, i + 1] * ((t - 1.0) * t2))
         for _ in range(_NEWTON_STEPS):
@@ -303,7 +311,7 @@ class _RisingBranch:
         """(mu, |mu'|, sin^2 phi, cos^2 phi) at the heights h in [0, omega/2],
         phi the top amplitude; mu' = (d mu/d amplitude)/(d sigma/d
         amplitude) vanishes exactly at both turning points."""
-        side = (h > self.table[0][-1]).astype(np.intp)
+        side = (h > self._seed[1][0][-1]).astype(np.intp)
         S, C = self._amplitude(side, np.where(side, 0.5 * self.omega - h, h))
         mu, den = self._mu(side, S, C)
         d2 = 1.0 - self.m * S
@@ -408,8 +416,7 @@ def constant_curvature_census(lam: float) -> int:
 
 
 def elliptic_arguments(qd: QuarticData) -> tuple[float, float, float, float]:
-    """The (a, m, n, g) arguments of the complete-elliptic wavelength form;
-    floats or arrays."""
+    """(a, m, n, g) of the arclength from the top; floats or arrays."""
     e1, e2, _, e4 = qd.roots
     m, g = _parameter_and_scale(qd)
     a = (e2 - e1) / (e2 - e4)
@@ -426,26 +433,18 @@ def _parameter_and_scale(qd: QuarticData):
 
 
 def wavelength(p) -> float:
-    """Least period of the curvature, in closed elliptic form.
-
-    Equals twice the quadrature of dx / (x sqrt(-Q(x))) over [e2, e1]; the
-    equality is enforced by the test suite against the tanh-sinh oracle.
-    DomainError where the value is not a positive finite float, as at far
-    multipliers, where it underflows to 0.
-    """
+    """Least period of the curvature, (2g/e1)(K(m) + ((n - a)/3) R_J(0, 1 -
+    m, 1, 1 - n)): twice the arclength from the top of the range over the
+    half period (Byrd & Friedman 257.00), whose terms are positive from the
+    center out to far multipliers.  The tests hold it to a 40-digit
+    quadrature.  DomainError where it is not a positive finite float."""
     point = _interior(p)
     qd = point.quartic
-    if qd.e1 - qd.e2 < 1e-10:
-        value = linearized_center_period(point.lam)
-    else:
-        a, m, n, g = elliptic_arguments(qd)
-        k, pi_n = ellint.complete_K_Pi(m, n)
-        value = float((2.0 * g / qd.e1) * ((a / n) * k - ((a - n) / n) * pi_n))
+    a, m, n, g = elliptic_arguments(qd)
+    value = 2.0 * float(_arclength(g / qd.e1, m, (n - a) / 3.0, n, 1.0, 0.0))
     if not 0.0 < value < math.inf:
-        raise DomainError(
-            f"the wavelength at ({point.lam!r}, {point.e2!r}) is {value!r}, "
-            "not a positive finite float"
-        )
+        raise DomainError(f"the wavelength at ({point.lam!r}, {point.e2!r}) "
+                          f"is {value!r}, not a positive finite float")
     return value
 
 

@@ -4,7 +4,9 @@ Nothing here calls the package: the quartic roots come from ``mp.polyroots``
 of the e1 cubic and the period map from quadrature of its defining
 integral, both with DIGITS + 10 working digits.  On the exceptional-locus
 rows of the tests (d = 1e-3 down to 1e-12 and the pair whose float T is 0)
-the values at DIGITS = 40 agree with those at 60 to 1e-35.
+the values at DIGITS = 40 agree with those at 60 to 1e-35.  The wavelength
+is the quadrature of its defining integral on roots that the caller gives,
+taken as exact, so that it measures the closed form and not the root solve.
 """
 
 import mpmath as mp
@@ -79,3 +81,25 @@ def period_map(lam, e2, digits=DIGITS):
         else:
             offset = 1 if t < 0 else (0 if t > 0 else mp.mpf(1) / 2)
         return -(2 * sc / mp.pi) * value + offset
+
+
+def wavelength(roots, digits=DIGITS):
+    """omega = 2 int_{e2}^{e1} dx / (x sqrt(-Q(x))) for the monic quartic Q
+    with the roots (e1, e2, e3, e4), taken as exact, as an mpf.
+
+    In theta, x = e2 + (e1 - e2) sin^2 theta, it is 4 int_0^{pi/2} dtheta /
+    (x sqrt((x - e3)(x - e4))), with no endpoint singularity; its pieces are
+    split toward theta = 0 on the scale of e3 just below e2, which the
+    saddle boundary brings onto e2.  The integrand is taken in units of e2,
+    so that mp.quad's absolute error target is relative to omega e2^2 at
+    every scale of the roots."""
+    with mp.workdps(digits + 10):
+        e1, e2, e3, e4 = (mp.mpf(r) for r in roots)
+        gap, r3, r4 = (e1 - e2) / e2, e3 / e2, e4 / e2
+
+        def integrand(theta):
+            y = 1 + gap * mp.sin(theta) ** 2
+            return 1 / (y * mp.sqrt((y - r3) * (y - r4)))
+
+        nodes = [mp.mpf(0)] + _ladder(mp.sqrt((1 - r3) / gap)) + [mp.pi / 2]
+        return 4 * mp.quad(integrand, nodes) / (e2 * e2)

@@ -255,12 +255,13 @@ class TestFindStringAndFiber:
         assert code == 65
         assert out == "" and f"lambda={float(lam)!r}" in err
 
-    # the wavelength of the slice's closed orbits underflows to 0 here
+    # the slice's closed orbits have finite wavelengths here, but their
+    # curvature breaks solve_mu's absolute conservation budget
     @pytest.mark.parametrize("lam", ["-1e10", "-1e30"])
-    def test_wavelength_underflow_is_a_domain_error(self, lam):
+    def test_far_portrait_is_a_domain_error(self, lam):
         code, out, err = run_cli(["phase-portrait", f"--lambda={lam}"])
         assert code == 65
-        assert out == "" and "wavelength" in err
+        assert out == "" and err.count("\n") == 1
 
     def test_unreachable_fiber_exit(self):
         code, out, err = run_cli(["fiber", "--q", "4/3", "--steps", "20"])

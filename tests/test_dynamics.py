@@ -3,7 +3,6 @@ solution (against scipy's DOP853), wavelength closed form vs quadrature,
 and the half-period inverse."""
 
 import math
-import re
 import warnings
 
 import mpmath
@@ -16,6 +15,7 @@ from halfelastica import dynamics as D
 from halfelastica import moduli as M
 from halfelastica.errors import DomainError, IntegrationError
 from conftest import sample_moduli
+import reference
 
 
 def test_wavelength_solves_the_quartic_once(quartic_solves):
@@ -209,12 +209,46 @@ class TestClosedFormFlow:
         assert np.all(np.max(np.abs(ours - theirs), axis=1) <= 1e-12 * scale)
 
 
+def _worst_against_reference(points):
+    """max |omega - omega_ref| / omega_ref, omega_ref a 40-digit quadrature
+    on the float roots of each point, taken as exact: this measures the
+    closed form and not the root solve."""
+    worst = 0.0
+    for pt in map(M.resolve, points):
+        ref = reference.wavelength(pt.quartic.roots)
+        worst = max(worst, float(abs(D.wavelength(pt) - ref) / ref))
+    return worst
+
+
 class TestWavelength:
-    def test_underflow_is_a_domain_error(self):
-        # an S point whose closed form underflows to 0
-        with pytest.raises(DomainError, match=re.escape(
-                "(-10000000000.0, 3000000000.0)")):
-            D.wavelength((-1e10, 3e9))
+    def test_against_reference_on_random_moduli(self, rng):
+        # measured 4.9e-16
+        assert _worst_against_reference(sample_moduli(rng, 100)) <= 5e-15
+
+    @pytest.mark.parametrize("lam", [-3.0, -1.3, -0.99, -0.9])
+    def test_against_reference_on_center_ladder(self, lam):
+        """1 - e2/eta+ = 1e-4 ... 1e-12.  Heights that are tagged B+ (e1 <=
+        e2 to float resolution) have no wavelength; the rest reach e1 - e2 =
+        1.2e-11, where both terms of the closed form are positive."""
+        ep = M.eta_pm(lam)[1]
+        pts = [M.resolve(lam, ep * (1.0 - 10.0**-k)) for k in range(4, 13)]
+        inside = [pt for pt in pts if pt.in_moduli_space]
+        assert len(inside) >= 6
+        assert all(pt.region is M.Region.BOUNDARY_PLUS
+                   for pt in pts if not pt.in_moduli_space)
+        # measured at most 3.0e-16
+        assert _worst_against_reference(inside) <= 3e-15
+
+    # S points with e2 = -0.3 lam, where the (a/n) K - ((a - n)/n) Pi form
+    # of the wavelength lost digits like lam^2 eps and read 0.0 from -1e10
+    @pytest.mark.parametrize("lam", ["-1e2", "-1e3", "-1e5", "-1e7", "-1e10",
+                                     "-1e20", "-1e30"])
+    def test_against_reference_at_far_multipliers(self, lam):
+        lam = float(lam)
+        pt = M.resolve(lam, -0.3 * lam)
+        assert pt.region is M.Region.S
+        # measured at most 3.0e-16
+        assert _worst_against_reference([pt]) <= 3e-15
 
     def test_closed_form_vs_quadrature(self, rng):
         pts = [M.classify_region(-1.3, 1.2)] + sample_moduli(rng, 10)
@@ -263,6 +297,16 @@ class TestHInverse:
         pt = M.classify_region(-1.3, 1.2)
         with pytest.raises(DomainError):
             D.h_inverse(pt, 0.5)
+
+    def test_builds_no_inversion_table(self, monkeypatch):
+        # the Hermite seed's ellipj table serves only solve_mu's inversion
+        def refuse(*args):
+            raise AssertionError("ellipj called")
+
+        monkeypatch.setattr(D, "ellipj", refuse)
+        pt = M.resolve(-1.3, 2.3)
+        assert D.h_inverse(pt, pt.quartic.e1) == pytest.approx(
+            0.5 * D.wavelength(pt), rel=1e-14)
 
     @pytest.mark.parametrize("p", [(-1.3, 2.3), (-1.3, 2.5), (-1.3, 1.9)],
                              ids=["T-", "T+", "S"])
