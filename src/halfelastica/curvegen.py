@@ -17,9 +17,10 @@ Conventions for the Minkowski 3-space R^{1,2}:
 
 hyperboloid points satisfy <g, g> = -1 with g1 > 0.  The Frenet frame
 F = (g, g', g X g') solves F' = F K with K = [[0,1,0],[1,0,-k],[0,k,0]] and
-k = mu^2 the geodesic curvature; :func:`frenet_oracle` integrates exactly
-this linear system from the canonical frame at the apex and serves as the
-independent reference trajectory for all three closed forms.
+k = mu^2 the geodesic curvature.  :func:`monodromy` reads F(0) and F(omega)
+from the closed forms; :func:`frenet_oracle` integrates this linear system
+from the canonical frame at the apex, the independent reference trajectory
+for all three closed forms and for the monodromy.
 
 The closed forms need scipy.special only.  The Frenet oracle integrates
 through ``dynamics.solve_ivp``, which imports scipy.integrate on its first
@@ -688,10 +689,15 @@ def frenet_oracle(p, n_periods: float = 1.0,
     )
 
 
+def _frame_matrix(gamma, tangent) -> np.ndarray:
+    """Frames with columns (gamma, tangent, gamma X tangent), one per sample."""
+    return np.stack([gamma, tangent, minkowski_cross(gamma, tangent)], axis=-1)
+
+
 def initial_frame(curve: CurveSamples) -> np.ndarray:
     """Frame (gamma, tangent, gamma X tangent) of the closed form at s = 0."""
     gam, tan, *_ = curve._require_flow().frame(np.array([0.0]))
-    return np.column_stack([gam[0], tan[0], minkowski_cross(gam[0], tan[0])])
+    return _frame_matrix(gam[0], tan[0])
 
 
 def lorentz_inverse(mat: np.ndarray) -> np.ndarray:
@@ -734,17 +740,11 @@ def hyperbolic_rotation(t: float) -> np.ndarray:
 
 
 def monodromy(p) -> Monodromy:
-    """Monodromy of the standard curve: F(omega) F(0)^{-1} with the
-    closed-form initial frame."""
-    curve = make_curve(p, samples=16, periods=1.0)
-    oracle = frenet_oracle(curve.modulus, n_periods=1.0, samples=2)
-    f0 = initial_frame(curve)
-    f_omega_canonical = np.column_stack([
-        oracle.gamma[-1],
-        oracle.tangent[-1],
-        minkowski_cross(oracle.gamma[-1], oracle.tangent[-1]),
-    ])
-    mat = f0 @ f_omega_canonical @ lorentz_inverse(f0)
+    """Monodromy of the standard curve: F(omega) F(0)^{-1}, with both frames
+    read from the closed form at s = 0 and s = omega."""
+    curve = make_curve(p, samples=1, periods=1.0)
+    f0, f_omega = _frame_matrix(curve.gamma, curve.tangent)
+    mat = f_omega @ lorentz_inverse(f0)
     region = curve.modulus.region
     if region is Region.L:
         kind = MonodromyClass.PARABOLIC
@@ -754,10 +754,9 @@ def monodromy(p) -> Monodromy:
         parameter = math.asinh(mat[0, 1])
     else:
         kind = MonodromyClass.ELLIPTIC_ROTATION
-        tr = float(np.trace(mat))
-        angle = math.acos(min(max(0.5 * (tr - 1.0), -1.0), 1.0))
-        # orientation from the action on the plane orthogonal to the axis
-        parameter = math.copysign(angle, -mat[1, 2])
+        # the rotation angle from its block on the plane orthogonal to the
+        # axis, which keeps every digit at small angles
+        parameter = math.atan2(mat[2, 1] - mat[1, 2], mat[1, 1] + mat[2, 2])
     return Monodromy(matrix=mat, kind=kind, parameter=parameter)
 
 

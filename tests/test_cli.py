@@ -1,8 +1,10 @@
 """Command-line surface: exit codes, file formats, determinism and the
 rendering contract."""
 
+import ast
 import json
 import math
+import pathlib
 import re
 import subprocess
 import sys
@@ -685,24 +687,48 @@ bindings = {f"{m.__name__}.{n}": callable(getattr(m, n, None))
                          (dynamics, "solve_ivp"), (curvegen, "solve_ivp"))}
 moduli.eta_pm(-1.3)
 after_root = loaded()
+# the monodromy of a T-, an S, an L and an E point
+for lam, e2 in ((-1.3, 2.3), (-1.1, 1.0), (-2.0, 3.732050807568877),
+                (-1.3, 2.477640202588786)):
+    curvegen.monodromy(moduli.resolve(lam, e2))
+after_monodromy = loaded()
 curvegen.frenet_oracle(moduli.resolve(-1.3, 2.3), samples=16)
-print(json.dumps([after_curves, after_commands, bindings, after_root, loaded()]))
+print(json.dumps([after_curves, after_commands, bindings, after_root,
+                  after_monodromy, loaded()]))
 """
+
+
+def _callers_of(name):
+    """Qualified names of the package's functions whose bodies call ``name``,
+    read from the source under the package directory."""
+    def called(call):
+        func = getattr(call, "func", None)
+        return getattr(func, "id", getattr(func, "attr", None)) == name
+
+    callers = set()
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and any(map(called, ast.walk(node)))):
+                callers.add(f"{path.stem}.{node.name}")
+    return callers
 
 
 def test_curve_command_loads_no_solver():
     """A fresh interpreter that imports the CLI and runs every subcommand
-    (curve on a T-, S, L and E point) loads neither scipy.optimize nor
-    scipy.integrate: root solves run on the package's own brentq.  The
-    first ODE integration loads scipy.integrate (which imports
-    scipy.optimize itself), through the module-global names that a tracer
-    or a test may rebind."""
+    (curve on a T-, S, L and E point), then takes the monodromy of such
+    points, loads neither scipy.optimize nor scipy.integrate: root solves
+    run on the package's own brentq, and the monodromy reads the closed-form
+    frame.  The first ODE integration, which only the Frenet oracle makes,
+    loads scipy.integrate (which imports scipy.optimize itself), through the
+    module-global names that a tracer or a test may rebind."""
     proc = subprocess.run([sys.executable, "-c", _COLD_START],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    after_curves, after_commands, bindings, after_root, after_ode = \
-        json.loads(proc.stdout)
+    (after_curves, after_commands, bindings, after_root, after_monodromy,
+     after_ode) = json.loads(proc.stdout)
     assert after_curves == after_commands == []
     assert bindings == dict.fromkeys(bindings, True) and len(bindings) == 6
-    assert after_root == []
+    assert after_root == after_monodromy == []
     assert after_ode == ["scipy.optimize", "scipy.integrate"]
+    assert _callers_of("solve_ivp") == {"curvegen.frenet_oracle"}

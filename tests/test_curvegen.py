@@ -27,6 +27,28 @@ def light_point(lam=-1.25):
 EXACT_LOCUS = (-1.17398550521972, 2.1744797279556325)
 
 
+# one point of each tag, and a T+ point 3e-4 above E in the near-locus band
+OWN_FRAME_POINTS = [
+    pytest.param(-2.0, 3.732050807568877, "L", id="L"),
+    pytest.param(-1.1, 1.0, "S", id="S"),
+    pytest.param(-1.3, 2.3, "T-", id="T-"),
+    pytest.param(-1.3, M.exceptional_c(-1.3), "E", id="E"),
+    pytest.param(-0.95, 1.6, "T+", id="T+"),
+    pytest.param(-0.95, 1.4665804384720835, "T+", id="band"),
+]
+
+
+def frenet_monodromy(point):
+    """The monodromy by the Frenet route: the oracle's frame at omega,
+    integrated from the identity at the apex, conjugated by the closed
+    form's frame F(0) at s = 0."""
+    f0 = C.initial_frame(C.make_curve(point, samples=16))
+    orc = C.frenet_oracle(point, n_periods=1.0, samples=2)
+    g, t = orc.gamma[-1], orc.tangent[-1]
+    f_omega = np.column_stack([g, t, C.minkowski_cross(g, t)])
+    return f0 @ f_omega @ C.lorentz_inverse(f0)
+
+
 class TestMinkowski:
     def test_cross_orientation(self):
         apex = np.array([1.0, 0.0, 0.0])
@@ -381,12 +403,7 @@ class TestOnePeriodFlow:
             C.angular_function(cv.modulus, cv.s)
         assert ode_spans == []
 
-    # one point of each tag, and a T+ point 3e-4 above E in the near-locus band
-    @pytest.mark.parametrize("lam, e2, region", [
-        (-2.0, 3.732050807568877, "L"), (-1.1, 1.0, "S"), (-1.3, 2.3, "T-"),
-        (-1.3, M.exceptional_c(-1.3), "E"), (-0.95, 1.6, "T+"),
-        (-0.95, 1.4665804384720835, "T+"),
-    ], ids=["L", "S", "T-", "E", "T+", "band"])
+    @pytest.mark.parametrize("lam, e2, region", OWN_FRAME_POINTS)
     def test_accessors_read_the_curves_own_frame(self, lam, e2, region):
         point = M.resolve(lam, e2)
         assert point.region.value == region
@@ -447,9 +464,10 @@ class TestFrenetOracle:
             mono = C.monodromy(pt)
             cv = C.make_curve(pt, samples=16)
             xi = C.expected_momentum(cv)
-            assert np.max(np.abs(mono.matrix @ xi - xi)) <= 1e-8
+            # measured 7.5e-16 and 1.5e-14
+            assert np.max(np.abs(mono.matrix @ xi - xi)) <= 1e-12
             eta = C.minkowski_metric()
-            assert np.max(np.abs(mono.matrix.T @ eta @ mono.matrix - eta)) <= 1e-9
+            assert np.max(np.abs(mono.matrix.T @ eta @ mono.matrix - eta)) <= 1e-12
 
     def test_light_like_monodromy_is_parabolic(self):
         pt = light_point(-1.25)
@@ -458,7 +476,8 @@ class TestFrenetOracle:
         theta_omega = float(cv.theta_at(np.array([cv.wavelength]))[0])
         expected = C.parabolic_transform(SQRT2 * theta_omega)
         assert mono.kind is C.MonodromyClass.PARABOLIC
-        assert np.max(np.abs(mono.matrix - expected)) <= 1e-7
+        # measured 2.8e-16
+        assert np.max(np.abs(mono.matrix - expected)) <= 1e-12
 
     def test_space_like_monodromy_is_a_boost(self):
         pt = M.classify_region(-1.1, 1.0)
@@ -466,9 +485,10 @@ class TestFrenetOracle:
         cv = C.bs_curve(pt, samples=16)
         theta_omega = float(cv.theta_at(np.array([cv.wavelength]))[0])
         assert mono.kind is C.MonodromyClass.HYPERBOLIC_ROTATION
+        # measured 1.8e-15
         assert np.max(np.abs(mono.matrix
-                             - C.hyperbolic_rotation(theta_omega))) <= 1e-9
-        assert mono.parameter == pytest.approx(theta_omega, abs=1e-9)
+                             - C.hyperbolic_rotation(theta_omega))) <= 1e-12
+        assert mono.parameter == pytest.approx(theta_omega, abs=1e-12)
 
     def test_time_like_monodromy_is_a_rotation(self):
         pt = M.classify_region(-0.99, 1.05)
@@ -482,7 +502,40 @@ class TestFrenetOracle:
             [0.0, math.sin(t), math.cos(t)],
         ])
         assert mono.kind is C.MonodromyClass.ELLIPTIC_ROTATION
-        assert np.max(np.abs(mono.matrix - rot)) <= 1e-9
+        # measured 7.3e-15
+        assert np.max(np.abs(mono.matrix - rot)) <= 1e-12
+
+    # the closed-form frame against the Frenet route, at the own-frame
+    # points and the T = 0 pair; far points such as e2 = 30, where the
+    # oracle's own error reaches 1.9e-10, are left to the angle test below
+    @pytest.mark.parametrize("lam, e2, region", OWN_FRAME_POINTS + [
+        pytest.param(*EXACT_LOCUS, "E", id="T=0")])
+    def test_monodromy_matches_the_frenet_route(self, lam, e2, region):
+        point = M.resolve(lam, e2)
+        assert point.region.value == region
+        mono = C.monodromy(point)
+        assert np.max(np.abs(mono.matrix - frenet_monodromy(point))) <= 1e-10
+
+    def test_monodromy_matches_the_frenet_route_on_samples(self, rng):
+        for pt in (sample_lightlike(rng, 2) + sample_spacelike(rng, 2)
+                   + sample_timelike(rng, 2)):
+            mono = C.monodromy(pt)
+            assert np.max(np.abs(mono.matrix - frenet_monodromy(pt))) <= 1e-10
+
+    # two T+ points 1e-9 and 1e-8 (relative) below the center eta+, whose
+    # angles 7.8e-6 and 6.3e-4 the trace 1 + 2 cos fixes only to about the
+    # square root of its own error, the 11/10 string and the T = 0 pair
+    @pytest.mark.parametrize("make", [
+        lambda: M.resolve(-15.000018535166666, 30.0),
+        lambda: M.resolve(-5.000500049499999, 10.0),
+        lambda: P.find_string(-1.01, "11/10").modulus,
+        lambda: M.resolve(*EXACT_LOCUS),
+    ], ids=["lam=-15", "lam=-5", "11/10", "T=0"])
+    def test_rotation_angle_is_the_period_map(self, make):
+        point = make()
+        turn = 2.0 * math.pi * P.period_map(point)
+        expected = math.pi - (math.pi - turn) % (2.0 * math.pi)  # in (-pi, pi]
+        assert abs(C.monodromy(point).parameter - expected) <= 1e-12
 
 
 class TestBendingEnergy:
