@@ -16,6 +16,7 @@ import argparse
 import functools
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 import numpy as np
@@ -155,20 +156,13 @@ _CELL_MASK, _CELL_LITERAL = _cell_tables()
 _ZERO_CELL = (_EXP_MAX + 1 - _EXP_MIN) * _DIGITS
 
 
-def _float_cells(x: np.ndarray) -> np.ndarray:
-    """(len(x), _CELL) bytes: the '%.17g' text of each float of x, NUL
-    padded, with the separator byte NUL."""
+def _digits(bits: np.ndarray, biased: np.ndarray,
+            exp: np.ndarray) -> np.ndarray:
+    """The 17 significant digits q of the floats with these bits, biased
+    binary exponents and decimal exponents, as int64 (a function of its
+    own, so that the product's temporaries are freed before the cells are
+    built)."""
     u64 = np.uint64
-    ax = np.abs(x)
-    exact = (ax >= 1e-10) & (ax < 1e16)
-    zero = ax == 0.0
-    ax = np.where(exact, ax, 1.0)
-    bits = ax.view(np.uint64)
-    biased = ax.view(np.int64) >> 52
-    # floor(log10 2^E) is (E * 78913) >> 18 for |E| < 1650; floor(log10 x)
-    # is that or one more
-    exp = (biased - 1023) * 78913 >> 18
-    exp += ax >= _DECADE_START.take(exp + 1 - _EXP_MIN)
     p = 16 - exp
     m = ((bits & u64((1 << 52) - 1)) | u64(1 << 52)) << u64(3)
     shift = (1078 - p - biased).astype(np.uint64)
@@ -185,7 +179,22 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     rest = lo & ((u64(1) << shift) - u64(1))
     half = u64(1) << (shift - u64(1))
     q += (rest > half) | ((rest == half) & (q & u64(1)).astype(bool))
-    q = q.view(np.int64)
+    return q.view(np.int64)
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """(len(x), _CELL) bytes: the '%.17g' text of each float of x, NUL
+    padded, with the separator byte NUL."""
+    ax = np.abs(x)
+    exact = (ax >= 1e-10) & (ax < 1e16)
+    zero = ax == 0.0
+    ax = np.where(exact, ax, 1.0)
+    biased = ax.view(np.int64) >> 52
+    # floor(log10 2^E) is (E * 78913) >> 18 for |E| < 1650; floor(log10 x)
+    # is that or one more
+    exp = (biased - 1023) * 78913 >> 18
+    exp += ax >= _DECADE_START.take(exp + 1 - _EXP_MIN)
+    q = _digits(ax.view(np.uint64), biased, exp)
     lead = q // 10**16
     hi8 = q - lead * 10**16
     hi8, lo8 = hi8 // 10**8, hi8 % 10**8
@@ -215,42 +224,45 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     return cells
 
 
-def write_csv(header: list[str], columns) -> str:
-    """The CSV table of equal-length columns: float arrays or lists with 17
-    significant digits, exactly as ``'%.17g' % v``, str and int lists as
-    ``str`` gives them (a str cell holds no NUL character).
+def write_csv(header: list[str], columns) -> Iterator[bytes]:
+    """The CSV table of equal-length columns as UTF-8 byte chunks: the
+    header line, then blocks of _CSV_BLOCK_ROWS rows.  Float arrays or
+    lists have 17 significant digits, exactly as ``'%.17g' % v``, str and
+    int lists are as ``str`` gives them (a str cell holds no NUL character).
 
-    The float cells come from :func:`_float_cells`, the others from their
-    ``str`` bytes, and the rows are joined in blocks of _CSV_BLOCK_ROWS."""
+    A block's float cells come from :func:`_float_cells` on the slices of
+    its float columns, the others from their ``str`` bytes, so a chunk is
+    the only text of the table that is held at once."""
     n = len(columns[0])
     # numpy's float64 is a float subclass
     kinds = [len(c) > 0 and isinstance(c[0], float) for c in columns]
     seps = [b","] * (len(columns) - 1) + [b"\n"]
-    floats = np.column_stack([np.asarray(c, dtype=float)
-                              for c, k in zip(columns, kinds) if k]
-                             or [np.empty((n, 0))])
+    floats = [np.asarray(c, dtype=float) for c, k in zip(columns, kinds) if k]
     float_seps = np.frombuffer(b"".join(s for s, k in zip(seps, kinds) if k),
                                np.uint8)
-    # the other columns as NUL-padded bytes with their separators
-    texts = {}
-    for j, (c, k, sep) in enumerate(zip(columns, kinds, seps)):
-        if not k:
-            values = c.tolist() if isinstance(c, np.ndarray) else c
-            texts[j] = np.array([str(v).encode() + sep for v in values])
-    parts = [",".join(header) + "\n"]
+    yield (",".join(header) + "\n").encode()
     for start in range(0, n, _CSV_BLOCK_ROWS):
-        block = floats[start:start + _CSV_BLOCK_ROWS]
-        rows = len(block)
-        cells = _float_cells(block.ravel()).reshape(rows, -1, _CELL)
+        stop = min(start + _CSV_BLOCK_ROWS, n)
+        block = np.empty((stop - start, len(floats)))
+        for j, c in enumerate(floats):
+            block[:, j] = c[start:stop]
+        cells = _float_cells(block.ravel()).reshape(len(block), -1, _CELL)
         cells[:, :, _SEP] = float_seps
-        if texts:
+        if not all(kinds):
             fields = iter(cells.transpose(1, 0, 2))
             cells = np.concatenate(
-                [next(fields) if k else texts[j][start:start + rows]
-                 .view(np.uint8).reshape(rows, -1)
-                 for j, k in enumerate(kinds)], axis=1)
-        parts.append(cells.tobytes().translate(None, b"\0").decode())
-    return "".join(parts)
+                [next(fields) if k else _text_cells(c[start:stop], sep)
+                 for c, k, sep in zip(columns, kinds, seps)], axis=1)
+        yield cells.tobytes().translate(None, b"\0")
+
+
+def _text_cells(values, sep: bytes) -> np.ndarray:
+    """(len(values), width) bytes: the str of each value and sep, NUL
+    padded."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return np.array([str(v).encode() + sep for v in values]).view(
+        np.uint8).reshape(len(values), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +398,21 @@ def phase_portrait_svg(lam: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _emit(cfg: argparse.Namespace, text: str) -> None:
+def _emit(cfg: argparse.Namespace, chunks: Iterable[bytes]) -> None:
+    """Write the UTF-8 byte chunks to ``--out`` or to stdout, one at a time.
+    A stdout with no binary buffer (an ``io.StringIO``) takes them as
+    text."""
     if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with open(cfg.output, "wb") as handle:
+            handle.writelines(chunks)
+        return
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        for chunk in chunks:
+            sys.stdout.write(chunk.decode())
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        buffer.writelines(chunks)
 
 
 def cmd_classify(cfg: argparse.Namespace) -> int:
@@ -410,7 +431,7 @@ def cmd_classify(cfg: argparse.Namespace) -> int:
         qd = point.quartic
         report.update(e1=qd.e1, e3=qd.e3, e4=qd.e4, c=qd.c,
                       wavelength=dynamics.wavelength(point))
-    _emit(cfg, dumps_json(report) + "\n")
+    _emit(cfg, [(dumps_json(report) + "\n").encode()])
     return EXIT_OK if point.in_moduli_space else EXIT_OUTSIDE
 
 
@@ -418,7 +439,7 @@ def cmd_curve(cfg: argparse.Namespace) -> int:
     curve = curvegen.make_curve(moduli.resolve(cfg.lam, cfg.e2),
                                 samples=cfg.samples, periods=cfg.periods)
     if cfg.format == "svg":
-        _emit(cfg, curve_svg(curve))
+        _emit(cfg, [curve_svg(curve).encode()])
         return EXIT_OK
     _emit(cfg, write_csv(
         ["s", "mu", "mu_dot", "x1", "x2", "x3", "u", "v", "theta"],
@@ -439,8 +460,8 @@ def cmd_signature(cfg: argparse.Namespace) -> int:
             return 1000.0 * x / x_hi, 500.0 * (1.0 - y / y_hi)
 
         loop = np.vstack([sig, sig[:1]])
-        _emit(cfg, svg_document([_svg_path(*to_xy(loop[:, 0], loop[:, 1]),
-                                           "firebrick", 2.0)]))
+        _emit(cfg, [svg_document([_svg_path(*to_xy(loop[:, 0], loop[:, 1]),
+                                            "firebrick", 2.0)]).encode()])
         return EXIT_OK
     omega = dynamics.wavelength(point)
     s = np.linspace(0.0, omega, len(sig), endpoint=False)
@@ -463,7 +484,7 @@ def cmd_find_string(cfg: argparse.Namespace) -> int:
     if cfg.format == "svg":
         curve = curvegen.bt_curve(rec.modulus, samples=cfg.samples,
                                   periods=float(rec.wave_number))
-        _emit(cfg, curve_svg(curve))
+        _emit(cfg, [curve_svg(curve).encode()])
         return EXIT_OK
     report = {
         "schema": SCHEMA,
@@ -480,7 +501,7 @@ def cmd_find_string(cfg: argparse.Namespace) -> int:
         "punctured_class": rec.punctured_class,
         "isotopy_classes": rec.isotopy_classes,
     }
-    _emit(cfg, dumps_json(report) + "\n")
+    _emit(cfg, [(dumps_json(report) + "\n").encode()])
     return EXIT_OK
 
 
@@ -495,7 +516,7 @@ def cmd_fiber(cfg: argparse.Namespace) -> int:
 
 def cmd_phase_portrait(cfg: argparse.Namespace) -> int:
     if cfg.format == "svg":
-        _emit(cfg, phase_portrait_svg(cfg.lam))
+        _emit(cfg, [phase_portrait_svg(cfg.lam).encode()])
         return EXIT_OK
     orbits = phase_portrait_orbits(cfg.lam)
     _emit(cfg, write_csv(

@@ -356,9 +356,14 @@ def _periodic_states(branch: _RisingBranch, phase=None):
 
 
 def solve_mu(p, n_periods: float = 1.0, samples_per_period: int = 2048,
-             residual_tol: float = 1e-8) -> MuSolution:
+             residual_tol: float = 1e-13) -> MuSolution:
     """The curvature dynamics from the orbit minimum over ``n_periods``
     wavelengths, in closed form.
+
+    ``residual_tol`` bounds the conservation residual relative to the
+    largest sum of magnitudes of its terms, max(mu'^2 + mu^2 (mu^4 +
+    4 |lam| mu^3 + 4 |lam^2 - c| mu^2 + 1)); the solution is refused above
+    it.
 
     Inputs within 1e-12 of an equilibrium height return the constant
     solution explicitly: at the center the amplitude vanishes, at the saddle
@@ -388,10 +393,18 @@ def solve_mu(p, n_periods: float = 1.0, samples_per_period: int = 2048,
     states = flow(s)
     out = MuSolution(point, s, states[0], states[1], omega, point.quartic,
                      _flow=flow)
-    resid = out.conservation_residual()
+    # the residual in the units of the terms that it cancels, which grow
+    # like mu^6: at far multipliers its rounding alone exceeds any absolute
+    # budget
+    mu2 = out.mu * out.mu
+    scale = float(np.max(out.mu_dot**2 + mu2 * (
+        mu2 * mu2 + 4.0 * abs(lam) * mu2 * out.mu
+        + 4.0 * abs(lam * lam - point.quartic.c) * mu2 + 1.0)))
+    resid = out.conservation_residual() / scale
     if resid > residual_tol:
         raise IntegrationError(
-            f"conservation residual {resid:.3e} exceeds the {residual_tol:.1e} budget"
+            f"conservation residual {resid:.3e} of its terms' scale "
+            f"{scale:.3e} exceeds the {residual_tol:.1e} budget"
         )
     return out
 
