@@ -5,9 +5,9 @@ rendering of the unit disk.
 
 Exit codes: 0 success, 2 point outside the moduli space (classify), 3
 characteristic number outside the admissible interval, 64 usage error, 65
-numeric domain error.  Floating-point output is printed with 17 significant
-digits in a fixed field order, so identical invocations produce
-byte-identical files.
+numeric domain error, 74 the output could not be written.  Floating-point
+output is printed with 17 significant digits in a fixed field order, so
+identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
@@ -32,6 +33,7 @@ EXIT_OUTSIDE = 2
 EXIT_Q_RANGE = 3
 EXIT_USAGE = 64
 EXIT_DOMAIN = 65
+EXIT_IOERR = 74
 
 
 # ---------------------------------------------------------------------------
@@ -41,11 +43,7 @@ EXIT_DOMAIN = 65
 
 def _fmt(x) -> str:
     if isinstance(x, float):
-        if math.isinf(x):
-            return '"inf"' if x > 0 else '"-inf"'
         return f"{x:.17g}"
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if isinstance(x, int):
         return str(x)
     if x is None:
@@ -62,9 +60,6 @@ def dumps_json(obj, indent: int = 0) -> str:
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        items = [f"{pad}  {dumps_json(v, indent + 1).lstrip()}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, str):
         escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
@@ -413,6 +408,7 @@ def _emit(cfg: argparse.Namespace, chunks: Iterable[bytes]) -> None:
     else:
         sys.stdout.flush()
         buffer.writelines(chunks)
+        buffer.flush()
 
 
 def cmd_classify(cfg: argparse.Namespace) -> int:
@@ -630,6 +626,14 @@ def main(argv=None) -> int:
     except HalfElasticaError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DOMAIN
+    except OSError as exc:
+        # the output could not be written: a closed pipe, a full device or
+        # no such directory
+        if not cfg.output:
+            # so that the interpreter's exit flush does not fail on it again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_IOERR
 
 
 if __name__ == "__main__":

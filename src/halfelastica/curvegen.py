@@ -53,7 +53,6 @@ from .moduli import (
     QuarticData,
     Region,
     _TIMELIKE,
-    _degeneracy_of_residual,
     _factored_w2,
     _kappa1,
     b0,
@@ -92,10 +91,6 @@ __all__ = [
 ]
 
 _METRIC = np.diag([-1.0, 1.0, 1.0])
-
-# radial degeneracy 1 + 4 c e1^2 below which the time-like family rebuilds
-# 1 + 4 c mu^2 from its factored form
-_NEAR_LOCUS = 1e-6
 
 # DOP853 tolerances of the Frenet oracle, and the error target of the
 # light-like boost quadrature
@@ -169,12 +164,14 @@ def from_poincare(uv):
 # ---------------------------------------------------------------------------
 
 
-def _near_locus_kappa1(qd: QuarticData) -> float | None:
-    """kappa1 (with sqrt(-c)) where 1 + 4 c e1^2 < _NEAR_LOCUS, which only
-    time-like quartics next to E reach (it is >= 1 where c >= 0); else None."""
-    if not _degeneracy_of_residual(qd.t, qd.e1, qd.e2) < _NEAR_LOCUS:
-        return None
-    return _kappa1(qd, math.sqrt(-qd.c))
+def _bt_kappa1(qd: QuarticData, sc: float) -> float:
+    """kappa1 = 1 - 2 sc e1 of a time-like quartic (sc = sqrt(-c)), the
+    factor of 1 + 4 c e1^2 = kappa1 (1 + 2 sc e1) that vanishes on E: the
+    difference itself where 2 sc e1 <= 1/2, which keeps its digits there,
+    else from the locus residual T (:func:`moduli._kappa1`), where it
+    would cancel."""
+    two_sc_e1 = 2.0 * sc * qd.e1
+    return 1.0 - two_sc_e1 if two_sc_e1 <= 0.5 else _kappa1(qd, sc)
 
 
 def _on_locus(point: ModulusPoint) -> bool:
@@ -185,16 +182,15 @@ def _on_locus(point: ModulusPoint) -> bool:
     return point.region is Region.E and point.quartic.t == 0.0
 
 
-def _theta_rhs_for(point: ModulusPoint, kind: CurveKind, kappa1: float | None):
+def _theta_rhs_for(point: ModulusPoint, kind: CurveKind):
     """Phase derivative as a function of the curvature value x and, where it
     is at hand, the gap e1 - x (by default taken from x).
 
-    Near the exceptional locus the non-exceptional denominator 1 + 4 c mu^2
-    nearly vanishes at mu = e1; given ``kappa1`` (:func:`_near_locus_kappa1`)
-    it is rebuilt in the factored form (kappa1 + 2 sqrt|c| (e1 - mu)) (1 + 2
-    sqrt|c| mu), and the numerator's x + 2 lam as -(e1 - x + T/(2 e1^2
-    e2^2)) from the same T, so that rho theta' stays unit at mu = e1 however
-    small T is.
+    The time-like denominator 1 + 4 c mu^2 vanishes at mu = e1 on E; off
+    the locus it takes the factored form (kappa1 + 2 sqrt|c| (e1 - mu)) (1 +
+    2 sqrt|c| mu) with :func:`_bt_kappa1`, and the numerator's x + 2 lam is
+    -(e1 - x + T/(2 e1^2 e2^2)) from the same T, so that rho theta' stays
+    unit at mu = e1 however small T is.
     """
     qd = point.quartic
     lam, c = point.lam, qd.c
@@ -207,7 +203,8 @@ def _theta_rhs_for(point: ModulusPoint, kind: CurveKind, kappa1: float | None):
         def theta_rhs(x, gap=None):
             return -8.0 * sc * lam * lam * x * x / (x - 2.0 * lam)
         return theta_rhs
-    if kappa1 is not None:
+    if kind is CurveKind.BT:
+        kappa1 = _bt_kappa1(qd, sc)
         e1, shift = qd.e1, qd.t / (2.0 * qd.e1 * qd.e1 * qd.e2 * qd.e2)
 
         def theta_rhs(x, gap=None):
@@ -300,8 +297,7 @@ class _CurveFlow:
         self.c = self.qd.c
         self.omega = wavelength(point)
         self.on_locus = _on_locus(point)
-        self._kappa1 = _near_locus_kappa1(self.qd)
-        self._theta_rhs = _theta_rhs_for(point, kind, self._kappa1)
+        self._theta_rhs = _theta_rhs_for(point, kind)
         # s -> (mu, mu_dot, theta) rows
         self.states = _periodic_states(_RisingBranch(self.qd, self.omega),
                                      _phase_for(point, kind))
@@ -316,12 +312,10 @@ class _CurveFlow:
         return np.where(np.mod(k, 2.0) == 0.0, 1.0, -1.0)
 
     def _bt_w(self, mu, gap):
-        """sqrt(1 + 4 c mu^2) for the time-like family, factored through the
-        locus residual and the gap e1 - mu when the direct form would
-        cancel."""
-        if self._kappa1 is not None:
-            return np.sqrt(_factored_w2(self._kappa1, math.sqrt(-self.c), gap, mu))
-        return np.sqrt(np.maximum(1.0 + 4.0 * self.c * mu * mu, 0.0))
+        """sqrt(1 + 4 c mu^2) for the time-like family, factored through
+        :func:`_bt_kappa1` and the gap e1 - mu."""
+        sc = math.sqrt(-self.c)
+        return np.sqrt(_factored_w2(_bt_kappa1(self.qd, sc), sc, gap, mu))
 
     def bt_rho(self, s):
         """Signed disk radius of the time-like family at arclengths s."""
@@ -381,8 +375,8 @@ class _CurveFlow:
     def _bt_rho_dot(self, s, mu, mu_dot, sc, w, sign):
         """d rho / ds for the time-like family: the naive -sign mu' / (2 sc
         mu^2 w), which is 0/0 only at T = 0, where w and mu' vanish together
-        at mu = e1 (elsewhere w(e1) = sqrt(1 + 4 c e1^2) > 0, and next to E
-        w takes the gap e1 - mu from the amplitude, as mu' does).  At T = 0,
+        at mu = e1 (elsewhere w(e1) = sqrt(1 + 4 c e1^2) > 0, and w takes
+        the gap e1 - mu from the amplitude, as mu' does).  At T = 0,
         above the curvature midpoint, it takes the algebraic form in which
         mu'^2 = mu^2 (e1-mu)(mu-e2)(mu-e3)(mu-e4) cancels the vanishing
         factor of w^2; below it (mu near e2, where that form would inject
@@ -652,7 +646,7 @@ def frenet_oracle(p, n_periods: float = 1.0,
     qd = point.quartic
     omega = wavelength(point)
     lam = point.lam
-    theta_rhs = _theta_rhs_for(point, kind, _near_locus_kappa1(qd))
+    theta_rhs = _theta_rhs_for(point, kind)
 
     def rhs(_s, state):
         x, y, _th = state[0], state[1], state[2]
@@ -780,7 +774,6 @@ def bt_annulus_radii(p) -> tuple[float, float]:
     point = _require_region(p, _TIMELIKE, "bt_annulus_radii")
     qd = point.quartic
     sc = math.sqrt(-qd.c)
-    degeneracy = _degeneracy_of_residual(qd.t, qd.e1, qd.e2)  # >= 0
-    inner = math.sqrt(degeneracy) / (1.0 + 2.0 * sc * qd.e1)
+    inner = math.sqrt(_bt_kappa1(qd, sc) / (1.0 + 2.0 * sc * qd.e1))
     outer = math.sqrt(1.0 + 4.0 * qd.c * qd.e2**2) / (1.0 + 2.0 * sc * qd.e2)
     return inner, outer

@@ -304,8 +304,6 @@ def a_lower(lam: float) -> float:
     multipliers it is the saddle height eta-(lam).  The two branches agree
     at lam = -1 where both equal 1.
     """
-    if lam > LAMBDA_CRITICAL:
-        raise DomainError(f"lambda={lam!r} above the critical multiplier")
     if lam <= -1.0:
         return b0(lam)
     return eta_pm(lam)[0]

@@ -419,10 +419,8 @@ def j_interval(lam: float) -> tuple[float, float]:
 
 def _slice_bounds(lam: float) -> tuple[float, float]:
     """(a_lower, eta+) of the multiplier slice from one solve of the
-    boundary quartic, with a_lower's DomainError above the critical
+    boundary quartic, with eta_pm's DomainError above the critical
     multiplier."""
-    if lam > LAMBDA_CRITICAL:
-        raise DomainError(f"lambda={lam!r} above the critical multiplier")
     eta_m, eta_p = eta_pm(lam)
     return (b0(lam) if lam <= -1.0 else eta_m), eta_p
 

@@ -335,6 +335,24 @@ class TestMisc:
         assert code == 64
         assert out == "" and err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("args, circles, vertices", [
+        # the signature loop closed on its first sample
+        (["signature", "--lambda", "-1.3", "--e2", "1.2"], 0, 65),
+        # an S curve: the disk and its two osculating circles
+        (["curve", "--lambda", "-1.1", "--e2", "1.0"], 3, 65),
+    ], ids=["signature", "S-curve"])
+    def test_svg_document(self, args, circles, vertices):
+        argv = args + ["--samples", "64", "--format", "svg"]
+        code, out, err = run_cli(argv)
+        assert code == 0 and err == ""
+        assert out.startswith("<svg") and out.endswith("</svg>\n")
+        assert out.count("<svg") == 1 and out.count("<path") == 1
+        assert out.count("<circle") == circles
+        path = re.search(r'<path d="([^"]*)"', out).group(1)
+        assert path.count("M") == 1
+        assert path.count("M") + path.count(" L") == vertices
+        assert run_cli(argv) == (code, out, err)
+
     def test_zero_steps_and_periods_keep_their_output(self):
         assert run_cli(["fiber", "--q", "11/10", "--steps", "0"]) == (
             0, "lambda,e2,region\n", "")
@@ -343,7 +361,7 @@ class TestMisc:
         assert code == 0 and err == ""
         assert out == ("s,mu,mu_dot,x1,x2,x3,u,v,theta\n"
                        "0,2.2999999999999998,0,1.3815792463598073,"
-                       "-0.9532896799882673,0,-0.40027627946680761,0,0\n")
+                       "-0.95328967998826708,0,-0.40027627946680749,0,0\n")
 
     @pytest.mark.parametrize("args", [
         ["classify", "--lambda", "-1.25", "--e2", "2.0", "--tol", "1e-3"],
@@ -752,6 +770,51 @@ def test_signature_at_saddle_writes_one_error_line(lam, e2):
     assert proc.returncode == 65 and proc.stdout == ""
     assert proc.stderr == "error: the constant solution carries no curvature flow\n"
 
+
+
+def _assert_one_output_error(proc, stderr):
+    # exit 74 (EX_IOERR) with one error line, and no traceback from main or
+    # from the interpreter's exit flush
+    assert proc.returncode == 74
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert stderr.endswith("\n")
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+
+
+def test_closed_stdout_pipe_is_one_error_line():
+    # a reader that stops after 100 bytes of a 0.7 MB table, as head -c 100
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "halfelastica.cli", "curve", "--lambda",
+         "-1.3", "--e2", "2.3", "--periods", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.wait()
+    _assert_one_output_error(proc, stderr)
+    assert stderr == "error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not pathlib.Path("/dev/full").exists(),
+                    reason="needs the /dev/full device")
+def test_full_stdout_is_one_error_line():
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "halfelastica.cli", "classify",
+             "--lambda", "-1.3", "--e2", "2.3"],
+            stdout=full, stderr=subprocess.PIPE)
+    _assert_one_output_error(proc, proc.stderr.decode())
+
+
+def test_out_in_a_missing_directory_is_one_error_line(tmp_path):
+    target = tmp_path / "missing" / "f.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "halfelastica.cli", "classify", "--lambda",
+         "-1.3", "--e2", "2.3", "--out", str(target)],
+        capture_output=True)
+    _assert_one_output_error(proc, proc.stderr.decode())
+    assert proc.stdout == b"" and str(target) in proc.stderr.decode()
+    assert not target.parent.exists()
 
 _COLD_START = """
 import contextlib, io, json, sys

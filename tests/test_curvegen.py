@@ -27,7 +27,7 @@ def light_point(lam=-1.25):
 EXACT_LOCUS = (-1.17398550521972, 2.1744797279556325)
 
 
-# one point of each tag, and a T+ point 3e-4 above E in the near-locus band
+# one point of each tag, and a T+ point 3e-4 above E (kappa1 from T)
 OWN_FRAME_POINTS = [
     pytest.param(-2.0, 3.732050807568877, "L", id="L"),
     pytest.param(-1.1, 1.0, "S", id="S"),
@@ -253,13 +253,14 @@ class TestBTCurve:
           for d in (-3e-4, -1e-4, 1e-4, 3e-4, 3e-5)
           if not (lam == -1.8 and abs(d) == 3e-4))])
     def test_near_the_locus(self, lam, d):
-        # off the E tag, 1e-3 from the locus and in the near-locus band (the
-        # 18 points with radial degeneracy below _NEAR_LOCUS): the phase at
-        # omega is held to the closed-form period map; measured at most
-        # 4.4e-16 in the band
+        # off the E tag, 1e-3 from the locus and closer (the 18 points with
+        # radial degeneracy below 1e-6, where kappa1 comes from T): the phase
+        # at omega is held to the closed-form period map; measured at most
+        # 4.4e-16 there
         pt = M.classify_region(lam, M.exceptional_c(lam) + d)
         if abs(d) < 1e-3:
-            assert M.radial_degeneracy(pt.quartic.e1, pt.e2) < C._NEAR_LOCUS
+            assert M.radial_degeneracy(pt.quartic.e1, pt.e2) < 1e-6
+            assert 2.0 * math.sqrt(-pt.quartic.c) * pt.quartic.e1 > 0.5
         cv = C.bt_curve(pt, samples=512, periods=2.0)
         xi = C.momentum_samples(cv)
         assert np.max(np.abs(xi - C.expected_momentum(cv))) <= 1e-8
@@ -308,15 +309,31 @@ class TestBTCurve:
     @pytest.mark.parametrize("lam, d, region", [
         (-0.95, 3e-4, M.Region.T_PLUS), (-1.3, -2e-4, M.Region.T_MINUS)])
     def test_near_locus_band(self, lam, d, region):
-        # off the E tag but below _NEAR_LOCUS (radial degeneracy 2.1e-7 and
-        # 2.7e-7), where w and theta' take the factored 1 + 4 c mu^2 and
+        # off the E tag with radial degeneracy 2.1e-7 and 2.7e-7, where w
+        # and theta' take the factored 1 + 4 c mu^2 with kappa1 from T and
         # rho' the naive quotient; measured drifts 1.8e-14 and 1.3e-13
         pt = M.classify_region(lam, M.exceptional_c(lam) + d)
         assert pt.region is region
-        assert M.radial_degeneracy(pt.quartic.e1, pt.e2) < C._NEAR_LOCUS
+        assert M.radial_degeneracy(pt.quartic.e1, pt.e2) < 1e-6
+        assert 2.0 * math.sqrt(-pt.quartic.c) * pt.quartic.e1 > 0.5
         cv = C.bt_curve(pt, samples=512, periods=2.0)
         xi = C.momentum_samples(cv)
         assert np.max(np.abs(xi - C.expected_momentum(cv))) <= 1e-8
+
+    @pytest.mark.parametrize("lam", [-1.8, -1.3, -1.1, -0.95])
+    def test_unit_tangent_next_to_the_locus(self, lam):
+        # T curves 3e-3 to 3e-5 off the locus on either side, where w and
+        # theta' take the factored 1 + 4 c mu^2 with kappa1 from T and the
+        # gap from the amplitude, so the tangent stays unit at a sample on
+        # mu = e1; measured at most 1.6e-14 (7.2e-11 with 1 + 4 c mu^2
+        # formed directly)
+        for d in (-3e-3, -1e-3, -3e-4, -1e-4, -3e-5,
+                  3e-5, 1e-4, 3e-4, 1e-3, 3e-3):
+            pt = M.classify_region(lam, M.exceptional_c(lam) + d)
+            assert pt.region in (M.Region.T_MINUS, M.Region.T_PLUS)
+            cv = C.bt_curve(pt, samples=256, periods=2.0)
+            unit = C.minkowski_dot(cv.tangent, cv.tangent)
+            assert np.max(np.abs(unit - 1.0)) <= 1e-13
 
 
 class TestInvariantsAcrossFamilies:

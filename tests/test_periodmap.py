@@ -761,7 +761,7 @@ def test_quartic_solved_once_per_evaluation(fn, point, quartic_solves):
 @pytest.mark.parametrize("evaluate", [
     lambda: P.period_map_oracle((-1.3, 2.3)),
     lambda: P.period_map(M.classify_region(-1.3, 2.3)),
-    # T+ at d = 3e-4 above E, below the curves' near-locus threshold
+    # T+ at d = 3e-4 above E, where the curve takes kappa1 from T
     lambda: C.bt_curve((-0.95, 1.4665804384720835), samples=64),
 ], ids=["oracle", "classified-point", "band-curve"])
 def test_locus_residual_solved_with_the_quartic(evaluate, quartic_solves,
