@@ -270,12 +270,20 @@ def _disk_xy(u, v):
 
 
 def _svg_path(xs, ys, stroke: str, width: float = 2.0,
-              dashed: bool = False) -> str:
-    template = "M%.6f,%.6f" + " L%.6f,%.6f" * (len(xs) - 1)
-    coords = template % tuple(np.column_stack([xs, ys]).ravel().tolist())
+              dashed: bool = False) -> Iterator[bytes]:
+    """The <path> of the polyline through (xs, ys) as UTF-8 byte chunks:
+    its opening, the '%.6f' coordinates of _CSV_BLOCK_ROWS vertices at a
+    time, and its attributes."""
     dash = ' stroke-dasharray="8,6"' if dashed else ""
-    return (f'<path d="{coords}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{width:.2f}"{dash}/>')
+    yield b'<path d="'
+    for start in range(0, len(xs), _CSV_BLOCK_ROWS):
+        stop = min(start + _CSV_BLOCK_ROWS, len(xs))
+        template = ("M%.6f,%.6f" if start == 0 else " L%.6f,%.6f") + (
+            " L%.6f,%.6f" * (stop - start - 1))
+        yield (template % tuple(np.column_stack(
+            [xs[start:stop], ys[start:stop]]).ravel().tolist())).encode()
+    yield (f'" fill="none" stroke="{stroke}" stroke-width="{width:.2f}"'
+           f'{dash}/>').encode()
 
 
 def _svg_circle(cx: float, cy: float, r: float, stroke: str,
@@ -285,14 +293,19 @@ def _svg_circle(cx: float, cy: float, r: float, stroke: str,
             f'stroke="{stroke}" stroke-width="{width:.2f}"{dash}/>')
 
 
-def svg_document(elements: list[str]) -> str:
-    body = "\n".join(elements)
-    return (
-        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1000 1000">\n'
-        '<rect width="1000" height="1000" fill="white"/>\n'
-        f"{body}\n"
-        "</svg>\n"
-    )
+def svg_document(elements) -> Iterator[bytes]:
+    """The SVG document of the elements, each a str or the byte chunks of a
+    streamed path, as UTF-8 byte chunks."""
+    yield (b'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1000 1000">\n'
+           b'<rect width="1000" height="1000" fill="white"/>\n')
+    for i, element in enumerate(elements):
+        if i:
+            yield b"\n"
+        if isinstance(element, str):
+            yield element.encode()
+        else:
+            yield from element
+    yield b"\n</svg>\n"
 
 
 def _osculating_circles(curve) -> list[str]:
@@ -324,7 +337,7 @@ def _osculating_circles(curve) -> list[str]:
     return out
 
 
-def curve_svg(curve) -> str:
+def curve_svg(curve) -> Iterator[bytes]:
     xs, ys = _disk_xy(curve.poincare[:, 0], curve.poincare[:, 1])
     return svg_document([_svg_circle(500, 500, 500, "black", 2.0)]
                         + _osculating_circles(curve)
@@ -362,7 +375,7 @@ def phase_portrait_orbits(lam: float):
     return orbits
 
 
-def phase_portrait_svg(lam: float) -> str:
+def phase_portrait_svg(lam: float) -> Iterator[bytes]:
     orbits = phase_portrait_orbits(lam)
     xs = np.concatenate([o[:, 0] for _, o in orbits])
     ys = np.concatenate([o[:, 1] for _, o in orbits])
@@ -435,7 +448,7 @@ def cmd_curve(cfg: argparse.Namespace) -> int:
     curve = curvegen.make_curve(moduli.resolve(cfg.lam, cfg.e2),
                                 samples=cfg.samples, periods=cfg.periods)
     if cfg.format == "svg":
-        _emit(cfg, [curve_svg(curve).encode()])
+        _emit(cfg, curve_svg(curve))
         return EXIT_OK
     _emit(cfg, write_csv(
         ["s", "mu", "mu_dot", "x1", "x2", "x3", "u", "v", "theta"],
@@ -456,8 +469,8 @@ def cmd_signature(cfg: argparse.Namespace) -> int:
             return 1000.0 * x / x_hi, 500.0 * (1.0 - y / y_hi)
 
         loop = np.vstack([sig, sig[:1]])
-        _emit(cfg, [svg_document([_svg_path(*to_xy(loop[:, 0], loop[:, 1]),
-                                            "firebrick", 2.0)]).encode()])
+        _emit(cfg, svg_document([_svg_path(*to_xy(loop[:, 0], loop[:, 1]),
+                                           "firebrick", 2.0)]))
         return EXIT_OK
     omega = dynamics.wavelength(point)
     s = np.linspace(0.0, omega, len(sig), endpoint=False)
@@ -480,7 +493,7 @@ def cmd_find_string(cfg: argparse.Namespace) -> int:
     if cfg.format == "svg":
         curve = curvegen.bt_curve(rec.modulus, samples=cfg.samples,
                                   periods=float(rec.wave_number))
-        _emit(cfg, [curve_svg(curve).encode()])
+        _emit(cfg, curve_svg(curve))
         return EXIT_OK
     report = {
         "schema": SCHEMA,
@@ -512,7 +525,7 @@ def cmd_fiber(cfg: argparse.Namespace) -> int:
 
 def cmd_phase_portrait(cfg: argparse.Namespace) -> int:
     if cfg.format == "svg":
-        _emit(cfg, [phase_portrait_svg(cfg.lam).encode()])
+        _emit(cfg, phase_portrait_svg(cfg.lam))
         return EXIT_OK
     orbits = phase_portrait_orbits(cfg.lam)
     _emit(cfg, write_csv(

@@ -53,6 +53,7 @@ from .moduli import (
     QuarticData,
     Region,
     _TIMELIKE,
+    _degeneracy_scale,
     _factored_w2,
     _kappa1,
     b0,
@@ -171,7 +172,9 @@ def _bt_kappa1(qd: QuarticData, sc: float) -> float:
     else from the locus residual T (:func:`moduli._kappa1`), where it
     would cancel."""
     two_sc_e1 = 2.0 * sc * qd.e1
-    return 1.0 - two_sc_e1 if two_sc_e1 <= 0.5 else _kappa1(qd, sc)
+    if two_sc_e1 <= 0.5:
+        return 1.0 - two_sc_e1
+    return _kappa1(qd.t, _degeneracy_scale(qd.e1, qd.e2), 1.0 + two_sc_e1)
 
 
 def _on_locus(point: ModulusPoint) -> bool:

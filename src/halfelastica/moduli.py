@@ -332,11 +332,13 @@ def _e1_cubic_coeffs(lam: float, e2: float) -> tuple[float, float, float, float]
     return (e2 * e2, e2**3 + 4.0 * lam * e2 * e2, 1.0, e2)
 
 
-def _e1_newton_polish(lam: float, e2: float, x: float) -> float:
-    a3, a2, a1, a0 = _e1_cubic_coeffs(lam, e2)
+def _e1_newton_polish(coeffs, x: float) -> float:
+    # Newton steps on the cubic of e1, from its coefficients at hand
+    a3, a2, a1, a0 = coeffs
+    a3_3, a2_2 = 3.0 * a3, 2.0 * a2
     for _ in range(_POLISH_STEPS):
         f = ((a3 * x + a2) * x + a1) * x + a0
-        fp = (3.0 * a3 * x + 2.0 * a2) * x + a1
+        fp = (a3_3 * x + a2_2) * x + a1
         # a double root; slice heights lie inside the moduli space, where
         # e1 is a simple root
         if not isinstance(fp, np.ndarray) and fp == 0.0:
@@ -359,7 +361,12 @@ def cardano_e1(lam, e2):
     rounding leaves disc a few 1e-19 above 0 (at far S points) it is taken
     as 0, and the Newton polish of the callers takes the seed onto e1.
     """
-    a3, a2, a1, a0 = _e1_cubic_coeffs(lam, e2)
+    return _cardano_root(_e1_cubic_coeffs(lam, e2))
+
+
+def _cardano_root(coeffs):
+    # cardano_e1 from the cubic's coefficients at hand
+    a3, a2, a1, a0 = coeffs
     b, c, d = a2 / a3, a1 / a3, a0 / a3
     array = isinstance(b, np.ndarray)
     if array:
@@ -398,7 +405,8 @@ def _e1_companion(lam: float, e2: float) -> float:
     with Newton polish; DomainError where the cubic's coefficients or its
     roots are not finite floats."""
     try:
-        roots = np.linalg.eigvals(_companion(*_e1_cubic_coeffs(lam, e2))).tolist()
+        coeffs = _e1_cubic_coeffs(lam, e2)
+        roots = np.linalg.eigvals(_companion(*coeffs)).tolist()
     except (OverflowError, np.linalg.LinAlgError):
         # float ** overflows, and eigvals refuses a non-finite matrix
         raise _beyond_floats(lam, e2) from None
@@ -408,7 +416,7 @@ def _e1_companion(lam: float, e2: float) -> float:
         # fall back to the largest real root; the in-moduli-space check of the
         # caller guarantees one is > e2 up to rounding
         candidates = [max(real)]
-    e1 = _e1_newton_polish(lam, e2, max(candidates))
+    e1 = _e1_newton_polish(coeffs, max(candidates))
     if not math.isfinite(e1):
         raise _beyond_floats(lam, e2)
     return e1
@@ -419,7 +427,7 @@ def _solve_e1(lam: float, e2: float) -> float:
     polish; DomainError where the cubic's coefficients or its root are not
     finite floats."""
     try:
-        e1 = _e1_newton_polish(lam, e2, cardano_e1(lam, e2))
+        e1 = _polished_e1(lam, e2)
     except OverflowError:  # float ** overflows in the cubic's coefficients
         raise _beyond_floats(lam, e2) from None
     if not math.isfinite(e1):
@@ -430,8 +438,13 @@ def _solve_e1(lam: float, e2: float) -> float:
 def _quartic_on_slice(lam: float, e2: np.ndarray) -> QuarticData:
     """:func:`roots_from_modulus` at every height of one multiplier slice,
     as arrays; the caller checks that the heights are in the moduli space."""
-    return _quartic_from_e1(lam, _e1_newton_polish(lam, e2, cardano_e1(lam, e2)),
-                            e2)
+    return _quartic_from_e1(lam, _polished_e1(lam, e2), e2)
+
+
+def _polished_e1(lam, e2):
+    # cardano_e1 with Newton polish, on one set of the cubic's coefficients
+    coeffs = _e1_cubic_coeffs(lam, e2)
+    return _e1_newton_polish(coeffs, _cardano_root(coeffs))
 
 
 def _sqrt(x):
@@ -472,8 +485,9 @@ def _quartic_from_e1(lam: float, e1, e2) -> QuarticData:
         t = exceptional_residual(e1, e2)
     except OverflowError:
         raise _beyond_floats(lam, e2) from None
-    e3 = (e1 + e2 + s) / (2.0 * e1 * e1 * e2 * e2)
-    e4 = -2.0 * e1 * e2 / (e1 + e2 + s)
+    e12s = e1 + e2 + s
+    e3 = e12s / (2.0 * e1 * e1 * e2 * e2)
+    e4 = -2.0 * e1 * e2 / e12s
     if isinstance(c, float) and not all(map(math.isfinite, (e3, e4, c))):
         raise _beyond_floats(lam, e2)
     return QuarticData(e1=e1, e2=e2, e3=e3, e4=e4, c=c, t=t)
@@ -510,17 +524,24 @@ def radial_degeneracy(e1: float, e2: float) -> float:
     quantity has a tangential (quadratic) zero; the factored form keeps full
     relative accuracy.
     """
-    return _degeneracy_of_residual(exceptional_residual(e1, e2), e1, e2)
+    return _degeneracy_of_residual(exceptional_residual(e1, e2),
+                                   _degeneracy_scale(e1, e2))
 
 
-def _degeneracy_of_residual(t, e1, e2):
-    # radial_degeneracy from a locus residual T already at hand
-    return t * t / (4.0 * e1 * e1 * e2**4)
+def _degeneracy_scale(e1, e2):
+    # 4 e1^2 e2^4, so that 1 + 4 c e1^2 = T^2 over it
+    return 4.0 * e1 * e1 * e2**4
 
 
-def _kappa1(qd: QuarticData, sc):
-    """kappa1 = (1 + 4 c e1^2)/(1 + 2 sc e1) = O(T^2) from the record's T."""
-    return _degeneracy_of_residual(qd.t, qd.e1, qd.e2) / (1.0 + 2.0 * sc * qd.e1)
+def _degeneracy_of_residual(t, scale):
+    # radial_degeneracy from a locus residual T and the scale at hand
+    return t * t / scale
+
+
+def _kappa1(t, scale, w1p):
+    """kappa1 = (1 + 4 c e1^2)/w1+ = O(T^2) from the locus residual T, the
+    scale of :func:`_degeneracy_scale` and w1+ = 1 + 2 sqrt|c| e1."""
+    return _degeneracy_of_residual(t, scale) / w1p
 
 
 def _factored_w2(kappa1, sc, gap, x):
@@ -533,7 +554,8 @@ def _timelike_offset(qd: QuarticData):
     period-map offset: 1/2 on E (radial degeneracy within _REGION_TOL), else
     1 on T- and 0 on T+ by the sign of the locus residual T.  Floats (a
     Python-float e1 keeps off slow numpy scalar arithmetic) or slice arrays."""
-    on_locus = _degeneracy_of_residual(qd.t, qd.e1, qd.e2) <= _REGION_TOL
+    on_locus = (_degeneracy_of_residual(qd.t, _degeneracy_scale(qd.e1, qd.e2))
+                <= _REGION_TOL)
     below = qd.t < 0.0
     return 0.5 * on_locus + (1.0 - on_locus) * below
 

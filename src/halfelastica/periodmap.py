@@ -53,6 +53,7 @@ from .moduli import (
     _REGION_OF_OFFSET,
     _chi_of_center,
     _degeneracy_of_residual,
+    _degeneracy_scale,
     _factored_w2,
     _kappa1,
     _quartic_from_e1,
@@ -230,24 +231,28 @@ def _slice_offsets(lam, qd: QuarticData) -> np.ndarray:
 
 
 def _stable_small_factors(qd: QuarticData):
-    """(sqrt|c|, kappa1, (1 + 4 lam sqrt|c|)/T) from the record's T without
-    catastrophic cancellation, on floats or on the arrays of one slice.
+    """(sqrt|c|, w1+ = 1 + 2 sqrt|c| e1, kappa1, (1 + 4 lam sqrt|c|)/T) from
+    the record's T without catastrophic cancellation, on floats or on the
+    arrays of one slice.
 
     Uses 1 - p^2 = 4|c| e1^2 with p = T/(2 e1 e2^2) and the factored
     tangential zero 1 + 4 c e1^2 = T^2/(4 e1^2 e2^4); 1 + 4 lam sqrt|c|
     vanishes on E like T and is returned over T.
     """
     e1, e2, t = qd.e1, qd.e2, qd.t
-    p_hat = t / (2.0 * e1 * e2 * e2)
+    two_e1 = 2.0 * e1
+    p_hat = t / (two_e1 * e2 * e2)
     # 1 - p^2 = 4 |c| e1^2, both factors far from zero in the interior; max
     # on floats keeps them Python floats
     clip = np.maximum if isinstance(t, np.ndarray) else max
-    sc = _sqrt(clip((1.0 - p_hat) * (1.0 + p_hat), 0.0)) / (2.0 * e1)
-    q_hat = (e1 + e2) * (1.0 + e1 * e1 * e2 * e2)
-    u_over_t = ((q_hat * q_hat * t / (4.0 * e1 * e1 * e2**4)
-                 - 2.0 * e1**3 * e2 * e2 - q_hat)
-                / (4.0 * e1**4 * e2 * e2 * (e1 * e1 * e2 * e2 + q_hat * sc)))
-    return sc, _kappa1(qd, sc), u_over_t
+    sc = _sqrt(clip((1.0 - p_hat) * (1.0 + p_hat), 0.0)) / two_e1
+    w1p = 1.0 + 2.0 * sc * e1
+    scale = _degeneracy_scale(e1, e2)
+    e1e2_sq = e1 * e1 * e2 * e2
+    q_hat = (e1 + e2) * (1.0 + e1e2_sq)
+    u_over_t = ((q_hat * q_hat * t / scale - 2.0 * e1**3 * e2 * e2 - q_hat)
+                / (4.0 * e1**4 * e2 * e2 * (e1e2_sq + q_hat * sc)))
+    return sc, w1p, _kappa1(t, scale, w1p), u_over_t
 
 
 def _coefficients(lam, qd: QuarticData):
@@ -256,15 +261,15 @@ def _coefficients(lam, qd: QuarticData):
     finite across E, as sqrt(kappa1) = |T|/(2 e1 e2^2 sqrt(w1p))."""
     e1, e2v, _, e4 = qd.roots
     m, g = _parameter_and_scale(qd)
-    sc, kappa1, u_over_t = _stable_small_factors(qd)
-    w1p = 1.0 + 2.0 * sc * e1
-    w4m = 1.0 - 2.0 * sc * e4
-    w4p = 1.0 + 2.0 * sc * e4
+    sc, w1p, kappa1, u_over_t = _stable_small_factors(qd)
+    two_sc = 2.0 * sc
+    w4m = 1.0 - two_sc * e4
+    w4p = 1.0 + two_sc * e4
     ratio = (e2v - e4) / (w4m * (e1 - e2v))
     n2 = (w4p * (e2v - e1)) / (w1p * (e2v - e4))
     a_coeff = -g * e4 * (e4 + 2.0 * lam) / (w4m * w4p)
     beta = (-g * u_over_t * (e1 - e4) * e1 * e2v * e2v * _sqrt(w1p * ratio)
-            / (2.0 * sc * w4m))
+            / (two_sc * w4m))
     c_coeff = g * (1.0 - 4.0 * lam * sc) * (e1 - e4) / (4.0 * sc * w4p * w1p)
     t = qd.t
     sign = np.sign(t) if isinstance(t, np.ndarray) else (t > 0.0) - (t < 0.0)
@@ -301,7 +306,8 @@ def _b_plus_c(lam: float, qd: QuarticData) -> float:
     c = qd.c
     _, g = _parameter_and_scale(qd)
     num = g * (e1 - e4) * (e4 * (8.0 * c * lam * e1 - 1.0) - e1 - 2.0 * lam)
-    den = _degeneracy_of_residual(qd.t, e1, qd.e2) * (1.0 + 4.0 * c * e4 * e4)
+    den = (_degeneracy_of_residual(qd.t, _degeneracy_scale(e1, qd.e2))
+           * (1.0 + 4.0 * c * e4 * e4))
     return np.divide(num, den)  # inf where T is 0, not ZeroDivisionError
 
 
@@ -373,7 +379,7 @@ def period_map_oracle(p) -> float:
     """
     lam, qd = _timelike_quartic(p)
     e1, e2v, e3, e4 = qd.roots
-    sc, kappa1, _ = _stable_small_factors(qd)
+    sc, _, kappa1, _ = _stable_small_factors(qd)
     offset = float(_slice_offsets(lam, qd))
     on_locus = offset == 0.5
     if on_locus:
@@ -567,45 +573,48 @@ def _lambda_bracket(e2):
     return lam_lo, lam_hi
 
 
-def _chandrupatla(f, lo, hi, args, xatol, xrtol):
+def _chandrupatla(f, lo, hi, args, xatol, xrtol, fatol):
     """Roots of the elementwise ``f(x, *args)`` on the brackets [lo, hi],
     all rows at once, by Chandrupatla's hybrid of inverse quadratic
     interpolation and bisection (Adv. Eng. Software 28, 145, 1997), written
-    as scipy's ``elementwise.find_root`` writes it with fatol = frtol = 0, so
-    the iterates are the same bit for bit.
+    as scipy's ``elementwise.find_root`` writes it with frtol = 0, so the
+    iterates are the same bit for bit.
 
     Both bracket ends are evaluated in one call of ``f``, and rows drop out
-    of the later calls as they stop.  A row stops on an exact zero or when
-    |x2 - x1| < |xmin| xrtol + xatol, where xmin is the end with the smaller
-    |f|.  Returns (x, success); x is NaN where success is False: where the
-    bracket has no sign change, an abscissa is not finite or both values
-    are NaN.
+    of the later calls as they stop.  A row stops on its residual, when
+    |f(xmin)| <= fatol, or on its step, when |x2 - x1| < |xmin| xrtol +
+    xatol, where xmin is the end with the smaller |f|.  Returns (x,
+    success); x is NaN where success is False: where the bracket has no
+    sign change, an abscissa is not finite or both values are NaN.
     """
     n = len(lo)
     both = f(np.concatenate((lo, hi)), *(np.concatenate((a, a)) for a in args))
     x1, x2, f1, f2 = lo, hi, both[:n], both[n:]
-    # scipy's frtol times the smaller end value: 0, but NaN where that is
-    # NaN or infinite, which rules out the exact-zero stop
-    ftol = 0.0 * np.minimum(np.abs(f1), np.abs(f2))
+    # |f| and sign f of both ends are carried, not recomputed
+    a1, a2, s1, s2 = np.abs(f1), np.abs(f2), np.sign(f1), np.sign(f2)
+    # fatol plus scipy's frtol term, 0 times the smaller end value: NaN
+    # where that is NaN or infinite, which rules out the residual stop
+    ftol = fatol + 0.0 * np.minimum(a1, a2)
     x, success = np.full(n, np.nan), np.zeros(n, dtype=bool)
     live, t, x3, f3 = np.arange(n), 0.5, None, None
     while True:
-        smaller = np.abs(f1) < np.abs(f2)
-        xmin, fmin = np.where(smaller, x1, x2), np.where(smaller, f1, f2)
-        zero = np.abs(fmin) <= ftol
-        bad = ~zero & ((np.sign(f1) == np.sign(f2))
-                       | ~(np.isfinite(x1) & np.isfinite(x2))
+        smaller = a1 < a2
+        xmin = np.where(smaller, x1, x2)
+        zero = np.where(smaller, a1, a2) <= ftol
+        bad = ~zero & ((s1 == s2) | ~(np.isfinite(x1) & np.isfinite(x2))
                        | (np.isnan(f1) & np.isnan(f2)))
         xmin = np.where(bad, np.nan, xmin)
-        dx = np.abs(x2 - x1)
+        span = x2 - x1
+        dx = np.abs(span)
         tol = np.abs(xmin) * xrtol + xatol
         converged = zero | (dx < tol)
         stop = converged | bad
         if stop.any():
             x[live[stop]], success[live[stop]] = xmin[stop], converged[stop]
             keep = ~stop
-            live, x1, x2, f1, f2, ftol, dx, tol = (
-                v[keep] for v in (live, x1, x2, f1, f2, ftol, dx, tol))
+            live, x1, x2, f1, f2, a1, a2, s1, s2, ftol, span, dx, tol = (
+                v[keep] for v in (live, x1, x2, f1, f2, a1, a2, s1, s2, ftol,
+                                  span, dx, tol))
             args = [a[keep] for a in args]
             if x3 is not None:
                 x3, f3 = x3[keep], f3[keep]
@@ -615,18 +624,21 @@ def _chandrupatla(f, lo, hi, args, xatol, xrtol):
             with np.errstate(divide="ignore", invalid="ignore"):
                 xi1 = (x1 - x2) / (x3 - x2)
                 phi1 = (f1 - f2) / (f3 - f2)
-                alpha = (x3 - x1) / (x2 - x1)
+                alpha = (x3 - x1) / span
                 inverse = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
                 t = np.where(inverse, f1 / (f1 - f2) * f3 / (f3 - f2)
                              - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
             tl = 0.5 * tol / dx
-            t = np.clip(t, tl, 1 - tl)
-        xt = x1 + t * (x2 - x1)
+            # np.clip's values without its wrapper's cost
+            t = np.minimum(np.maximum(t, tl), 1 - tl)
+        xt = x1 + t * span
         ft = f(xt, *args)
-        same = np.sign(ft) == np.sign(f1)
+        at, st = np.abs(ft), np.sign(ft)
+        same = st == s1
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-        x1, f1 = xt, ft
+        a2, s2 = np.where(same, a2, a1), np.where(same, s2, s1)
+        x1, f1, a1, s1 = xt, ft, at, st
 
 
 def trace_fiber(q, steps: int = 200) -> FiberTrace:
@@ -652,10 +664,11 @@ def trace_fiber(q, steps: int = 200) -> FiberTrace:
     lam_lo, lam_hi = _lambda_bracket(heights)
     # insets must clear the locus-tagging tolerance zones at both ends
     lo, hi = lam_lo + 1e-8, lam_hi - 1e-8
-    # stop on the step alone, at the xtol and rtol of scipy's brentq
+    # stop on the residual |P - q| <= 1e-13, or on a step below 1e-14 plus
+    # the rtol of scipy's brentq where P is too steep in lambda to reach it
     lams, success = _chandrupatla(lambda lam, e2: period_map_slice(lam, e2) - qv,
-                                  lo, hi, (heights,), 1e-13,
-                                  4.0 * np.finfo(float).eps)
+                                  lo, hi, (heights,), 1e-14,
+                                  4.0 * np.finfo(float).eps, 1e-13)
     if not success.all():
         i = np.argmin(success)
         raise BracketError(

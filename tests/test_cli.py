@@ -667,6 +667,46 @@ class TestStreamedOutput:
         assert path.stat().st_size > 5e6
         assert peak <= 1e6
 
+    @pytest.mark.parametrize("vertices", [1, 255, 256, 257, 513])
+    def test_svg_path_in_blocks_is_the_one_string_path(self, vertices):
+        """The streamed <path> is the one '%' format of the whole polyline,
+        in chunks of _CSV_BLOCK_ROWS vertices between its opening and its
+        attributes."""
+        rng = np.random.default_rng(vertices)
+        xs, ys = rng.uniform(-1e3, 2e3, (2, vertices))
+        coords = ("M%.6f,%.6f" + " L%.6f,%.6f" * (vertices - 1)) % tuple(
+            np.column_stack([xs, ys]).ravel().tolist())
+        expected = (f'<path d="{coords}" fill="none" stroke="black" '
+                    f'stroke-width="1.50" stroke-dasharray="8,6"/>').encode()
+        chunks = list(cli._svg_path(xs, ys, "black", 1.5, dashed=True))
+        block = cli._CSV_BLOCK_ROWS
+        assert len(chunks) == 2 + -(-vertices // block)
+        assert b"".join(chunks) == expected
+        document = b"".join(cli.svg_document(["<a/>", cli._svg_path(xs, ys, "black")]))
+        assert document.decode() == (
+            '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1000 1000">\n'
+            '<rect width="1000" height="1000" fill="white"/>\n<a/>\n'
+            + b"".join(cli._svg_path(xs, ys, "black")).decode() + "\n</svg>\n")
+
+    def test_svg_file_output_holds_one_block(self, tmp_path):
+        """A 2^16-vertex path, 1.5 MB of text, is written with a traced peak
+        of one block's text and floats (measured 32 kB; 6.7 MB when the
+        whole path was one string)."""
+        import tracemalloc
+        from argparse import Namespace
+
+        xs, ys = np.random.default_rng(16).uniform(0.0, 1e3, (2, 2**16))
+        path = tmp_path / "big.svg"
+        tracemalloc.start()
+        try:
+            cli._emit(Namespace(output=str(path)),
+                      cli.svg_document([cli._svg_path(xs, ys, "black")]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 1.4e6
+        assert peak <= 1e5
+
     @pytest.mark.parametrize("args", [
         ["curve", "--lambda", "-0.5", "--e2", "1.0"],
         ["phase-portrait", "--lambda=-1e20", "--format", "csv"],

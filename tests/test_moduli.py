@@ -211,7 +211,7 @@ def _e1_by_numpy_roots(lam, e2):
     roots = np.roots(M._e1_cubic_coeffs(lam, e2))
     real = [r.real for r in roots if abs(r.imag) <= 1e-8 * max(1.0, abs(r))]
     candidates = [r for r in real if r > e2] or [max(real)]
-    return M._e1_newton_polish(lam, e2, max(candidates))
+    return M._e1_newton_polish(M._e1_cubic_coeffs(lam, e2), max(candidates))
 
 
 @settings(max_examples=300, deadline=None)

@@ -539,6 +539,26 @@ def test_trace_sides_match_exceptional_height(q):
     assert abs(M.resolve(crossing).quartic.e1 + 2.0 * crossing.lam) <= 1e-12
 
 
+@pytest.mark.parametrize("q", ["19/16", "11/10", "6/5", "13/11", "24/23", "25/24"])
+def test_fiber_rows_stop_on_their_residual(q):
+    """Every non-E row of the trace is on the fiber: within 1e-9 of q by the
+    oracle, the bench's check, and within 1e-11 by the closed form, or,
+    where P is too steep in lambda for that, at the float that comes
+    closest within 8 ulps.  The first row of 19/16, where dP/dlambda is
+    about 1.4e5 (1.5e-11 per ulp), reads 1.39e-11, and 3.46e-11 one float
+    up; stopping on the step alone left it at 1.80e-9, 118 ulps off."""
+    qv = float(Fraction(q))
+    rows = [pt for pt in P.trace_fiber(q, steps=200).points
+            if pt.region is not M.Region.E]
+    for pt in rows:
+        miss = abs(P.period_map(pt) - qv)
+        if miss > 1e-11:
+            nearby = pt.lam + np.spacing(pt.lam) * np.arange(-8, 9)
+            assert miss <= min(abs(P.period_map((lam, pt.e2)) - qv)
+                               for lam in nearby.tolist()), (pt, miss)
+        assert abs(P.period_map_oracle(pt) - qv) <= 1e-9, pt
+
+
 @pytest.mark.parametrize("steps", [2, 3])
 def test_coarse_trace_finds_the_crossing(steps):
     """The first row lies below the lowest height of E, so the crossing is
@@ -793,9 +813,10 @@ def test_unreachable_fiber_raises_bracket_error():
     assert "e2=" in message and "bracket" in message
 
 
-# _chandrupatla against scipy's find_root, the reference it transcribes
+# _chandrupatla against scipy's find_root, the reference it transcribes, at
+# the step and residual tolerances of trace_fiber
 XRTOL = 4.0 * np.finfo(float).eps
-FIND_ROOT_TOLERANCES = {"xatol": 1e-13, "xrtol": XRTOL, "fatol": 0.0, "frtol": 0.0}
+FIND_ROOT_TOLERANCES = {"xatol": 1e-14, "xrtol": XRTOL, "fatol": 1e-13, "frtol": 0.0}
 
 
 def _fiber_rows(q, steps):
@@ -809,11 +830,12 @@ def _fiber_rows(q, steps):
             lam_lo + 1e-8, lam_hi - 1e-8, heights)
 
 
-def _solve_both(f, lo, hi, args):
+def _solve_both(f, lo, hi, args, tolerances=FIND_ROOT_TOLERANCES):
     """_chandrupatla's (x, success), after asserting both equal find_root's
     bit for bit, NaN included."""
-    x, success = P._chandrupatla(f, lo, hi, args, 1e-13, XRTOL)
-    ref = find_root(f, (lo, hi), args=args, tolerances=FIND_ROOT_TOLERANCES)
+    x, success = P._chandrupatla(f, lo, hi, args, tolerances["xatol"],
+                                 tolerances["xrtol"], tolerances["fatol"])
+    ref = find_root(f, (lo, hi), args=args, tolerances=tolerances)
     assert x.dtype == np.float64 and x.shape == np.shape(ref.x)
     assert x.tobytes() == np.asarray(ref.x, dtype=float).tobytes()
     assert success.tolist() == np.asarray(ref.success).tolist()
@@ -858,25 +880,40 @@ def test_fiber_solver_row_without_sign_change():
 def test_solver_edge_rows_match_find_root():
     """Exact zeros at either bracket end and at the first iterate, a
     bracket without sign change, NaN values at both ends and an infinite
-    abscissa, next to ordinary rows that keep iterating."""
-    lo = np.array([1.0, 0.0, 0.0, 2.0, 0.0, -np.inf, 0.0, 0.0])
-    hi = np.array([3.0, 2.0, 2.0, 3.0, 2.0, 2.0, 2.0, 2.0])
-    c = np.array([1.0, 8.0, 2.0, 1.0, np.nan, 2.0, 1.0, 5.0])
-    with np.errstate(invalid="ignore"):
-        x, success, _ = _solve_both(lambda x, c: x**3 - c, lo, hi, (c,))
-    assert success.tolist() == [True, True, True, False, False, False, True, True]
-    assert x[[0, 1, 6]].tolist() == [1.0, 2.0, 1.0]
-    assert abs(x[2] - 2.0 ** (1 / 3)) <= 1e-13 and abs(x[7] - 5.0 ** (1 / 3)) <= 1e-13
-    sizes = []
+    abscissa, next to ordinary rows that keep iterating, at fatol = 0 and
+    at fatol > 0, where a row also stops once |f| <= fatol at the end with
+    the smaller |f|, even where the bracket has no sign change (the last
+    row)."""
+    lo = np.array([1.0, 0.0, 0.0, 2.0, 0.0, -np.inf, 0.0, 0.0, 2.0])
+    hi = np.array([3.0, 2.0, 2.0, 3.0, 2.0, 2.0, 2.0, 2.0, 3.0])
+    c = np.array([1.0, 8.0, 2.0, 1.0, np.nan, 2.0, 1.0, 5.0, 7.9995])
+    cube_roots = np.array([2.0, 5.0]) ** (1 / 3)
+    for fatol, calls in ((0.0, [18, 3, 2, 2, 2, 2, 2, 2, 1]),
+                         (1e-3, [18, 3, 2, 2, 2, 2])):
+        tolerances = dict(FIND_ROOT_TOLERANCES, xatol=1e-13, fatol=fatol)
+        with np.errstate(invalid="ignore"):
+            x, success, _ = _solve_both(lambda x, c: x**3 - c, lo, hi, (c,),
+                                        tolerances)
+        assert success.tolist() == [True, True, True, False, False, False,
+                                    True, True, fatol > 0.0]
+        assert x[[0, 1, 6]].tolist() == [1.0, 2.0, 1.0]
+        if fatol:
+            # the residual stop: two rows stop 1e-5 from their roots, and
+            # the last row at its bracket end 2, whose |f| is 5e-4
+            assert (np.abs(x[[2, 7]] ** 3 - c[[2, 7]]) <= fatol).all()
+            assert (np.abs(x[[2, 7]] - cube_roots) > 1e-6).all() and x[8] == 2.0
+        else:
+            assert (np.abs(x[[2, 7]] - cube_roots) <= 1e-13).all()
+        sizes = []
 
-    def counting(x, c):
-        sizes.append(x.size)
-        return x**3 - c
+        def counting(x, c):
+            sizes.append(x.size)
+            return x**3 - c
 
-    with np.errstate(invalid="ignore"):
-        P._chandrupatla(counting, lo, hi, (c,), 1e-13, XRTOL)
-    # both ends in one call; a row is not evaluated again once it stops
-    assert sizes[:3] == [16, 3, 2]
+        with np.errstate(invalid="ignore"):
+            P._chandrupatla(counting, lo, hi, (c,), 1e-13, XRTOL, fatol)
+        # both ends in one call; a row is not evaluated again once it stops
+        assert sizes == calls
 
 
 def _closed_form_unshared(lam, qd):
@@ -885,8 +922,8 @@ def _closed_form_unshared(lam, qd):
     1 - m, 1); Pi(n2) as R_F + (n2/3) R_J, the period map's form, which
     complete_Pi leaves at n2 < 0."""
     _, m, nu, n2, a_coeff, beta, c_coeff, _ = P._coefficients(lam, qd)
-    sc, kappa1, _ = P._stable_small_factors(qd)
-    w1p = 1.0 + 2.0 * sc * qd.e1
+    sc, w1p, kappa1, _ = P._stable_small_factors(qd)
+    assert w1p.tobytes() == (1.0 + 2.0 * sc * qd.e1).tobytes()
     assert np.asarray(kappa1).tobytes() == np.asarray(
         M.radial_degeneracy(qd.e1, qd.e2) / w1p).tobytes()
     sign = np.sign(M.exceptional_residual(qd.e1, qd.e2))
