@@ -254,8 +254,6 @@ def write_csv(header: list[str], columns) -> Iterator[bytes]:
 def _text_cells(values, sep: bytes) -> np.ndarray:
     """(len(values), width) bytes: the str of each value and sep, NUL
     padded."""
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
     return np.array([str(v).encode() + sep for v in values]).view(
         np.uint8).reshape(len(values), -1)
 

@@ -53,9 +53,7 @@ from .moduli import (
     QuarticData,
     Region,
     _TIMELIKE,
-    _degeneracy_scale,
     _factored_w2,
-    _kappa1,
     b0,
     brentq,
     eta_pm,
@@ -165,18 +163,6 @@ def from_poincare(uv):
 # ---------------------------------------------------------------------------
 
 
-def _bt_kappa1(qd: QuarticData, sc: float) -> float:
-    """kappa1 = 1 - 2 sc e1 of a time-like quartic (sc = sqrt(-c)), the
-    factor of 1 + 4 c e1^2 = kappa1 (1 + 2 sc e1) that vanishes on E: the
-    difference itself where 2 sc e1 <= 1/2, which keeps its digits there,
-    else from the locus residual T (:func:`moduli._kappa1`), where it
-    would cancel."""
-    two_sc_e1 = 2.0 * sc * qd.e1
-    if two_sc_e1 <= 0.5:
-        return 1.0 - two_sc_e1
-    return _kappa1(qd.t, _degeneracy_scale(qd.e1, qd.e2), 1.0 + two_sc_e1)
-
-
 def _on_locus(point: ModulusPoint) -> bool:
     """Whether the time-like curve takes the on-locus closed form: its
     locus residual T is exactly 0.  An E-tagged point with T != 0 takes the
@@ -190,14 +176,14 @@ def _theta_rhs_for(point: ModulusPoint, kind: CurveKind):
     is at hand, the gap e1 - x (by default taken from x).
 
     The time-like denominator 1 + 4 c mu^2 vanishes at mu = e1 on E; off
-    the locus it takes the factored form (kappa1 + 2 sqrt|c| (e1 - mu)) (1 +
-    2 sqrt|c| mu) with :func:`_bt_kappa1`, and the numerator's x + 2 lam is
-    -(e1 - x + T/(2 e1^2 e2^2)) from the same T, so that rho theta' stays
-    unit at mu = e1 however small T is.
+    the locus it takes the factored form (kappa1 + 2 sc (e1 - mu)) (1 + 2 sc
+    mu) with the record's sc = sqrt(-c) and kappa1, and the numerator's x +
+    2 lam is -(e1 - x + T/(2 e1^2 e2^2)) from the same T, so that rho theta'
+    stays unit at mu = e1 however small T is.
     """
     qd = point.quartic
     lam, c = point.lam, qd.c
-    sc = math.sqrt(abs(c))
+    sc = qd.sc if kind is CurveKind.BT else math.sqrt(abs(c))
     if kind is CurveKind.BL:
         def theta_rhs(x, gap=None):
             return -x * x * (x + 2.0 * lam)
@@ -207,7 +193,7 @@ def _theta_rhs_for(point: ModulusPoint, kind: CurveKind):
             return -8.0 * sc * lam * lam * x * x / (x - 2.0 * lam)
         return theta_rhs
     if kind is CurveKind.BT:
-        kappa1 = _bt_kappa1(qd, sc)
+        kappa1 = qd.kappa1
         e1, shift = qd.e1, qd.t / (2.0 * qd.e1 * qd.e1 * qd.e2 * qd.e2)
 
         def theta_rhs(x, gap=None):
@@ -257,7 +243,7 @@ def _phase_for(point: ModulusPoint, kind: CurveKind):
     if kind is CurveKind.BT and _on_locus(point):
         # the on-locus theta'/x = -8 sc lam^2 (1 + 2 lam/(x - 2 lam)), its
         # constant term taken as its value at x = e4
-        scale = -8.0 * math.sqrt(-c) * lam * lam * g
+        scale = -8.0 * qd.sc * lam * lam * g
         pi_coeff, n = _pole_terms(qd, 2.0 * lam)
         f_coeff = e4 / (e4 - 2.0 * lam)
 
@@ -268,7 +254,7 @@ def _phase_for(point: ModulusPoint, kind: CurveKind):
     if kind is CurveKind.BT:
         # the period map's closed form with incomplete integrals
         _, _, nu, n2, a_coeff, beta, c_coeff, sign = _coefficients(lam, qd)
-        scale = -2.0 * math.sqrt(-c)
+        scale = -2.0 * qd.sc
 
         def phase(S, C):
             f, pi_n2 = ellint.incomplete_F_Pi(S, C, m, n2)
@@ -316,14 +302,13 @@ class _CurveFlow:
 
     def _bt_w(self, mu, gap):
         """sqrt(1 + 4 c mu^2) for the time-like family, factored through
-        :func:`_bt_kappa1` and the gap e1 - mu."""
-        sc = math.sqrt(-self.c)
-        return np.sqrt(_factored_w2(_bt_kappa1(self.qd, sc), sc, gap, mu))
+        the record's sc and kappa1 and the gap e1 - mu."""
+        return np.sqrt(_factored_w2(self.qd.kappa1, self.qd.sc, gap, mu))
 
     def bt_rho(self, s):
         """Signed disk radius of the time-like family at arclengths s."""
         mu, _, _, gap = self.states(s, gap=True)
-        return self.radial_sign(s) * self._bt_w(mu, gap) / (2.0 * math.sqrt(-self.c) * mu)
+        return self.radial_sign(s) * self._bt_w(mu, gap) / (2.0 * self.qd.sc * mu)
 
     # -- closed-form embeddings -------------------------------------------
 
@@ -361,7 +346,7 @@ class _CurveFlow:
             tan[..., 1] = ((w_dot * sh + w * ch * th_dot) * mu - w * sh * mu_dot) / den
             tan[..., 2] = -mu_dot / den
         else:
-            sc = math.sqrt(-self.c)
+            sc = self.qd.sc
             w = self._bt_w(mu, gap)
             sign = self.radial_sign(s)
             rho = sign * w / (2.0 * sc * mu)
@@ -623,12 +608,12 @@ def momentum_samples(curve: CurveSamples):
 
 def expected_momentum(curve: CurveSamples) -> np.ndarray:
     """The constant momentum of the standard form of each family."""
-    c = curve.quartic.c
+    qd = curve.quartic
     if curve.kind is CurveKind.BL:
         return np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
     if curve.kind is CurveKind.BS:
-        return np.array([0.0, 0.0, -math.sqrt(c)])
-    return np.array([math.sqrt(-c), 0.0, 0.0])
+        return np.array([0.0, 0.0, -math.sqrt(qd.c)])
+    return np.array([qd.sc, 0.0, 0.0])
 
 
 def _frenet_matrix(kappa: float) -> np.ndarray:
@@ -776,7 +761,7 @@ def bt_annulus_radii(p) -> tuple[float, float]:
     """Inner and outer disk radii confining a time-like trajectory."""
     point = _require_region(p, _TIMELIKE, "bt_annulus_radii")
     qd = point.quartic
-    sc = math.sqrt(-qd.c)
-    inner = math.sqrt(_bt_kappa1(qd, sc) / (1.0 + 2.0 * sc * qd.e1))
+    sc = qd.sc
+    inner = math.sqrt(qd.kappa1 / (1.0 + 2.0 * sc * qd.e1))
     outer = math.sqrt(1.0 + 4.0 * qd.c * qd.e2**2) / (1.0 + 2.0 * sc * qd.e2)
     return inner, outer

@@ -35,6 +35,7 @@ from .moduli import (
     ModulusPoint,
     QuarticData,
     Region,
+    _quartic_record,
     _sqrt,
     brentq,
     eta_pm,
@@ -384,7 +385,8 @@ def solve_mu(p, n_periods: float = 1.0, samples_per_period: int = 2048,
         s_end = n_periods * (period if math.isfinite(period) else 1.0)
         s = np.linspace(0.0, s_end, n_samples + 1)
         c = conserved_level(lam, eta, 0.0)
-        qd = QuarticData(eta, eta, eta, eta, c, exceptional_residual(eta, eta))
+        qd = _quartic_record(eta, eta, eta, eta, c,
+                             exceptional_residual(eta, eta))
         return MuSolution(point, s, np.full_like(s, eta), np.zeros_like(s),
                           period, qd)
     omega = wavelength(point)
@@ -489,15 +491,16 @@ def h_inverse(p, mu) -> float:
 
 
 def signature(p, n: int = 512) -> np.ndarray:
-    """n samples of the modified invariant signature (mu, mu') over one
-    period: a closed loop on the singular elliptic curve y^2 + x^2 Q(x) = 0."""
-    sol = solve_mu(p, n_periods=1.0, samples_per_period=max(int(n), 16))
+    """n >= 16 samples of the modified invariant signature (mu, mu') over one
+    period, the first n of :func:`solve_mu`'s: a closed loop on the singular
+    elliptic curve y^2 + x^2 Q(x) = 0."""
+    if n < 16:
+        raise DomainError(f"a signature takes at least 16 samples, got n={n!r}")
+    sol = solve_mu(p, n_periods=1.0, samples_per_period=n)
     if sol._flow is None:
-        # before sampling: at the saddle the wavelength is infinite
+        # at the saddle the wavelength is infinite
         raise IntegrationError(_NO_FLOW)
-    s = np.linspace(0.0, sol.wavelength, int(n), endpoint=False)
-    mu, mu_dot = sol.at(s)
-    return np.column_stack([mu, mu_dot])
+    return np.column_stack([sol.mu[:n], sol.mu_dot[:n]])
 
 
 def invert_by_bisection(sol: MuSolution, mu: float) -> float:

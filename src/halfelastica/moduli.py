@@ -119,8 +119,10 @@ class ModulusPoint:
 @dataclass(frozen=True)
 class QuarticData:
     """Roots e1 > e2 > e3 > 0 > e4 of the conserved quartic, the causal
-    constant c (squared momentum norm) and the locus residual t; arrays over
-    the heights of one multiplier slice when built by :func:`_quartic_on_slice`."""
+    constant c (squared momentum norm), the locus residual t, and the two
+    time-like factors of 1 + 4 c e1^2 = kappa1 (1 + 2 sc e1): sc =
+    sqrt(max(-c, 0)) and kappa1 (:func:`_quartic_record`); arrays over the
+    heights of one multiplier slice when built by :func:`_quartic_on_slice`."""
 
     e1: float
     e2: float
@@ -128,6 +130,8 @@ class QuarticData:
     e4: float
     c: float
     t: float
+    sc: float
+    kappa1: float
 
     @property
     def roots(self) -> tuple[float, float, float, float]:
@@ -490,7 +494,26 @@ def _quartic_from_e1(lam: float, e1, e2) -> QuarticData:
     e4 = -2.0 * e1 * e2 / e12s
     if isinstance(c, float) and not all(map(math.isfinite, (e3, e4, c))):
         raise _beyond_floats(lam, e2)
-    return QuarticData(e1=e1, e2=e2, e3=e3, e4=e4, c=c, t=t)
+    return _quartic_record(e1, e2, e3, e4, c, t)
+
+
+def _quartic_record(e1, e2, e3, e4, c, t) -> QuarticData:
+    """The quartic data with the one sc = sqrt(max(-c, 0)) and kappa1 = 1 -
+    2 sc e1 of every time-like reader: the difference itself where 2 sc e1
+    <= 1/2 (next to L), else (1 + 4 c e1^2)/(1 + 2 sc e1) from the locus
+    residual T, where the difference would cancel (next to E).  Floats (a
+    zero sc is a numpy scalar, as :func:`_sqrt` gives it) or slice arrays."""
+    array = isinstance(c, np.ndarray)
+    sc = _sqrt((np.maximum if array else max)(-c, 0.0))
+    two_sc_e1 = 2.0 * sc * e1
+    small = two_sc_e1 <= 0.5
+    kappa1 = 1.0 - two_sc_e1
+    if array or not small:
+        near_e = (_degeneracy_of_residual(t, _degeneracy_scale(e1, e2))
+                  / (1.0 + two_sc_e1))
+        kappa1 = np.where(small, kappa1, near_e) if array else near_e
+    return QuarticData(e1=e1, e2=e2, e3=e3, e4=e4, c=c, t=t, sc=sc,
+                       kappa1=kappa1)
 
 
 def reconstruct_lambda_c(e1: float, e2: float) -> tuple[float, float]:
@@ -536,12 +559,6 @@ def _degeneracy_scale(e1, e2):
 def _degeneracy_of_residual(t, scale):
     # radial_degeneracy from a locus residual T and the scale at hand
     return t * t / scale
-
-
-def _kappa1(t, scale, w1p):
-    """kappa1 = (1 + 4 c e1^2)/w1+ = O(T^2) from the locus residual T, the
-    scale of :func:`_degeneracy_scale` and w1+ = 1 + 2 sqrt|c| e1."""
-    return _degeneracy_of_residual(t, scale) / w1p
 
 
 def _factored_w2(kappa1, sc, gap, x):

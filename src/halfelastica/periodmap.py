@@ -14,15 +14,18 @@ m the hyperbolic turning number.
 
 Numerical posture near the exceptional locus: n1 and B of the closed form
 diverge like 1/T, T = e1^2 e2^3 - e1^3 e2^2 + e1 + e2 the signed locus
-residual solved with the roots, through kappa1 = 1 - 2 sqrt|c| e1 = O(T^2);
-kappa1 and 1 + 4 lambda sqrt|c| = O(T) are evaluated from T, never by
-subtraction.  In nu = -1/n1 and the smooth beta = sign(T) B sqrt(nu) the
-closed form is one expression on both sides of E and on it, P = (2
-sqrt|c|/pi)(A K + sign(T) beta G(nu, m) + C Pi(n2)) + (1 - sign T)/2: G(nu,
-m) = sqrt(-n1) Pi(n1, m) tends to pi/2 as nu -> 0, so the jump of the
-divergent term cancels that of the offset.  The quadrature oracle takes the
-factored 1 + 4 c x^2, with exact node distances from the tanh-sinh driver,
-and a first-order on-locus integrand at points tagged E.
+residual solved with the roots, through kappa1 = 1 - 2 sqrt|c| e1 = O(T^2).
+The one route to sqrt|c| and kappa1 is the quartic record's ``sc`` and
+``kappa1`` (:func:`moduli._quartic_record`): sc = sqrt(-c), and kappa1 from
+T wherever the difference would cancel; 1 + 4 lambda sqrt|c| = O(T) is
+evaluated over T from T, never by subtraction.  In nu = -1/n1 and the
+smooth beta = sign(T) B sqrt(nu) the closed form is one expression on both
+sides of E and on it, P = (2 sqrt|c|/pi)(A K + sign(T) beta G(nu, m) + C
+Pi(n2)) + (1 - sign T)/2: G(nu, m) = sqrt(-n1) Pi(n1, m) tends to pi/2 as
+nu -> 0, so the jump of the divergent term cancels that of the offset.  The
+quadrature oracle takes the factored 1 + 4 c x^2, with exact node distances
+from the tanh-sinh driver, and a first-order on-locus integrand at points
+tagged E.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from .moduli import (
     _degeneracy_of_residual,
     _degeneracy_scale,
     _factored_w2,
-    _kappa1,
     _quartic_from_e1,
     _quartic_on_slice,
     _solve_e1,
@@ -230,50 +232,32 @@ def _slice_offsets(lam, qd: QuarticData) -> np.ndarray:
     return np.where(lam < LAMBDA_EXCEPTIONAL, _timelike_offset(qd), 0.0)
 
 
-def _stable_small_factors(qd: QuarticData):
-    """(sqrt|c|, w1+ = 1 + 2 sqrt|c| e1, kappa1, (1 + 4 lam sqrt|c|)/T) from
-    the record's T without catastrophic cancellation, on floats or on the
-    arrays of one slice.
-
-    Uses 1 - p^2 = 4|c| e1^2 with p = T/(2 e1 e2^2) and the factored
-    tangential zero 1 + 4 c e1^2 = T^2/(4 e1^2 e2^4); 1 + 4 lam sqrt|c|
-    vanishes on E like T and is returned over T.
-    """
-    e1, e2, t = qd.e1, qd.e2, qd.t
-    two_e1 = 2.0 * e1
-    p_hat = t / (two_e1 * e2 * e2)
-    # 1 - p^2 = 4 |c| e1^2, both factors far from zero in the interior; max
-    # on floats keeps them Python floats
-    clip = np.maximum if isinstance(t, np.ndarray) else max
-    sc = _sqrt(clip((1.0 - p_hat) * (1.0 + p_hat), 0.0)) / two_e1
-    w1p = 1.0 + 2.0 * sc * e1
-    scale = _degeneracy_scale(e1, e2)
-    e1e2_sq = e1 * e1 * e2 * e2
-    q_hat = (e1 + e2) * (1.0 + e1e2_sq)
-    u_over_t = ((q_hat * q_hat * t / scale - 2.0 * e1**3 * e2 * e2 - q_hat)
-                / (4.0 * e1**4 * e2 * e2 * (e1e2_sq + q_hat * sc)))
-    return sc, w1p, _kappa1(t, scale, w1p), u_over_t
-
-
 def _coefficients(lam, qd: QuarticData):
     """(g, m, nu, n2, A, beta, C, sign T) of the closed form, on floats or
-    on the arrays of one slice: nu = -1/n1 and beta = sign(T) B sqrt(nu) are
-    finite across E, as sqrt(kappa1) = |T|/(2 e1 e2^2 sqrt(w1p))."""
+    on the arrays of one slice, from the record's sc and kappa1: nu = -1/n1
+    = kappa1 (e2 - e4)/(w4- (e1 - e2)) and beta = sign(T) B sqrt(nu) are
+    finite across E, where 1 + 4 lam sc vanishes like T and is taken over T
+    from T (with 1 - p^2 = 4 sc^2 e1^2, p = T/(2 e1 e2^2))."""
     e1, e2v, _, e4 = qd.roots
     m, g = _parameter_and_scale(qd)
-    sc, w1p, kappa1, u_over_t = _stable_small_factors(qd)
+    sc, t = qd.sc, qd.t
     two_sc = 2.0 * sc
+    w1p = 1.0 + two_sc * e1
     w4m = 1.0 - two_sc * e4
     w4p = 1.0 + two_sc * e4
+    e1e2_sq = e1 * e1 * e2v * e2v
+    q_hat = (e1 + e2v) * (1.0 + e1e2_sq)
+    u_over_t = ((q_hat * q_hat * t / _degeneracy_scale(e1, e2v)
+                 - 2.0 * e1**3 * e2v * e2v - q_hat)
+                / (4.0 * e1**4 * e2v * e2v * (e1e2_sq + q_hat * sc)))
     ratio = (e2v - e4) / (w4m * (e1 - e2v))
     n2 = (w4p * (e2v - e1)) / (w1p * (e2v - e4))
     a_coeff = -g * e4 * (e4 + 2.0 * lam) / (w4m * w4p)
     beta = (-g * u_over_t * (e1 - e4) * e1 * e2v * e2v * _sqrt(w1p * ratio)
             / (two_sc * w4m))
     c_coeff = g * (1.0 - 4.0 * lam * sc) * (e1 - e4) / (4.0 * sc * w4p * w1p)
-    t = qd.t
     sign = np.sign(t) if isinstance(t, np.ndarray) else (t > 0.0) - (t < 0.0)
-    return g, m, kappa1 * ratio, n2, a_coeff, beta, c_coeff, sign
+    return g, m, qd.kappa1 * ratio, n2, a_coeff, beta, c_coeff, sign
 
 
 def elliptic_coeffs(p) -> EllipticCoeffs:
@@ -295,7 +279,7 @@ def _closed_form(lam, qd: QuarticData):
     D = (2 sqrt|c|/pi) sign(T) beta G(nu, m), 0 where T is 0."""
     _, m, nu, n2, a_coeff, beta, c_coeff, sign = _coefficients(lam, qd)
     k, pi_n2 = ellint.complete_K_Pi(m, n2)
-    scale = 2.0 * _sqrt(-qd.c) / math.pi
+    scale = 2.0 * qd.sc / math.pi
     divergent = scale * sign * beta * ellint._scaled_Pi(nu, m, k)
     return (scale * (a_coeff * k + c_coeff * pi_n2) + divergent
             + 0.5 * (1.0 - sign)), divergent
@@ -379,7 +363,7 @@ def period_map_oracle(p) -> float:
     """
     lam, qd = _timelike_quartic(p)
     e1, e2v, e3, e4 = qd.roots
-    sc, _, kappa1, _ = _stable_small_factors(qd)
+    sc, kappa1 = qd.sc, qd.kappa1
     offset = float(_slice_offsets(lam, qd))
     on_locus = offset == 0.5
     if on_locus:

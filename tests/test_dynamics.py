@@ -364,6 +364,29 @@ class TestSignature:
         assert sig[:, 0].min() == pytest.approx(qd.e2, abs=1e-7)
         assert sig[:, 0].max() == pytest.approx(qd.e1, abs=1e-7)
 
+    def test_samples_the_closed_form_once(self, monkeypatch):
+        # the signature is the first n samples of solve_mu over one period:
+        # one evaluation of the rising branch, on the grid k omega/n
+        calls = []
+        at = D._RisingBranch.at
+
+        def counting(branch, h):
+            calls.append(len(h))
+            return at(branch, h)
+
+        monkeypatch.setattr(D._RisingBranch, "at", counting)
+        pt = M.resolve(-1.3, 1.2)
+        sig = D.signature(pt, 400)
+        assert len(calls) == 1 and sig.shape == (400, 2)
+        sol = D.solve_mu(pt, samples_per_period=400)
+        s = np.linspace(0.0, sol.wavelength, 400, endpoint=False)
+        assert s.tobytes() == sol.s[:400].tobytes()
+        assert sig.tobytes() == np.column_stack(sol.at(s)).tobytes()
+
+    def test_rejects_fewer_than_16_samples(self):
+        with pytest.raises(DomainError, match="at least 16"):
+            D.signature((-1.3, 1.2), 15)
+
     def test_contracts_to_center(self):
         lam = -1.3
         ep = M.eta_pm(lam)[1]

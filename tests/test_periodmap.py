@@ -402,7 +402,7 @@ def test_exact_locus_float_point():
 def test_period_map_across_the_exceptional_locus(lam):
     """One formula on both sides of E: at d = e2 - exceptional_c(lam) =
     +-1e-3 down to +-1e-12 the scalar path and a one-point slice are within
-    1e-13 of the 40-digit reference (measured 5.5e-15 at lam = -1.8, 1.0e-15
+    1e-13 of the 40-digit reference (measured 5.5e-15 at lam = -1.8, 8.2e-16
     at -1.3 and 7.5e-16 at -0.95).  The points within the E tag's tolerance
     get finite n1 and B, which the period map does not use."""
     ce = M.exceptional_c(lam)
@@ -432,6 +432,26 @@ def test_divergent_term_matches_pi_n1(rng):
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize("lam", [-1.05, -1.3, -2.0, -3.0])
+def test_period_map_next_to_the_light_like_locus(lam):
+    """At heights 1e-2 down to 1e-5 of the slice width (eta+ - b0) above
+    L, where 2 sc e1 < 0.17 and kappa1 is the difference 1 - 2 sc e1, the
+    scalar path and a one-point slice are within 2e-14 of the 40-digit
+    reference (measured 1.8e-15)."""
+    a, eta_p = M.b0(lam), M.eta_pm(lam)[1]
+    worst = 0.0
+    for h in (1e-2, 1e-3, 1e-4, 1e-5):
+        e2 = a + h * (eta_p - a)
+        qd = M.roots_from_modulus((lam, e2))
+        assert 2.0 * qd.sc * qd.e1 < 0.17
+        assert qd.kappa1 == 1.0 - 2.0 * qd.sc * qd.e1
+        ref = reference.period_map(lam, e2)
+        for value in (P.period_map((lam, e2)),
+                      P.period_map_slice(lam, [e2])[0]):
+            worst = max(worst, abs(value - ref))
+    assert worst <= 2e-14
+
+
 def test_rounded_light_like_point():
     """A time-like pair just above L whose float c rounds to >= 0, so that
     sqrt|c| is 0: the scalar path gives the NaN of the one-point slice and
@@ -439,8 +459,8 @@ def test_rounded_light_like_point():
     error, and the divergent term raises a RegionError naming the point."""
     p = (-1.2010999999999998, 1.8664128662516606)
     assert M.roots_from_modulus(p).c >= 0.0
+    assert M.roots_from_modulus(p).sc == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        assert P._stable_small_factors(M.roots_from_modulus(p))[0] == 0.0
         assert math.isnan(P.period_map(p))
         assert math.isnan(P.period_map_slice(p[0], [p[1]])[0])
         co = P.elliptic_coeffs(p)
@@ -920,12 +940,16 @@ def _closed_form_unshared(lam, qd):
     """_closed_form's P with T evaluated in each factor that uses it and K,
     G(nu, m) and Pi(n2) evaluated one by one, each with its own R_F(0,
     1 - m, 1); Pi(n2) as R_F + (n2/3) R_J, the period map's form, which
-    complete_Pi leaves at n2 < 0."""
+    complete_Pi leaves at n2 < 0.  The record's sc and kappa1 are checked
+    against their rule: sqrt(max(-c, 0)), and 1 - 2 sc e1 where 2 sc e1 <=
+    1/2, else (1 + 4 c e1^2)/(1 + 2 sc e1) with 1 + 4 c e1^2 from T."""
     _, m, nu, n2, a_coeff, beta, c_coeff, _ = P._coefficients(lam, qd)
-    sc, w1p, kappa1, _ = P._stable_small_factors(qd)
-    assert w1p.tobytes() == (1.0 + 2.0 * sc * qd.e1).tobytes()
-    assert np.asarray(kappa1).tobytes() == np.asarray(
-        M.radial_degeneracy(qd.e1, qd.e2) / w1p).tobytes()
+    sc = np.sqrt(np.maximum(-qd.c, 0.0))
+    two_sc_e1 = 2.0 * sc * qd.e1
+    assert qd.sc.tobytes() == sc.tobytes()
+    assert qd.kappa1.tobytes() == np.where(
+        two_sc_e1 <= 0.5, 1.0 - two_sc_e1,
+        M.radial_degeneracy(qd.e1, qd.e2) / (1.0 + two_sc_e1)).tobytes()
     sign = np.sign(M.exceptional_residual(qd.e1, qd.e2))
     scale = 2.0 * np.sqrt(-qd.c) / math.pi
     divergent = scale * sign * beta * ellint._scaled_Pi(nu, m, ellint.complete_K(m))
@@ -972,16 +996,17 @@ def test_slice_evaluation_covers_e_band_and_asymptotic_route():
 
 
 @pytest.mark.parametrize("point, value", [
-    ((-1.3, 2.3), 1.0210650505992451),
-    ((-0.95, 1.3), 1.2052628732678472),
-    ((-1.01, 1.5), 1.0965966340623068),
-    ((-1.3, 2.477640202588786), 1.0253443108829103),  # tagged E
-    ((-0.95, 1.0597236215964205), 4.995862164855711),  # 1 - m below 1e-12
+    ((-1.3, 2.3), 1.021065050599245),
+    ((-0.95, 1.3), 1.2052628732678468),
+    ((-1.01, 1.5), 1.0965966340623072),
+    ((-1.3, 2.477640202588786), 1.0253443108829101),  # tagged E
+    ((-0.95, 1.0597236215964205), 4.995862164855714),  # 1 - m below 1e-12
 ])
 def test_scalar_period_map_unchanged(point, value):
     """Values of the scalar path of the one-formula closed form, bit for
     bit, and the same as a one-point slice.  The first four are within
-    1.2e-15 of the 40-digit reference; the last is 3.0e-3 off it, the
-    lower-boundary defect of the e3 cancellation."""
+    1.2e-15 of the 40-digit reference (2.1e-16, 1.7e-16, 6.7e-16 and
+    1.0e-15); the last is 3.0e-3 off it, the lower-boundary defect of the
+    e3 cancellation."""
     assert P.period_map(point) == value
     assert P.period_map_slice(point[0], [point[1]]).tolist() == [value]
