@@ -513,11 +513,8 @@ def cmd_find_string(cfg: argparse.Namespace) -> int:
 
 
 def cmd_fiber(cfg: argparse.Namespace) -> int:
-    trace = periodmap.trace_fiber(cfg.q, steps=cfg.steps)
-    pts = trace.points
-    _emit(cfg, write_csv(["lambda", "e2", "region"],
-                         [[p.lam for p in pts], [p.e2 for p in pts],
-                          [p.region.value for p in pts]]))
+    lam, e2, regions, _, _ = periodmap._fiber_columns(cfg.q, cfg.steps)
+    _emit(cfg, write_csv(["lambda", "e2", "region"], [lam, e2, regions]))
     return EXIT_OK
 
 

@@ -625,23 +625,21 @@ def _chandrupatla(f, lo, hi, args, xatol, xrtol, fatol):
         x1, f1, a1, s1 = xt, ft, at, st
 
 
-def trace_fiber(q, steps: int = 200) -> FiberTrace:
-    """Trace the fiber of q from the corner (-1, 1) to its endpoint on the
-    center boundary by root solves in the multiplier, all heights in one
-    :func:`_chandrupatla` array solve on their full brackets.
+def _fiber_columns(q, steps: int):
+    """The fiber of q as columns, which :func:`trace_fiber` wraps into
+    points: (lam, e2, regions, crossing, at), the float arrays of the rows
+    by increasing height, their region tags as str, and the E crossing (a
+    ModulusPoint or None), which is row ``at`` of the columns.
 
-    Root solving is self-correcting, unlike direct integration of the
-    fiber-tangent vector field, whose non-vanishing is only experimental.
-    The side of E of a point is the sign of the locus residual T of its
-    quartic, negative on T- and positive on T+.  E is the curve e1 = -2 lam
-    (T = -2 e1^2 e2^2 (e1 + 2 lam)), so at a height e2 its multiplier is
-    the root of the cubic T(-2 lam, e2) in the bracket, and the crossing of
-    E between two rows on opposite sides is one root solve of P - q along
-    that curve; it is returned separately and inserted into the polyline.
+    The side of E of a row is the sign of the locus residual T of its
+    quartic.  The crossing is sought between the first two neighbouring
+    rows below LAMBDA_EXCEPTIONAL whose product of T is not positive, and
+    it is inserted after every row at or below its height, where a stable
+    sort by height puts it.
     """
     frac = _as_fraction(q)
     qv = float(frac)
-    lam_star, e_star = fiber_endpoint(frac)
+    _, e_star = fiber_endpoint(frac)
     e_lo = 1.0 + 1e-3 * (e_star - 1.0)
     e_hi = e_star - 1e-5 * (e_star - 1.0)
     heights = np.linspace(e_lo, e_hi, int(steps))
@@ -663,30 +661,55 @@ def trace_fiber(q, steps: int = 200) -> FiberTrace:
     # the solve evaluated the period map at every row, so the rows are
     # time-like; their tags and sides come from one quartic of the slice
     qd = _quartic_on_slice(lams, heights)
-    offsets = _slice_offsets(lams, qd).tolist()
-    points = [ModulusPoint(lam, e2, _REGION_OF_OFFSET[offset])
-              for lam, e2, offset in zip(lams.tolist(), heights.tolist(),
-                                         offsets)]
-    sides = [None if pt.lam >= LAMBDA_EXCEPTIONAL else t
-             for pt, t in zip(points, qd.t.tolist())]
+    tags = {offset: region.value for offset, region in _REGION_OF_OFFSET.items()}
+    regions = [tags[offset] for offset in _slice_offsets(lams, qd).tolist()]
+    below = lams < LAMBDA_EXCEPTIONAL
+    flips = np.flatnonzero(below[:-1] & below[1:]
+                           & ~(qd.t[:-1] * qd.t[1:] > 0.0))
+    if not flips.size:
+        return lams, heights, regions, None, None
 
     def lam_on_locus(e2: float) -> float:
         return brentq(lambda lam: exceptional_residual(-2.0 * lam, e2),
                       *_lambda_bracket(e2), xtol=1e-15, rtol=8.9e-16)
 
-    crossing = None
-    for i in range(len(points) - 1):
-        sa, sb = sides[i], sides[i + 1]
-        if sa is None or sb is None or sa * sb > 0.0:
-            continue
-        # E starts at the height E2_EXCEPTIONAL_MIN on the center boundary,
-        # where the period map along it diverges
-        bottom = max(points[i].e2, E2_EXCEPTIONAL_MIN + 1e-6)
-        e_c = brentq(lambda e2: period_map((lam_on_locus(e2), e2)) - qv,
-                     bottom, points[i + 1].e2, xtol=1e-14, rtol=8.9e-16)
-        crossing = classify_region(lam_on_locus(e_c), e_c)
-        points = sorted(points + [crossing], key=lambda pt: pt.e2)
-        break
+    i = int(flips[0])
+    # E starts at the height E2_EXCEPTIONAL_MIN on the center boundary,
+    # where the period map along it diverges
+    bottom, top = heights[i:i + 2].tolist()
+    e_c = brentq(lambda e2: period_map((lam_on_locus(e2), e2)) - qv,
+                 max(bottom, E2_EXCEPTIONAL_MIN + 1e-6), top, xtol=1e-14,
+                 rtol=8.9e-16)
+    crossing = classify_region(lam_on_locus(e_c), e_c)
+    at = int(np.searchsorted(heights, crossing.e2, side="right"))
+    regions.insert(at, crossing.region.value)
+    return (np.insert(lams, at, crossing.lam),
+            np.insert(heights, at, crossing.e2), regions, crossing, at)
+
+
+def trace_fiber(q, steps: int = 200) -> FiberTrace:
+    """Trace the fiber of q from the corner (-1, 1) to its endpoint on the
+    center boundary by root solves in the multiplier, all heights in one
+    :func:`_chandrupatla` array solve on their full brackets.
+
+    Root solving is self-correcting, unlike direct integration of the
+    fiber-tangent vector field, whose non-vanishing is only experimental.
+    The side of E of a point is the sign of the locus residual T of its
+    quartic, negative on T- and positive on T+.  E is the curve e1 = -2 lam
+    (T = -2 e1^2 e2^2 (e1 + 2 lam)), so at a height e2 its multiplier is
+    the root of the cubic T(-2 lam, e2) in the bracket, and the crossing of
+    E between two rows on opposite sides is one root solve of P - q along
+    that curve; it is returned separately and inserted into the polyline.
+    The points are built from the columns of :func:`_fiber_columns`, which
+    the CLI writes to its table without building points.
+    """
+    frac = _as_fraction(q)
+    lams, heights, regions, crossing, at = _fiber_columns(frac, steps)
+    tag = {r.value: r for r in Region}
+    points = [ModulusPoint(lam, e2, tag[region]) for lam, e2, region
+              in zip(lams.tolist(), heights.tolist(), regions)]
+    if crossing is not None:
+        points[at] = crossing
     return FiberTrace(q_num=frac.numerator, q_den=frac.denominator,
                       points=tuple(points), crossing=crossing)
 

@@ -1,8 +1,9 @@
 """High-precision reference values for the test suite, by mpmath alone.
 
 Nothing here calls the package: the quartic roots come from ``mp.polyroots``
-of the e1 cubic and the period map from quadrature of its defining
-integral, both with DIGITS + 10 working digits.  On the exceptional-locus
+of the e1 cubic, the exceptional height from that of the locus cubic, and
+the period map from quadrature of its defining
+integral, each with DIGITS + 10 working digits.  On the exceptional-locus
 rows of the tests (d = 1e-3 down to 1e-12 and the pair whose float T is 0)
 the values at DIGITS = 40 agree with those at 60 to 1e-35.  The wavelength
 is the quadrature of its defining integral on roots that the caller gives,
@@ -28,6 +29,17 @@ def quartic(lam, e2):
     c = (e1**4 * e2**4 * (e1 - e2) ** 2 - 2 * e1**2 * e2**2 * (e1**2 + e2**2)
          + (e1 + e2) ** 2) / (16 * e1**4 * e2**4)
     return e1, e2, e3, e4, c
+
+
+def exceptional_c(lam, digits=DIGITS):
+    """The e2-height of the exceptional locus at the multiplier lam, as an
+    mpf: the largest real root of T(-2 lam, e) = 4 lam^2 e^3 + 8 lam^3 e^2
+    + e - 2 lam, where the locus residual T is taken at e1 = -2 lam."""
+    with mp.workdps(digits + 10):
+        lam = mp.mpf(lam)
+        roots = mp.polyroots([4 * lam * lam, 8 * lam**3, 1, -2 * lam],
+                             maxsteps=200, extraprec=2 * mp.mp.prec)
+        return max(mp.re(r) for r in roots)
 
 
 def _ladder(width):

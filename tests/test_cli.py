@@ -458,14 +458,24 @@ class TestWriteCsv:
                                 "--format", "csv"])
         assert code == 0 and out == _reference_csv(header, columns)
 
-    def test_fiber_table_matches_per_value_reference(self):
-        points = periodmap.trace_fiber("11/10", steps=40).points
+    @pytest.mark.parametrize("steps", [0, 1, 2, 3, 40])
+    @pytest.mark.parametrize("q", ["11/10", "19/16", "25/24"])
+    def test_fiber_table_matches_per_value_reference(self, q, steps):
+        # the CLI writes the solve's columns and never builds the points:
+        # it must print the library's points, the empty table and an E
+        # crossing inserted between the first rows (bracketed from the
+        # bottom of E at 2 and 3 steps) included
+        trace = periodmap.trace_fiber(q, steps=steps)
+        points = trace.points
+        at = [i for i, pt in enumerate(points) if pt is trace.crossing]
+        assert len(points) == steps + len(at)
+        assert (0 < at[0] < steps) if steps >= 2 else not at
         columns = [[pt.lam for pt in points], [pt.e2 for pt in points],
                    [pt.region.value for pt in points]]
         header = ["lambda", "e2", "region"]
         assert (_csv_text(header, columns)
                 == _reference_csv(header, columns))
-        code, out, _ = run_cli(["fiber", "--q", "11/10", "--steps", "40"])
+        code, out, _ = run_cli(["fiber", "--q", q, "--steps", str(steps)])
         assert code == 0 and out == _reference_csv(header, columns)
 
     def test_mixed_columns_with_special_floats(self):

@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from halfelastica import moduli as M
 from halfelastica.errors import DomainError, OutsideModuliSpaceError
 from conftest import sample_moduli, sample_timelike
+import reference
 
 TRIBONACCI = 1.8392867552  # real root of x^3 - x^2 - x - 1
 
@@ -396,6 +397,13 @@ class TestExceptionalLocus:
         for lam in (-0.95, -1.0, -1.5, -2.5):
             e2 = M.exceptional_c(lam)
             assert M.a_lower(lam) < e2 < M.eta_pm(lam)[1]
+
+    @pytest.mark.parametrize("lam", [-1.8, -1.3, -13 / 12, -0.95, -1e3])
+    def test_matches_40_digit_reference(self, lam):
+        # measured within 1.7e-16 relative (at -1.3), 1 ulp or less at each
+        # multiplier; the bound is 10x that
+        ref = reference.exceptional_c(lam)
+        assert abs(M.exceptional_c(lam) - ref) <= 1.7e-15 * ref
 
     def test_matches_bracketed_solve(self):
         lams = np.concatenate([-np.geomspace(0.93, 800.0, 240),
