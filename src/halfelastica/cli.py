@@ -48,22 +48,17 @@ def _fmt(x) -> str:
         return str(x)
     if x is None:
         return "null"
+    if isinstance(x, str):
+        escaped = x.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{escaped}"'
     raise TypeError(f"unsupported scalar {type(x)!r}")
 
 
-def dumps_json(obj, indent: int = 0) -> str:
-    """Minimal JSON writer with fixed key order and 17-digit floats."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        items = [
-            f'{pad}  "{k}": {dumps_json(v, indent + 1).lstrip()}'
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    return _fmt(obj)
+def dumps_json(obj: dict) -> str:
+    """Minimal JSON writer of one flat object, with fixed key order and
+    17-digit floats."""
+    return ("{\n" + ",\n".join(f'  "{k}": {_fmt(v)}' for k, v in obj.items())
+            + "\n}")
 
 
 # Floats as Python's '%.17g', exactly, on whole arrays.  A finite x with
@@ -513,8 +508,9 @@ def cmd_find_string(cfg: argparse.Namespace) -> int:
 
 
 def cmd_fiber(cfg: argparse.Namespace) -> int:
-    lam, e2, regions, _, _ = periodmap._fiber_columns(cfg.q, cfg.steps)
-    _emit(cfg, write_csv(["lambda", "e2", "region"], [lam, e2, regions]))
+    trace = periodmap.trace_fiber(cfg.q, cfg.steps)
+    _emit(cfg, write_csv(["lambda", "e2", "region"],
+                         [trace.lam, trace.e2, trace.regions]))
     return EXIT_OK
 
 

@@ -31,6 +31,7 @@ tagged E.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -161,12 +162,26 @@ class StringRecord:
 
 @dataclass(frozen=True)
 class FiberTrace:
-    """Polyline approximation of one rational fiber of the period map."""
+    """Polyline approximation of one rational fiber of the period map: the
+    columns of its rows by increasing height, floats and region tags as the
+    CSV prints them, and the E crossing (or None), which is one of them."""
 
     q_num: int
     q_den: int
-    points: tuple[ModulusPoint, ...]
+    lam: tuple[float, ...]
+    e2: tuple[float, ...]
+    regions: tuple[str, ...]
     crossing: ModulusPoint | None
+
+    @property
+    def points(self) -> tuple[ModulusPoint, ...]:
+        """The rows as points, with the crossing object itself at its row,
+        the last one at or below its height."""
+        points = [ModulusPoint(lam, e2, Region(region)) for lam, e2, region
+                  in zip(self.lam, self.e2, self.regions)]
+        if self.crossing is not None:
+            points[bisect_right(self.e2, self.crossing.e2) - 1] = self.crossing
+        return tuple(points)
 
 
 def _no_amplitude(lam, e2) -> RegionError:
@@ -206,23 +221,22 @@ def _timelike_quartic(p) -> tuple[float, QuarticData]:
 
 
 def _timelike_slice(lam, e2s) -> QuarticData:
-    """:func:`_timelike_quartic` at every height of one multiplier slice, or
-    pointwise where ``lam`` is an array broadcast against the heights: the
+    """:func:`_timelike_quartic` at the points (lam, e2) of the heights,
+    ``lam`` (one multiplier or one per height) broadcast against them: the
     quartic data as arrays."""
-    e2 = np.atleast_1d(np.asarray(e2s, dtype=float))
-    if np.ndim(lam):
-        lam, e2 = np.broadcast_arrays(lam, e2)
+    lam, e2 = np.broadcast_arrays(np.asarray(lam, dtype=float),
+                                  np.atleast_1d(np.asarray(e2s, dtype=float)))
     with np.errstate(invalid="ignore", over="ignore"):
         timelike = ((e2 > 0.0) & (boundary_quartic(lam, e2) < 0.0)
                     & (e2 * e2 + 2.0 * lam * e2 + 1.0 > 0.0))
     if not timelike.all():
         bad = np.argmin(timelike)
-        raise _not_timelike(lam[bad] if np.ndim(lam) else lam, e2[bad])
+        raise _not_timelike(lam[bad], e2[bad])
     qd = _quartic_on_slice(lam, e2)
     flat = ~(qd.e1 > e2)
     if flat.any():
         bad = np.argmax(flat)
-        raise _no_amplitude(lam[bad] if np.ndim(lam) else lam, e2[bad])
+        raise _no_amplitude(lam[bad], e2[bad])
     return qd
 
 
@@ -625,17 +639,20 @@ def _chandrupatla(f, lo, hi, args, xatol, xrtol, fatol):
         x1, f1, a1, s1 = xt, ft, at, st
 
 
-def _fiber_columns(q, steps: int):
-    """The fiber of q as columns, which :func:`trace_fiber` wraps into
-    points: (lam, e2, regions, crossing, at), the float arrays of the rows
-    by increasing height, their region tags as str, and the E crossing (a
-    ModulusPoint or None), which is row ``at`` of the columns.
+def trace_fiber(q, steps: int = 200) -> FiberTrace:
+    """Trace the fiber of q from the corner (-1, 1) to its endpoint on the
+    center boundary by root solves in the multiplier, all heights in one
+    :func:`_chandrupatla` array solve on their full brackets.
 
-    The side of E of a row is the sign of the locus residual T of its
-    quartic.  The crossing is sought between the first two neighbouring
-    rows below LAMBDA_EXCEPTIONAL whose product of T is not positive, and
-    it is inserted after every row at or below its height, where a stable
-    sort by height puts it.
+    Root solving is self-correcting, unlike direct integration of the
+    fiber-tangent vector field, whose non-vanishing is only experimental.
+    The side of E of a point is the sign of the locus residual T of its
+    quartic, negative on T- and positive on T+.  E is the curve e1 = -2 lam
+    (T = -2 e1^2 e2^2 (e1 + 2 lam)), so at a height e2 its multiplier is
+    the root of the cubic T(-2 lam, e2) in the bracket, and the crossing of
+    E is one root solve of P - q along that curve, between the first two
+    neighbouring rows below LAMBDA_EXCEPTIONAL whose product of T is not
+    positive.  It is the row after every row at or below its height.
     """
     frac = _as_fraction(q)
     qv = float(frac)
@@ -663,55 +680,34 @@ def _fiber_columns(q, steps: int):
     qd = _quartic_on_slice(lams, heights)
     tags = {offset: region.value for offset, region in _REGION_OF_OFFSET.items()}
     regions = [tags[offset] for offset in _slice_offsets(lams, qd).tolist()]
+    lam, e2 = lams.tolist(), heights.tolist()
     below = lams < LAMBDA_EXCEPTIONAL
     flips = np.flatnonzero(below[:-1] & below[1:]
                            & ~(qd.t[:-1] * qd.t[1:] > 0.0))
-    if not flips.size:
-        return lams, heights, regions, None, None
+    crossing = None
+    if flips.size:
+        # the multiplier on E of each height the outer solve evaluates
+        on_locus = {}
 
-    def lam_on_locus(e2: float) -> float:
-        return brentq(lambda lam: exceptional_residual(-2.0 * lam, e2),
-                      *_lambda_bracket(e2), xtol=1e-15, rtol=8.9e-16)
+        def p_on_locus(e2v: float) -> float:
+            lam_e = on_locus[e2v] = brentq(
+                lambda x: exceptional_residual(-2.0 * x, e2v),
+                *_lambda_bracket(e2v), xtol=1e-15, rtol=8.9e-16)
+            return period_map((lam_e, e2v)) - qv
 
-    i = int(flips[0])
-    # E starts at the height E2_EXCEPTIONAL_MIN on the center boundary,
-    # where the period map along it diverges
-    bottom, top = heights[i:i + 2].tolist()
-    e_c = brentq(lambda e2: period_map((lam_on_locus(e2), e2)) - qv,
-                 max(bottom, E2_EXCEPTIONAL_MIN + 1e-6), top, xtol=1e-14,
-                 rtol=8.9e-16)
-    crossing = classify_region(lam_on_locus(e_c), e_c)
-    at = int(np.searchsorted(heights, crossing.e2, side="right"))
-    regions.insert(at, crossing.region.value)
-    return (np.insert(lams, at, crossing.lam),
-            np.insert(heights, at, crossing.e2), regions, crossing, at)
-
-
-def trace_fiber(q, steps: int = 200) -> FiberTrace:
-    """Trace the fiber of q from the corner (-1, 1) to its endpoint on the
-    center boundary by root solves in the multiplier, all heights in one
-    :func:`_chandrupatla` array solve on their full brackets.
-
-    Root solving is self-correcting, unlike direct integration of the
-    fiber-tangent vector field, whose non-vanishing is only experimental.
-    The side of E of a point is the sign of the locus residual T of its
-    quartic, negative on T- and positive on T+.  E is the curve e1 = -2 lam
-    (T = -2 e1^2 e2^2 (e1 + 2 lam)), so at a height e2 its multiplier is
-    the root of the cubic T(-2 lam, e2) in the bracket, and the crossing of
-    E between two rows on opposite sides is one root solve of P - q along
-    that curve; it is returned separately and inserted into the polyline.
-    The points are built from the columns of :func:`_fiber_columns`, which
-    the CLI writes to its table without building points.
-    """
-    frac = _as_fraction(q)
-    lams, heights, regions, crossing, at = _fiber_columns(frac, steps)
-    tag = {r.value: r for r in Region}
-    points = [ModulusPoint(lam, e2, tag[region]) for lam, e2, region
-              in zip(lams.tolist(), heights.tolist(), regions)]
-    if crossing is not None:
-        points[at] = crossing
+        i = int(flips[0])
+        # E starts at the height E2_EXCEPTIONAL_MIN on the center boundary,
+        # where the period map along it diverges
+        e_c = brentq(p_on_locus, max(e2[i], E2_EXCEPTIONAL_MIN + 1e-6),
+                     e2[i + 1], xtol=1e-14, rtol=8.9e-16)
+        crossing = classify_region(on_locus[e_c], e_c)
+        at = bisect_right(e2, crossing.e2)
+        lam.insert(at, crossing.lam)
+        e2.insert(at, crossing.e2)
+        regions.insert(at, crossing.region.value)
     return FiberTrace(q_num=frac.numerator, q_den=frac.denominator,
-                      points=tuple(points), crossing=crossing)
+                      lam=tuple(lam), e2=tuple(e2), regions=tuple(regions),
+                      crossing=crossing)
 
 
 def _endpoint_slope(lam: float) -> float:
@@ -727,9 +723,8 @@ def _endpoint_slope(lam: float) -> float:
 
 def monotonicity_transition() -> float:
     """Multiplier at which the slice-wise period map switches from having an
-    interior minimum to being strictly decreasing, located by bisection on
-    the sign of the slope at the center end, on [-0.9995, -0.945] to a
-    width of 2e-4."""
+    interior minimum to being strictly decreasing: the root of the slope at
+    the center end on [-0.9995, -0.945], by brentq to a width of 2e-4."""
     lo, hi = _TRANSITION_BRACKET
     flo, fhi = _endpoint_slope(lo), _endpoint_slope(hi)
     if not (flo > 0.0 > fhi):
@@ -737,10 +732,4 @@ def monotonicity_transition() -> float:
             f"monotonicity transition not bracketed on [{lo}, {hi}]: "
             f"slopes ({flo:.3e}, {fhi:.3e})"
         )
-    while hi - lo > _TRANSITION_TOL:
-        mid = 0.5 * (lo + hi)
-        if _endpoint_slope(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return brentq(_endpoint_slope, lo, hi, xtol=_TRANSITION_TOL)

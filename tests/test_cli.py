@@ -2,6 +2,7 @@
 rendering contract."""
 
 import ast
+import bisect
 import json
 import math
 import pathlib
@@ -458,18 +459,29 @@ class TestWriteCsv:
                                 "--format", "csv"])
         assert code == 0 and out == _reference_csv(header, columns)
 
-    @pytest.mark.parametrize("steps", [0, 1, 2, 3, 40])
+    @pytest.mark.parametrize("steps", [0, 1, 2, 3, 40, 200])
     @pytest.mark.parametrize("q", ["11/10", "19/16", "25/24"])
     def test_fiber_table_matches_per_value_reference(self, q, steps):
-        # the CLI writes the solve's columns and never builds the points:
-        # it must print the library's points, the empty table and an E
-        # crossing inserted between the first rows (bracketed from the
+        # the CLI writes the trace's columns and never builds the points:
+        # it must print the points derived from them, the empty table and
+        # an E crossing inserted between the first rows (bracketed from the
         # bottom of E at 2 and 3 steps) included
         trace = periodmap.trace_fiber(q, steps=steps)
+        assert all(type(v) is float for v in trace.lam + trace.e2)
+        assert all(type(v) is str for v in trace.regions)
+        assert all(isinstance(c, tuple)
+                   for c in (trace.lam, trace.e2, trace.regions))
         points = trace.points
+        assert points == tuple(M.ModulusPoint(lam, e2, M.Region(region))
+                               for lam, e2, region in zip(
+                                   trace.lam, trace.e2, trace.regions))
         at = [i for i, pt in enumerate(points) if pt is trace.crossing]
         assert len(points) == steps + len(at)
         assert (0 < at[0] < steps) if steps >= 2 else not at
+        if at:
+            assert at == [bisect.bisect_right(trace.e2, trace.crossing.e2) - 1]
+        again = periodmap.trace_fiber(q, steps=steps)
+        assert again == trace and hash(again) == hash(trace)
         columns = [[pt.lam for pt in points], [pt.e2 for pt in points],
                    [pt.region.value for pt in points]]
         header = ["lambda", "e2", "region"]

@@ -591,6 +591,31 @@ def test_coarse_trace_finds_the_crossing(steps):
     assert abs(tr.crossing.lam - fine.lam) <= 1e-12
 
 
+@pytest.mark.parametrize("q", ["11/10", "19/16", "25/24"])
+def test_crossing_solves_each_multiplier_once(q, monkeypatch):
+    """The crossing's outer brentq in e2 solves for the multiplier on E once
+    at each height it evaluates, and the crossing is classified at the
+    multiplier of its root, with no further solve."""
+    inner, outer_evals = [], []
+    solve = P.brentq
+
+    def counting(f, a, b, *args, **kwargs):
+        if a < 0.0:
+            # a multiplier bracket: the inner solve onto E
+            inner.append((a, b))
+            return solve(f, a, b, *args, **kwargs)
+
+        def counted(x):
+            outer_evals.append(x)
+            return f(x)
+
+        return solve(counted, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(P, "brentq", counting)
+    assert P.trace_fiber(q, steps=200).crossing is not None
+    assert outer_evals and len(inner) == len(outer_evals)
+
+
 def test_trace_solves_no_exceptional_height(monkeypatch):
     calls = []
     solve = M.exceptional_c
